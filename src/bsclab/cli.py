@@ -1,10 +1,12 @@
 """Reproducible experiment runner.
 
-Every subcommand takes an explicit seed (there is no wall-clock entropy
-anywhere), prints a short summary, optionally writes a canonical JSON report
-and a per-trial CSV, and exits 0 exactly when every check in the report
-passed.  Trial batches honor BSCLAB_WORKERS for process fan-out where the
-work is seed-partitionable.
+Each subcommand parses its arguments, calls one experiment function of
+`bsclab.suite` (the one its acceptance criterion calls at pinned
+parameters), prints a short summary, optionally writes a canonical JSON
+report and a per-trial CSV, and exits 0 exactly when every check in the
+report passed.  Every subcommand takes an explicit seed; there is no
+wall-clock entropy anywhere.  `chunk-verify` honors BSCLAB_WORKERS by
+running slices of its trials in worker processes.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -21,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import compressor, energy, infotheory, suite, verify
+from . import compressor, suite, verify
 from .compressor import ChunkParams, minimal_t
-from .core import CostLedger, RandomSource, load_spec, spec_from_dict
-from .infotheory import external_info_cost, kl_bernoulli, uniform_inputs
+from .core import constant_spec, load_spec, spec_from_dict
+from .infotheory import uniform_inputs
 
 
 @dataclass
@@ -32,7 +33,8 @@ class ReportDocument:
     """Experiment record: parameters, seeds, metrics and verdicts.
 
     Rerunning with the same seeds reproduces every field except the wall
-    clock.  `trials` feeds the CSV writer only and never enters the JSON.
+    clock.  `trials` (column name -> one value per trial) feeds the CSV
+    writer only and never enters the JSON.
     """
 
     experiment: str
@@ -40,7 +42,7 @@ class ReportDocument:
     seeds: dict
     metrics: dict = field(default_factory=dict)
     tests: list = field(default_factory=list)
-    trials: list = field(default_factory=list)
+    trials: dict = field(default_factory=dict)
     wall_clock_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -67,7 +69,8 @@ def emit_report(doc: ReportDocument, path: str | None, fmt: str = "json") -> Non
             json.dump(doc.to_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
     elif fmt == "csv":
-        rows = doc.trials or [
+        columns = [np.asarray(c).tolist() for c in doc.trials.values()]
+        rows = [dict(zip(doc.trials, row)) for row in zip(*columns)] or [
             {"metric": k, "value": v}
             for k, v in doc.metrics.items()
             if isinstance(v, (int, float, str, bool))
@@ -89,73 +92,39 @@ def _workers() -> int:
         return 1
 
 
-def _print_tests(doc: ReportDocument) -> None:
-    for t in doc.tests:
-        verdict = "PASS" if t["passed"] else "FAIL"
-        print(f"  [{verdict}] {t['name']}")
-
-
 # ---------------------------------------------------------------------------
-# chunk-verify
+# Experiment subcommands: parse, call one suite experiment, wrap the report
 # ---------------------------------------------------------------------------
 
 
-def _mc_slice(args: tuple) -> verify.MonteCarloChunkResult:
-    spec_doc, params_fields, x, y, n, base_seed = args
-    spec = spec_from_dict(spec_doc)
-    params = ChunkParams(*params_fields)
-    return verify.monte_carlo_chunk(params, spec, x, y, n, base_seed)
+def _report(
+    experiment: str, parameters: dict, seeds: dict, res: suite.ExperimentResult
+) -> ReportDocument:
+    return ReportDocument(experiment, parameters, seeds, res.metrics, res.checks, res.trials)
 
 
-def _run_mc(
-    spec_doc: dict, params: ChunkParams, x, y, samples: int, seed: int
-) -> verify.MonteCarloChunkResult:
-    workers = _workers()
+def _trial_slice(job: tuple) -> list[verify.ChunkTrial]:
+    spec_doc, params, x, y, seed, start, stop = job
+    return verify.run_chunk_trials(params, spec_from_dict(spec_doc), x, y, seed, start, stop)
+
+
+def _trial_runner(spec_doc: dict, workers: int):
+    """verify.run_chunk_trials, or an equivalent that splits the trials over
+    `workers` processes; each trial keeps its seed and index either way."""
     if workers == 1:
-        return _mc_slice((spec_doc, _params_fields(params), x, y, samples, seed))
-    bounds = np.linspace(0, samples, workers + 1, dtype=int)
-    jobs = [
-        (spec_doc, _params_fields(params), x, y, int(hi - lo), seed + int(lo))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_mc_slice, jobs))
-    counts = sum(p.counts for p in parts)
-    bits = np.concatenate([p.bits for p in parts])
-    failures = [f for p in parts for f in p.failures]
-    hists: dict[int, np.ndarray] = {}
-    for p in parts:
-        for b, h in p.rejection_rounds.items():
-            cur = hists.get(b, np.zeros(0, dtype=np.int64))
-            n = max(cur.size, h.size)
-            merged = np.zeros(n, dtype=np.int64)
-            merged[: cur.size] += cur
-            merged[: h.size] += h
-            hists[b] = merged
-    branch_trials = {b: int(h.sum()) for b, h in hists.items()}
-    branch_mean = {
-        b: (float((np.arange(h.size) * h).sum() / h.sum()) if h.sum() else 0.0)
-        for b, h in hists.items()
-    }
-    used = int(bits.size)
-    thr = sum(p.mean_threshold_rounds * p.n_trials for p in parts)
-    return verify.MonteCarloChunkResult(
-        counts=counts,
-        n_trials=used,
-        mean_bits=float(bits.mean()) if used else 0.0,
-        p95_bits=float(np.percentile(bits, 95)) if used else 0.0,
-        branch_trials=branch_trials,
-        branch_mean_rounds=branch_mean,
-        rejection_rounds=hists,
-        mean_threshold_rounds=thr / used if used else 0.0,
-        bits=bits,
-        failures=failures,
-    )
+        return verify.run_chunk_trials
 
+    def run(params, spec, x, y, seed, start, stop):
+        bounds = np.linspace(start, stop, workers + 1, dtype=int)
+        jobs = [
+            (spec_doc, params, x, y, seed, int(lo), int(hi))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if hi > lo
+        ]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return [t for part in pool.map(_trial_slice, jobs) for t in part]
 
-def _params_fields(params: ChunkParams) -> tuple:
-    return (params.gamma, params.epsilon, params.theta, params.t, params.beta)
+    return run
 
 
 def cmd_chunk_verify(args: argparse.Namespace) -> ReportDocument:
@@ -170,7 +139,6 @@ def cmd_chunk_verify(args: argparse.Namespace) -> ReportDocument:
             "kind": "seeded",
             "seed": args.spec_seed,
         }
-    spec = spec_from_dict(spec_doc)
     theta = args.theta if args.theta is not None else args.gamma * (0.5 - 3 * args.epsilon)
     if args.t == "minimal":
         t = minimal_t(args.gamma, args.epsilon, theta)
@@ -179,20 +147,16 @@ def cmd_chunk_verify(args: argparse.Namespace) -> ReportDocument:
     else:
         t = float(args.t)
     params = ChunkParams(args.gamma, args.epsilon, theta, t, args.beta)
-    violations = compressor.validate_params(params)
-    if violations:
-        raise SystemExit("parameter validation failed: " + "; ".join(violations))
-
-    exact = verify.exact_chunk_distribution(params)
-    expected = verify.class_law(params.half, params.epsilon)
-    max_diff = float(np.max(np.abs(exact - expected)))
-
-    mc = _run_mc(spec_doc, params, 0, 1, args.samples, args.seed)
-    gof = verify.chi_square_gof(mc.counts, exact)
-
-    doc = ReportDocument(
-        experiment="chunk-verify",
-        parameters={
+    res = suite.chunk_experiment(
+        params,
+        spec_from_dict(spec_doc),
+        args.samples,
+        args.seed,
+        _trial_runner(spec_doc, _workers()),
+    )
+    return _report(
+        "chunk-verify",
+        {
             "gamma": params.gamma,
             "epsilon": params.epsilon,
             "theta": params.theta,
@@ -200,139 +164,41 @@ def cmd_chunk_verify(args: argparse.Namespace) -> ReportDocument:
             "beta": params.beta,
             "samples": args.samples,
         },
-        seeds={"base": args.seed, "spec": args.spec_seed},
-        metrics={
-            "exact_max_abs_diff": max_diff,
-            "chi2_statistic": gof.statistic,
-            "chi2_p_value": gof.p_value,
-            "mean_bits": mc.mean_bits,
-            "p95_bits": mc.p95_bits,
-            "branch_trials": mc.branch_trials,
-            "branch_mean_rounds": mc.branch_mean_rounds,
-            "mean_threshold_rounds": mc.mean_threshold_rounds,
-            "failed_trials": len(mc.failures),
-        },
-        tests=[
-            {"name": "exact law matches product binomial (1e-10)", "passed": max_diff <= 1e-10},
-            {"name": "chi-square fit at 0.001", "passed": gof.passed},
-            {"name": "no aborted trials", "passed": not mc.failures},
-        ],
-        trials=[{"trial": i, "bits": int(b)} for i, b in enumerate(mc.bits)],
+        {"base": args.seed, "spec": args.spec_seed},
+        res,
     )
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# compress
-# ---------------------------------------------------------------------------
 
 
 def cmd_compress(args: argparse.Namespace) -> ReportDocument:
-    if args.spec:
-        spec = load_spec(args.spec)
-    else:
-        spec = spec_from_dict(
-            {
-                "rounds": args.rounds,
-                "alice_inputs": [0],
-                "bob_inputs": [0],
-                "kind": "constant",
-                "bit": 1,
-            }
-        )
-    x = spec.alice_inputs[0]
-    y = spec.bob_inputs[0]
-    bits = np.zeros(args.trials, dtype=np.int64)
-    for i in range(args.trials):
-        rng = RandomSource.for_trial(args.seed, i)
-        _, ledger = compressor.simulate_noiseless(
-            spec, x, y, args.epsilon, rng, beta=args.beta, t_cap=args.t_cap
-        )
-        bits[i] = ledger.bits_sent
-    g = compressor.default_gamma(args.epsilon)
-    n_chunks = math.ceil(spec.rounds / g) if args.epsilon < args.beta else 1
-    doc = ReportDocument(
-        experiment="compress",
-        parameters={
+    spec = load_spec(args.spec) if args.spec else constant_spec(args.rounds)
+    res = suite.compression_experiment(
+        spec, args.epsilon, args.trials, args.seed, beta=args.beta, t_cap=args.t_cap
+    )
+    return _report(
+        "compress",
+        {
             "rounds": spec.rounds,
             "epsilon": args.epsilon,
             "beta": args.beta,
             "t_cap": args.t_cap,
             "trials": args.trials,
         },
-        seeds={"base": args.seed},
-        metrics={
-            "mean_bits": float(bits.mean()),
-            "p95_bits": float(np.percentile(bits, 95)),
-            "mean_bits_per_chunk": float(bits.mean()) / n_chunks,
-            "chunks": n_chunks,
-        },
-        tests=[{"name": "all trials completed", "passed": True}],
-        trials=[{"trial": i, "bits": int(b)} for i, b in enumerate(bits)],
+        {"base": args.seed},
+        res,
     )
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# walk
-# ---------------------------------------------------------------------------
 
 
 def cmd_walk(args: argparse.Namespace) -> ReportDocument:
-    rng = RandomSource(args.seed)
-    ends = []
-    energies = []
-    steps = []
-    for _ in range(args.trials):
-        ledger = CostLedger()
-        if args.mode == "brw":
-            out = energy.brw_to_top(args.a, args.b, rng, ledger)
-        else:
-            out = energy.unbiased_walk(args.a, args.a + args.b, rng, ledger)
-        ends.append(out.end_index)
-        energies.append(out.energy)
-        steps.append(out.steps)
-    ends_arr = np.array(ends)
-    mean_energy = float(np.mean(energies))
-    top = args.a + args.b
-    tests = []
     if args.mode == "brw":
-        tests.append(
-            {"name": "absorbed at a+b in every run", "passed": bool(np.all(ends_arr == top))}
-        )
-        tests.append({"name": "mean energy <= 48", "passed": mean_energy <= 48.0})
+        res = suite.biased_walk_experiment([(args.a, args.b, args.seed)], args.trials)
     else:
-        freq = float(np.mean(ends_arr == top))
-        target = args.a / top
-        sigma = math.sqrt(target * (1 - target) / args.trials) if 0 < target < 1 else 0.0
-        tests.append(
-            {
-                "name": "top frequency within 3 sigma of a/(a+b)",
-                "passed": abs(freq - target) <= 3 * sigma + 1e-12,
-            }
-        )
-        tests.append({"name": "zero energy", "passed": float(np.sum(energies)) == 0.0})
-    doc = ReportDocument(
-        experiment=f"walk-{args.mode}",
-        parameters={"a": args.a, "b": args.b, "trials": args.trials},
-        seeds={"base": args.seed},
-        metrics={
-            "top_fraction": float(np.mean(ends_arr == top)),
-            "mean_energy": mean_energy,
-            "mean_steps": float(np.mean(steps)),
-        },
-        tests=tests,
-        trials=[
-            {"trial": i, "end": int(e), "energy": float(v), "steps": int(s)}
-            for i, (e, v, s) in enumerate(zip(ends, energies, steps))
-        ],
+        res = suite.unbiased_walk_experiment(args.a, args.b, args.trials, args.seed)
+    return _report(
+        f"walk-{args.mode}",
+        {"a": args.a, "b": args.b, "trials": args.trials},
+        {"base": args.seed},
+        res,
     )
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# sample-prior
-# ---------------------------------------------------------------------------
 
 
 def cmd_sample_prior(args: argparse.Namespace) -> ReportDocument:
@@ -340,49 +206,13 @@ def cmd_sample_prior(args: argparse.Namespace) -> ReportDocument:
         pairs = [tuple(float(v) for v in chunk.split(":")) for chunk in args.pairs.split(",")]
     else:
         pairs = [(args.p, args.q)]
-    eps_i = 1.0 / (2 * args.grid_n)
-    rows = []
-    tests = []
-    for idx, (p, q) in enumerate(pairs):
-        rng = RandomSource(args.seed + idx)
-        ledger = CostLedger()
-        ones = 0
-        for _ in range(args.samples):
-            ones += energy.sample_with_prior(p, q, args.grid_n, rng, ledger)
-        mean = ones / args.samples
-        sigma = math.sqrt(p * (1 - p) / args.samples) if 0 < p < 1 else 0.0
-        divergence = kl_bernoulli(p, q)
-        ratio = (ledger.energy / args.samples) / (divergence + eps_i)
-        rows.append(
-            {
-                "p": p,
-                "q": q,
-                "mean": mean,
-                "mean_energy": ledger.energy / args.samples,
-                "divergence_bits": divergence,
-                "energy_ratio": ratio,
-            }
-        )
-        tests.append(
-            {
-                "name": f"mean within 3 sigma at p={p}, q={q}",
-                "passed": abs(mean - p) <= 3 * sigma + 1e-12,
-            }
-        )
-    doc = ReportDocument(
-        experiment="sample-prior",
-        parameters={"grid_n": args.grid_n, "samples": args.samples},
-        seeds={"base": args.seed},
-        metrics={"grid": rows, "max_energy_ratio": max(r["energy_ratio"] for r in rows)},
-        tests=tests,
-        trials=rows,
+    res = suite.sample_prior_experiment(pairs, args.grid_n, args.samples, args.seed)
+    return _report(
+        "sample-prior",
+        {"grid_n": args.grid_n, "samples": args.samples},
+        {"base": args.seed},
+        res,
     )
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# icost / equiv
-# ---------------------------------------------------------------------------
 
 
 def _load_mu(arg: str, spec) -> dict:
@@ -401,96 +231,33 @@ def _load_mu(arg: str, spec) -> dict:
 
 def cmd_icost(args: argparse.Namespace) -> ReportDocument:
     spec = load_spec(args.spec)
-    mu = _load_mu(args.mu, spec)
-    res = external_info_cost(spec, mu)
-    spread = max(res.bits, res.chain_bits, res.divergence_bits) - min(
-        res.bits, res.chain_bits, res.divergence_bits
+    res = suite.icost_experiment(spec, _load_mu(args.mu, spec))
+    return _report(
+        "icost", {"spec": args.spec, "mu": args.mu, "rounds": spec.rounds}, {}, res
     )
-    doc = ReportDocument(
-        experiment="icost",
-        parameters={"spec": args.spec, "mu": args.mu, "rounds": spec.rounds},
-        seeds={},
-        metrics={
-            "external_info_cost_bits": res.bits,
-            "chain_rule_bits": res.chain_bits,
-            "divergence_form_bits": res.divergence_bits,
-            "per_round_bits": list(res.per_round),
-        },
-        tests=[{"name": "three routes agree (1e-9)", "passed": spread <= 1e-9}],
-    )
-    return doc
 
 
 def cmd_equiv(args: argparse.Namespace) -> ReportDocument:
-    tests = []
-    metrics = {}
+    runs = []
     if args.mode in ("eclb", "both"):
-        worst = -math.inf
-        holds = True
-        for k in range(args.instances):
-            gen = np.random.default_rng(args.seed + k)
-            rounds = int(gen.integers(1, 4))
-            pi = suite.random_variable_noise_spec(gen, rounds)
-            mu = suite.random_mu(gen, pi)
-            phi = energy.noiseless_from_noisy(pi, mu)
-            slack = external_info_cost(phi, mu).bits - energy.expected_energy_cost(pi, mu) / infotheory.LN2
-            worst = max(worst, slack)
-            holds = holds and slack <= 1e-9
-        metrics["eclb_worst_slack_bits"] = worst
-        tests.append({"name": "info cost <= energy / ln 2 on all instances", "passed": holds})
+        runs.append(("eclb", suite.eclb_experiment(args.instances, args.seed)))
     if args.mode in ("ecub", "both"):
-        battery = []
-        passed = True
-        for idx, (name, phi) in enumerate(suite.ecub_battery()):
-            mu = uniform_inputs(phi)
-            sim = energy.noisy_from_noiseless(phi, mu, args.grid_n)
-            joint = infotheory.FiniteJoint.from_protocol(phi, mu)
-            leaves = sorted({t for (_, _, t) in joint.table})
-            expected = np.array(
-                [
-                    sum(pr for (x, y, t), pr in joint.table.items() if t == leaf)
-                    for leaf in leaves
-                ]
-            )
-            pair_list = list(mu.keys())
-            weights = np.array([mu[p] for p in pair_list])
-            gen = np.random.default_rng(args.seed + 50 + idx)
-            draws = gen.choice(len(pair_list), size=args.samples, p=weights)
-            rng = RandomSource(args.seed + 60 + idx)
-            counts = np.zeros(len(leaves), dtype=np.int64)
-            total_energy = 0.0
-            for d in draws:
-                x, y = pair_list[d]
-                transcript, ledger = sim.run(x, y, rng)
-                counts[leaves.index(transcript)] += 1
-                total_energy += ledger.energy
-            gof = verify.chi_square_gof(counts, expected)
-            ic = external_info_cost(phi, mu).bits
-            ratio = (total_energy / args.samples) / (ic + 1.0 / (2 * args.grid_n))
-            battery.append(
-                {
-                    "protocol": name,
-                    "p_value": gof.p_value,
-                    "mean_energy": total_energy / args.samples,
-                    "energy_ratio": ratio,
-                }
-            )
-            passed = passed and gof.passed
-        metrics["ecub_battery"] = battery
-        tests.append({"name": "noisy replay transcript law fits", "passed": passed})
-    doc = ReportDocument(
-        experiment="equiv",
-        parameters={
+        runs.append(("ecub", suite.ecub_experiment(args.grid_n, args.samples, args.seed)))
+    res = suite.ExperimentResult(
+        {f"{mode}_{k}": v for mode, r in runs for k, v in r.metrics.items()},
+        [c for _, r in runs for c in r.checks],
+    )
+    return _report(
+        "equiv",
+        {
             "mode": args.mode,
             "instances": args.instances,
             "samples": args.samples,
             "grid_n": args.grid_n,
         },
-        seeds={"base": args.seed},
-        metrics=metrics,
-        tests=tests,
+        {"base": args.seed},
+        res,
     )
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +272,7 @@ def cmd_suite(args: argparse.Namespace) -> ReportDocument:
     results = suite.run_suite(seed=args.seed, numbers=numbers)
     for res in results:
         print(res.line())
-    doc = ReportDocument(
+    return ReportDocument(
         experiment="suite",
         parameters={"criteria": numbers or [n for n, _ in suite.CRITERIA]},
         seeds={"base": args.seed},
@@ -518,7 +285,6 @@ def cmd_suite(args: argparse.Namespace) -> ReportDocument:
             for res in results
         ],
     )
-    return doc
 
 
 def _jsonable(obj):
@@ -631,7 +397,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {key} = {value:.6g}")
         elif isinstance(value, (int, str, bool)):
             print(f"  {key} = {value}")
-    _print_tests(doc)
+    for t in doc.tests:
+        print(f"  [{'PASS' if t['passed'] else 'FAIL'}] {t['name']}")
     emit_report(doc, args.out, "json")
     if args.csv:
         emit_report(doc, args.csv, "csv")

@@ -708,6 +708,18 @@ def simulate_noiseless(
     return transcript, ledger
 
 
+def _sample_leaf(
+    engine, spec, x, y, root, params, rng, ledger, record, max_rounds
+) -> Transcript:
+    """Validate `params`, run one pattern engine, materialize its leaf below `root`."""
+    violations = validate_params(params)
+    if violations:
+        raise ParameterError("; ".join(violations))
+    cfg = _Config(beta=params.beta, max_rounds=max_rounds)
+    pattern = engine(params, rng, CostLedger() if ledger is None else ledger, cfg, record)
+    return apply_flip_pattern(spec, x, y, root, pattern)
+
+
 def simulate_chunk(
     spec: ProtocolSpec,
     x: Any,
@@ -721,18 +733,13 @@ def simulate_chunk(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> Transcript:
     """Sample one depth-gamma leaf below `root` with the exact channel law."""
-    violations = validate_params(params)
-    if violations:
-        raise ParameterError("; ".join(violations))
     if len(root) % 2 != 0:
         raise SpecError("chunk roots sit at even depth in the padded tree")
     if len(root) + params.gamma > spec.rounds:
         raise SpecError("chunk extends past the protocol's leaf level")
-    if ledger is None:
-        ledger = CostLedger()
-    cfg = _Config(beta=params.beta, max_rounds=max_rounds)
-    pattern = _chunk_pattern(params, rng, ledger, cfg, record)
-    return apply_flip_pattern(spec, x, y, root, pattern)
+    return _sample_leaf(
+        _chunk_pattern, spec, x, y, root, params, rng, ledger, record, max_rounds
+    )
 
 
 def branch_low(
@@ -748,14 +755,9 @@ def branch_low(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> Transcript:
     """Low-error branch alone: nested doubled-advantage proposals, then rejection."""
-    violations = validate_params(params)
-    if violations:
-        raise ParameterError("; ".join(violations))
-    if ledger is None:
-        ledger = CostLedger()
-    cfg = _Config(beta=params.beta, max_rounds=max_rounds)
-    pattern = _branch_low_pattern(params, rng, ledger, cfg, record)
-    return apply_flip_pattern(spec, x, y, root, pattern)
+    return _sample_leaf(
+        _branch_low_pattern, spec, x, y, root, params, rng, ledger, record, max_rounds
+    )
 
 
 def branch_high(
@@ -771,11 +773,6 @@ def branch_high(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> Transcript:
     """High-error branch alone: uniform public proposals, then rejection."""
-    violations = validate_params(params)
-    if violations:
-        raise ParameterError("; ".join(violations))
-    if ledger is None:
-        ledger = CostLedger()
-    cfg = _Config(beta=params.beta, max_rounds=max_rounds)
-    pattern = _branch_high_pattern(params, rng, ledger, cfg, record)
-    return apply_flip_pattern(spec, x, y, root, pattern)
+    return _sample_leaf(
+        _branch_high_pattern, spec, x, y, root, params, rng, ledger, record, max_rounds
+    )

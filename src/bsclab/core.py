@@ -103,10 +103,6 @@ class CostLedger:
         self.bits_sent += count
         self.energy += count * bit_energy(crossover)
 
-    def charge_energy(self, crossover: float, steps: int) -> None:
-        # Same as charge(); kept separate so walk loops read naturally.
-        self.charge(crossover, steps)
-
 
 class RandomSource:
     """Four independent deterministic streams: public, alice, bob, channel.

@@ -1,8 +1,12 @@
-"""Acceptance battery: every headline guarantee as a seeded, tolerance-pinned check.
+"""Experiments and the acceptance battery built on them.
 
-Each criterion function returns a CriterionResult with a pass flag and the
-measured quantities, so the CLI and the test suite share one implementation.
-Statistical checks run at significance 0.001 with fixed seeds; exact checks
+Each experiment is one function from parameters and seed(s) to an
+ExperimentResult: it runs the sampling loop, computes the statistics and
+applies the pass/fail checks, and returns them with per-trial columns.  The
+CLI subcommands call these functions at user-chosen parameters; each
+acceptance criterion calls one at pinned parameters and seeds and returns a
+CriterionResult, so a CLI report carries exactly the checks of the criterion
+it generalises.  Statistical checks run at significance 0.001; exact checks
 carry explicit numeric tolerances.
 """
 
@@ -23,6 +27,7 @@ from .core import (
     RandomSource,
     constant_spec,
     flip_pattern,
+    pad_to_even,
     seeded_spec,
     table_spec,
     xor_spec,
@@ -46,6 +51,24 @@ class CriterionResult:
             for k, v in list(self.metrics.items())[:4]
         )
         return f"[criterion {self.number:02d}] {self.name}: {verdict} ({keys})"
+
+
+@dataclass
+class ExperimentResult:
+    """Metrics, named pass/fail checks and per-trial columns of one run;
+    `trials` maps each column name to one value per trial."""
+
+    metrics: dict
+    checks: list[dict]
+    trials: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(c["passed"] for c in self.checks)
+
+
+def _check(name: str, passed) -> dict:
+    return {"name": name, "passed": bool(passed)}
 
 
 # ---------------------------------------------------------------------------
@@ -94,24 +117,377 @@ def random_mu(gen: np.random.Generator, spec: ProtocolSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Criteria
+# Experiments
+# ---------------------------------------------------------------------------
+
+
+def chunk_experiment(
+    params: ChunkParams,
+    spec: ProtocolSpec | None = None,
+    samples: int = 0,
+    seed: int = 0,
+    run_trials: Callable[..., list[verify.ChunkTrial]] = verify.run_chunk_trials,
+) -> ExperimentResult:
+    """One chunk's exact class law against the product binomial, then
+    `samples` runs of `spec` on inputs (0, 1), trial i at seed seed + i,
+    against the exact law.  `run_trials` has the signature of
+    verify.run_chunk_trials; the CLI passes one that spreads the trials over
+    processes."""
+    exact = verify.exact_chunk_distribution(params)
+    expected = verify.class_law(params.half, params.epsilon)
+    max_diff = float(np.max(np.abs(exact - expected)))
+    metrics: dict = {"exact_max_abs_diff": max_diff}
+    checks = [_check("exact law matches product binomial (1e-10)", max_diff <= 1e-10)]
+    if not samples:
+        return ExperimentResult(metrics, checks)
+    trials = run_trials(params, spec, 0, 1, seed, 0, samples)
+    mc = verify.summarize_chunk_trials(params.half, trials)
+    gof = verify.chi_square_gof(mc.counts, exact)
+    metrics.update(
+        chi2_statistic=gof.statistic,
+        chi2_p_value=gof.p_value,
+        mean_bits=mc.mean_bits,
+        p95_bits=mc.p95_bits,
+        branch_trials=mc.branch_trials,
+        branch_mean_rounds=mc.branch_mean_rounds,
+        mean_threshold_rounds=mc.mean_threshold_rounds,
+        trials=mc.n_trials,
+        failed_trials=len(mc.failures),
+    )
+    checks += [
+        _check("chi-square fit at 0.001", gof.passed),
+        _check("no aborted trials", not mc.failures),
+    ]
+    done = [t.index for t in trials if t.failure is None]
+    return ExperimentResult(metrics, checks, {"trial": done, "bits": mc.bits})
+
+
+def compression_experiment(
+    spec: ProtocolSpec,
+    epsilon: float,
+    trials: int,
+    seed: int,
+    *,
+    beta: float = compressor.DEFAULT_BETA,
+    t_cap: float = compressor.DEFAULT_T_CAP,
+) -> ExperimentResult:
+    """Whole-protocol compression of `spec` on its first input pair, trial i
+    at seed seed + i.  Each chunk of the padded flip pattern must fit the
+    channel class law at its own half-size, and the mean cost must stay under
+    the (loose) ceiling alpha * ceil(eps^2 * 2T), alpha = max(1/beta^2, 50 t^2 + 10).
+    """
+    x, y = spec.alice_inputs[0], spec.bob_inputs[0]
+    padded = pad_to_even(spec)
+    width = compressor.default_gamma(epsilon) if epsilon < beta else padded.rounds
+    starts = range(0, padded.rounds, width)
+    counts = [
+        np.zeros((h + 1, h + 1), dtype=np.int64)
+        for h in (min(width, padded.rounds - s) // 2 for s in starts)
+    ]
+    bits = np.zeros(trials, dtype=np.int64)
+    for i in range(trials):
+        rng = RandomSource.for_trial(seed, i)
+        transcript, ledger = compressor.simulate_noiseless(
+            spec, x, y, epsilon, rng, beta=beta, t_cap=t_cap
+        )
+        bits[i] = ledger.bits_sent
+        pattern = flip_pattern(padded, x, y, transcript)
+        for k, s in enumerate(starts):
+            chunk = pattern[s : s + width]
+            counts[k][int(chunk[0::2].sum()), int(chunk[1::2].sum())] += 1
+    gofs = [verify.chi_square_gof(c, verify.class_law(len(c) - 1, epsilon)) for c in counts]
+    mean_bits = int(bits.sum()) / trials
+    t = compressor.default_t(epsilon, t_cap)
+    alpha = max(1.0 / beta**2, 50.0 * t * t + 10.0)
+    ceiling = alpha * math.ceil(epsilon**2 * 2 * spec.rounds)
+    checks = [
+        _check(f"chunk {k} ({2 * (len(c) - 1)} rounds) class law chi-square at 0.001", g.passed)
+        for k, (c, g) in enumerate(zip(counts, gofs))
+    ]
+    checks.append(_check("mean bits within alpha ceiling", mean_bits <= ceiling))
+    return ExperimentResult(
+        {
+            "mean_bits": mean_bits,
+            "p95_bits": float(np.percentile(bits, 95)),
+            "mean_bits_per_chunk": mean_bits / len(counts),
+            "chunks": len(counts),
+            "min_gof_p": min(g.p_value for g in gofs),
+            "alpha_ceiling": ceiling,
+            "within_alpha_ceiling": mean_bits <= ceiling,
+        },
+        checks,
+        {"trial": np.arange(trials), "bits": bits},
+    )
+
+
+def _walk_batch(walk: Callable, trials: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Per-run ends, energies and steps of `trials` runs of walk(rng, ledger)
+    on RandomSource(seed), plus their energy summed run by run in order."""
+    rng = RandomSource(seed)
+    ends = np.zeros(trials, dtype=np.int64)
+    energies = np.zeros(trials)
+    steps = np.zeros(trials, dtype=np.int64)
+    total = 0.0
+    for i in range(trials):
+        out = walk(rng, CostLedger())
+        ends[i], energies[i], steps[i] = out.end_index, out.energy, out.steps
+        total += out.energy
+    return ends, energies, steps, total
+
+
+def biased_walk_experiment(
+    battery: list[tuple[int, int, int]], trials: int
+) -> ExperimentResult:
+    """Guaranteed-ascent walks from a to a+b, `trials` runs per (a, b, seed).
+
+    Every run must end at a+b, and the mean energy pooled over the battery
+    must stay at most 48.
+    """
+    batches = []
+    tops = 0
+    total_energy = 0.0
+    per_pair: dict[str, float] = {}
+    for a, b, seed in battery:
+        *batch, pair_energy = _walk_batch(
+            lambda rng, ledger: energy.brw_to_top(a, b, rng, ledger), trials, seed
+        )
+        batches.append(batch)
+        tops += int(np.sum(batch[0] == a + b))
+        total_energy += pair_energy
+        per_pair[f"{a},{b}"] = pair_energy / trials
+    ends, energies, steps = (np.concatenate(col) for col in zip(*batches))
+    runs = len(ends)
+    pooled = total_energy / runs
+    return ExperimentResult(
+        {
+            "top_fraction": tops / runs,
+            "mean_energy": pooled,
+            "max_pair_mean_energy": max(per_pair.values()),
+            "mean_steps": float(np.mean(steps)),
+            "pairs": len(per_pair),
+            "per_pair_mean_energy": per_pair,
+        },
+        [
+            _check("absorbed at a+b in every run", tops == runs),
+            _check("mean energy <= 48", pooled <= 48.0),
+        ],
+        {"trial": np.arange(runs), "end": ends, "energy": energies, "steps": steps},
+    )
+
+
+def unbiased_walk_experiment(a: int, b: int, trials: int, seed: int) -> ExperimentResult:
+    """Symmetric walks on [0, a+b] from a: absorption at the top within
+    3 sigma of a/(a+b), and zero energy identically."""
+    top = a + b
+    ends, energies, steps, total = _walk_batch(
+        lambda rng, ledger: energy.unbiased_walk(a, top, rng, ledger), trials, seed
+    )
+    freq = int(np.sum(ends == top)) / trials
+    target = a / top
+    three_sigma = 3 * math.sqrt(target * (1 - target) / trials)
+    return ExperimentResult(
+        {
+            "top_fraction": freq,
+            "three_sigma": three_sigma,
+            "total_energy": total,
+            "mean_energy": total / trials,
+            "mean_steps": float(np.mean(steps)),
+        },
+        [
+            _check("top frequency within 3 sigma of a/(a+b)", abs(freq - target) <= three_sigma),
+            _check("zero energy", total == 0.0),
+        ],
+        {"trial": np.arange(trials), "end": ends, "energy": energies, "steps": steps},
+    )
+
+
+def sample_prior_experiment(
+    pairs: list[tuple[float, float]], grid_n: int, samples: int, seed: int
+) -> ExperimentResult:
+    """Prior-guided sampling, `samples` draws per (p, q) on RandomSource(seed + idx).
+
+    Each pair's mean must lie within 3 sigma of p, and its mean energy over
+    (divergence + 1/(2 grid_n)) must stay at most 200.
+    """
+    eps_i = 1.0 / (2 * grid_n)
+    rows = []
+    checks = []
+    for idx, (p, q) in enumerate(pairs):
+        rng = RandomSource(seed + idx)
+        ledger = CostLedger()
+        ones = 0
+        for _ in range(samples):
+            ones += energy.sample_with_prior(p, q, grid_n, rng, ledger)
+        mean = ones / samples
+        three_sigma = 3 * math.sqrt(p * (1 - p) / samples)
+        mean_energy = ledger.energy / samples
+        ratio = mean_energy / (kl_bernoulli(p, q) + eps_i)
+        in_sigma = abs(mean - p) <= three_sigma
+        checks += [
+            _check(f"mean within 3 sigma at p={p}, q={q}", in_sigma),
+            _check(f"energy ratio <= 200 at p={p}, q={q}", ratio <= 200.0),
+        ]
+        rows.append(
+            {
+                "p": p,
+                "q": q,
+                "mean": mean,
+                "three_sigma": three_sigma,
+                "mean_energy": mean_energy,
+                "energy_ratio": ratio,
+                "ok": in_sigma and ratio <= 200.0,
+            }
+        )
+    return ExperimentResult(
+        {"max_energy_ratio": max(r["energy_ratio"] for r in rows), "grid": rows},
+        checks,
+        {name: [r[name] for r in rows] for name in rows[0]},
+    )
+
+
+def eclb_experiment(instances: int, seed: int) -> ExperimentResult:
+    """Noiseless replay of random variable-noise protocols: IC_ext <= EC / ln 2.
+
+    Instance k is drawn from default_rng(seed + k).
+    """
+    worst_slack = -math.inf
+    holds = True
+    for k in range(instances):
+        gen = np.random.default_rng(seed + k)
+        rounds = int(gen.integers(1, 4))
+        pi = random_variable_noise_spec(gen, rounds)
+        mu = random_mu(gen, pi)
+        phi = energy.noiseless_from_noisy(pi, mu)
+        slack = external_info_cost(phi, mu).bits - energy.expected_energy_cost(pi, mu) / LN2
+        worst_slack = max(worst_slack, slack)
+        holds = holds and slack <= 1e-9
+    return ExperimentResult(
+        {"instances": instances, "worst_slack_bits": worst_slack},
+        [_check("info cost <= energy / ln 2 on all instances", holds)],
+    )
+
+
+def ecub_battery() -> list[tuple[str, ProtocolSpec]]:
+    send_inputs = xor_spec(2, noise=0.0)
+    mixed = table_spec(
+        2,
+        {
+            "alice": {"0": {"": 0.25}, "1": {"": 0.75}},
+            "bob": {
+                "0": {"0": 0.125, "1": 0.125},
+                "1": {"0": 0.875, "1": 0.875},
+            },
+        },
+        (0, 1),
+        (0, 1),
+    )
+    skewed = table_spec(
+        2,
+        {
+            "alice": {"0": {"": 0.0}, "1": {"": 1.0}},
+            "bob": {
+                "0": {"0": 0.98, "1": 0.98},
+                "1": {"0": 1.0, "1": 1.0},
+            },
+        },
+        (0, 1),
+        (0, 1),
+    )
+    return [("send-inputs", send_inputs), ("mixed-coins", mixed), ("skewed-prior", skewed)]
+
+
+def ecub_experiment(grid_n: int, samples: int, seed: int) -> ExperimentResult:
+    """Variable-noise replay of the ecub battery under uniform inputs.
+
+    Protocol idx draws its input pairs from default_rng(seed + idx) and runs
+    on RandomSource(seed + 100 + idx).  Each replayed transcript law must fit
+    the noiseless protocol's, and its mean energy over
+    (IC_ext + 1/(2 grid_n)) must stay at most 1e4.
+    """
+    rows = []
+    checks = []
+    for idx, (name, phi) in enumerate(ecub_battery()):
+        mu = uniform_inputs(phi)
+        sim = energy.noisy_from_noiseless(phi, mu, grid_n)
+        joint = infotheory.FiniteJoint.from_protocol(phi, mu)
+        leaves = [format(i, f"0{phi.rounds}b") for i in range(1 << phi.rounds)]
+        expected = np.array(
+            [
+                sum(pr for (x, y, t), pr in joint.table.items() if t == leaf)
+                for leaf in leaves
+            ]
+        )
+        pair_list = list(mu.keys())
+        weights = np.array([mu[p] for p in pair_list])
+        gen = np.random.default_rng(seed + idx)
+        draws = gen.choice(len(pair_list), size=samples, p=weights)
+        rng = RandomSource(seed + 100 + idx)
+        counts = np.zeros(len(leaves), dtype=np.int64)
+        total_energy = 0.0
+        for d in draws:
+            x, y = pair_list[d]
+            transcript, ledger = sim.run(x, y, rng)
+            counts[leaves.index(transcript)] += 1
+            total_energy += ledger.energy
+        gof = verify.chi_square_gof(counts, expected)
+        ic = external_info_cost(phi, mu).bits
+        ratio = (total_energy / samples) / (ic + 1.0 / (2 * grid_n))
+        checks += [
+            _check(f"{name}: transcript law chi-square at 0.001", gof.passed),
+            _check(f"{name}: energy ratio <= 1e4", ratio <= 1e4),
+        ]
+        rows.append(
+            {
+                "protocol": name,
+                "p_value": gof.p_value,
+                "mean_energy": total_energy / samples,
+                "info_bits": ic,
+                "energy_ratio": ratio,
+                "ok": gof.passed and ratio <= 1e4,
+            }
+        )
+    return ExperimentResult(
+        {
+            "min_p_value": min(r["p_value"] for r in rows),
+            "max_energy_ratio": max(r["energy_ratio"] for r in rows),
+            "battery": rows,
+        },
+        checks,
+    )
+
+
+def icost_experiment(spec: ProtocolSpec, mu: dict) -> ExperimentResult:
+    """Exact external information cost by three routes, which must agree to 1e-9."""
+    res = external_info_cost(spec, mu)
+    routes = (res.bits, res.chain_bits, res.divergence_bits)
+    spread = max(routes) - min(routes)
+    return ExperimentResult(
+        {
+            "external_info_cost_bits": res.bits,
+            "chain_rule_bits": res.chain_bits,
+            "divergence_form_bits": res.divergence_bits,
+            "route_spread_bits": spread,
+            "per_round_bits": list(res.per_round),
+        },
+        [_check("three routes agree (1e-9)", spread <= 1e-9)],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Criteria: experiments at pinned parameters and seeds
 # ---------------------------------------------------------------------------
 
 
 def criterion_01_chunk_exact_analytic(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
     """Exact chunk law equals the product-binomial channel law, analytically."""
     start = time.perf_counter()
-    params = ChunkParams.for_advantage(0.1, gamma=20)
-    law = verify.exact_chunk_distribution(params)
-    expected = verify.class_law(params.half, params.epsilon)
-    diff = float(np.max(np.abs(law - expected)))
+    res = chunk_experiment(ChunkParams.for_advantage(0.1, gamma=20))
     elapsed = time.perf_counter() - start
-    passed = diff <= 1e-10 and elapsed < 1.0
     return CriterionResult(
         1,
         "chunk exactness (analytic)",
-        passed,
-        {"max_abs_diff": diff, "wall_clock_seconds": elapsed},
+        res.passed and elapsed < 1.0,
+        {"max_abs_diff": res.metrics["exact_max_abs_diff"], "wall_clock_seconds": elapsed},
     )
 
 
@@ -120,73 +496,45 @@ def criterion_02_chunk_exact_statistical(seed: int = DEFAULT_SUITE_SEED) -> Crit
     params = ChunkParams.for_advantage(
         0.1, gamma=20, t=minimal_t(20, 0.1, 20 * (0.5 - 0.3))
     )
-    spec = seeded_spec(20, seed=41)
-    result = verify.monte_carlo_chunk(params, spec, 0, 1, 50_000, base_seed=seed)
-    expected = verify.exact_chunk_distribution(params)
-    gof = verify.chi_square_gof(result.counts, expected)
-    passed = gof.passed and not result.failures
+    res = chunk_experiment(params, seeded_spec(20, seed=41), 50_000, seed)
+    m = res.metrics
     return CriterionResult(
         2,
         "chunk exactness (statistical)",
-        passed,
+        res.passed,
         {
-            "p_value": gof.p_value,
-            "chi2": gof.statistic,
-            "mean_bits": result.mean_bits,
-            "trials": result.n_trials,
+            "p_value": m["chi2_p_value"],
+            "chi2": m["chi2_statistic"],
+            "mean_bits": m["mean_bits"],
+            "trials": m["trials"],
         },
     )
 
 
-def _compression_run(
-    rounds: int, epsilon: float, trials: int, seed: int
-) -> tuple[float, list[verify.GofResult], float]:
-    spec = constant_spec(rounds)
-    g = compressor.default_gamma(epsilon)
-    n_chunks = math.ceil(rounds / g)
-    half = min(g, rounds) // 2
-    counts = [np.zeros((half + 1, half + 1), dtype=np.int64) for _ in range(n_chunks)]
-    total_bits = 0
-    for i in range(trials):
-        rng = RandomSource.for_trial(seed, i)
-        transcript, ledger = compressor.simulate_noiseless(spec, 0, 0, epsilon, rng)
-        total_bits += ledger.bits_sent
-        pattern = flip_pattern(spec, 0, 0, transcript)
-        for k in range(n_chunks):
-            chunk = pattern[k * g : (k + 1) * g]
-            counts[k][int(chunk[0::2].sum()), int(chunk[1::2].sum())] += 1
-    expected = verify.class_law(half, epsilon)
-    gofs = [verify.chi_square_gof(c, expected) for c in counts]
-    mean_bits = total_bits / trials
-    return mean_bits, gofs, mean_bits / n_chunks
-
-
 def criterion_03_end_to_end(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
     """Whole-protocol compression: per-chunk law fits and cost scales linearly."""
-    trials = 200
-    eps = 0.1
-    bits_200, gofs_200, per_chunk_200 = _compression_run(200, eps, trials, seed)
-    bits_400, gofs_400, per_chunk_400 = _compression_run(400, eps, trials, seed + 10_000)
-    ratio = bits_400 / bits_200
-    all_fit = all(g.passed for g in gofs_200 + gofs_400)
-    # Expected-communication ceiling: alpha * ceil(eps^2 * 2T) with
-    # alpha = max(1/beta^2, 50 t^2 + 10).  Loose by construction.
-    t = compressor.default_t(eps)
-    alpha = max(1.0 / compressor.DEFAULT_BETA**2, 50.0 * t * t + 10.0)
-    within_alpha = bits_200 <= alpha * math.ceil(eps**2 * 2 * 200) and bits_400 <= alpha * math.ceil(eps**2 * 2 * 400)
-    passed = all_fit and 1.6 <= ratio <= 2.4 and math.isfinite(per_chunk_200) and within_alpha
+    r200 = compression_experiment(constant_spec(200), 0.1, 200, seed)
+    r400 = compression_experiment(constant_spec(400), 0.1, 200, seed + 10_000)
+    m200, m400 = r200.metrics, r400.metrics
+    ratio = m400["mean_bits"] / m200["mean_bits"]
+    passed = (
+        r200.passed
+        and r400.passed
+        and 1.6 <= ratio <= 2.4
+        and math.isfinite(m200["mean_bits_per_chunk"])
+    )
     return CriterionResult(
         3,
         "end-to-end compression",
         passed,
         {
-            "mean_bits_T200": bits_200,
-            "mean_bits_T400": bits_400,
+            "mean_bits_T200": m200["mean_bits"],
+            "mean_bits_T400": m400["mean_bits"],
             "ratio": ratio,
-            "mean_bits_per_chunk": per_chunk_200,
-            "min_gof_p": min(g.p_value for g in gofs_200 + gofs_400),
-            "alpha_ceiling_T200": alpha * math.ceil(eps**2 * 2 * 200),
-            "within_alpha_ceiling": within_alpha,
+            "mean_bits_per_chunk": m200["mean_bits_per_chunk"],
+            "min_gof_p": min(m200["min_gof_p"], m400["min_gof_p"]),
+            "alpha_ceiling_T200": m200["alpha_ceiling"],
+            "within_alpha_ceiling": m200["within_alpha_ceiling"] and m400["within_alpha_ceiling"],
         },
     )
 
@@ -247,209 +595,56 @@ def criterion_05_round_masses(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult
 
 def criterion_06_biased_walk(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
     """Guaranteed ascent for every pair b <= a <= 40, bounded pooled energy."""
-    runs = 500
-    total_energy = 0.0
-    total_runs = 0
-    always_top = True
-    per_pair: dict[str, float] = {}
-    for a in range(1, 41):
-        for b in range(1, a + 1):
-            rng = RandomSource(seed + 1000 * a + b)
-            energy_pair = 0.0
-            for _ in range(runs):
-                ledger = CostLedger()
-                out = energy.brw_to_top(a, b, rng, ledger)
-                always_top = always_top and out.end_index == a + b
-                energy_pair += out.energy
-            per_pair[f"{a},{b}"] = energy_pair / runs
-            total_energy += energy_pair
-            total_runs += runs
-    pooled = total_energy / total_runs
-    passed = always_top and pooled <= 48.0
+    battery = [(a, b, seed + 1000 * a + b) for a in range(1, 41) for b in range(1, a + 1)]
+    res = biased_walk_experiment(battery, 500)
+    m = res.metrics
     return CriterionResult(
         6,
         "biased walk absorption and energy",
-        passed,
+        res.passed,
         {
-            "always_absorbed_at_top": always_top,
-            "pooled_mean_energy": pooled,
-            "max_pair_mean_energy": max(per_pair.values()),
-            "pairs": len(per_pair),
-            "per_pair_mean_energy": per_pair,
+            "always_absorbed_at_top": m["top_fraction"] == 1.0,
+            "pooled_mean_energy": m["mean_energy"],
+            "max_pair_mean_energy": m["max_pair_mean_energy"],
+            "pairs": m["pairs"],
+            "per_pair_mean_energy": m["per_pair_mean_energy"],
         },
     )
 
 
 def criterion_07_unbiased_walk(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
     """Absorption law a/(a+b) at (3, 1); zero energy identically."""
-    n = 100_000
-    rng = RandomSource(seed + 7)
-    tops = 0
-    energy_total = 0.0
-    for _ in range(n):
-        ledger = CostLedger()
-        out = energy.unbiased_walk(3, 4, rng, ledger)
-        tops += out.end_index == 4
-        energy_total += out.energy
-    freq = tops / n
-    sigma = math.sqrt(0.75 * 0.25 / n)
-    passed = abs(freq - 0.75) <= 3 * sigma and energy_total == 0.0
+    res = unbiased_walk_experiment(3, 1, 100_000, seed + 7)
+    m = res.metrics
     return CriterionResult(
         7,
         "unbiased walk law",
-        passed,
-        {"top_frequency": freq, "three_sigma": 3 * sigma, "total_energy": energy_total},
+        res.passed,
+        {
+            "top_frequency": m["top_fraction"],
+            "three_sigma": m["three_sigma"],
+            "total_energy": m["total_energy"],
+        },
     )
 
 
 def criterion_08_sample_with_prior(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
     """Prior-guided sampling is exactly Bernoulli(p) with divergence-scale energy."""
-    n_i = 512
-    n = 50_000
     pairs = [(0.3, 0.2), (0.25, 0.25), (0.01, 0.002), (0.6, 0.25), (0.05, 0.005)]
-    eps_i = 1.0 / (2 * n_i)
-    rows = []
-    passed = True
-    for idx, (p, q) in enumerate(pairs):
-        rng = RandomSource(seed + 100 + idx)
-        ledger = CostLedger()
-        ones = 0
-        for _ in range(n):
-            ones += energy.sample_with_prior(p, q, n_i, rng, ledger)
-        mean = ones / n
-        sigma = math.sqrt(p * (1 - p) / n)
-        mean_energy = ledger.energy / n
-        ratio = mean_energy / (kl_bernoulli(p, q) + eps_i)
-        ok = abs(mean - p) <= 3 * sigma and ratio <= 200.0
-        passed = passed and ok
-        rows.append(
-            {
-                "p": p,
-                "q": q,
-                "mean": mean,
-                "three_sigma": 3 * sigma,
-                "mean_energy": mean_energy,
-                "energy_ratio": ratio,
-                "ok": ok,
-            }
-        )
-    return CriterionResult(
-        8,
-        "prior-guided bit sampling",
-        passed,
-        {
-            "max_energy_ratio": max(r["energy_ratio"] for r in rows),
-            "grid": rows,
-        },
-    )
+    res = sample_prior_experiment(pairs, 512, 50_000, seed + 100)
+    return CriterionResult(8, "prior-guided bit sampling", res.passed, res.metrics)
 
 
 def criterion_09_energy_to_info(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
     """Noiseless replay of noisy protocols: IC_ext <= EC / ln 2, exactly."""
-    worst_slack = -math.inf
-    holds = True
-    for k in range(100):
-        gen = np.random.default_rng(seed + 300 + k)
-        rounds = int(gen.integers(1, 4))
-        pi = random_variable_noise_spec(gen, rounds)
-        mu = random_mu(gen, pi)
-        phi = energy.noiseless_from_noisy(pi, mu)
-        ic = external_info_cost(phi, mu).bits
-        ec = energy.expected_energy_cost(pi, mu)
-        slack = ic - ec / LN2
-        worst_slack = max(worst_slack, slack)
-        holds = holds and slack <= 1e-9
-    return CriterionResult(
-        9,
-        "energy dominates external information",
-        holds,
-        {"instances": 100, "worst_slack_bits": worst_slack},
-    )
-
-
-def ecub_battery() -> list[tuple[str, ProtocolSpec]]:
-    send_inputs = xor_spec(2, noise=0.0)
-    mixed = table_spec(
-        2,
-        {
-            "alice": {"0": {"": 0.25}, "1": {"": 0.75}},
-            "bob": {
-                "0": {"0": 0.125, "1": 0.125},
-                "1": {"0": 0.875, "1": 0.875},
-            },
-        },
-        (0, 1),
-        (0, 1),
-    )
-    skewed = table_spec(
-        2,
-        {
-            "alice": {"0": {"": 0.0}, "1": {"": 1.0}},
-            "bob": {
-                "0": {"0": 0.98, "1": 0.98},
-                "1": {"0": 1.0, "1": 1.0},
-            },
-        },
-        (0, 1),
-        (0, 1),
-    )
-    return [("send-inputs", send_inputs), ("mixed-coins", mixed), ("skewed-prior", skewed)]
+    res = eclb_experiment(100, seed + 300)
+    return CriterionResult(9, "energy dominates external information", res.passed, res.metrics)
 
 
 def criterion_10_info_to_energy(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
     """Variable-noise replay of noiseless protocols: exact law, bounded energy."""
-    n = 256
-    trials = 50_000
-    rows = []
-    passed = True
-    for idx, (name, phi) in enumerate(ecub_battery()):
-        mu = uniform_inputs(phi)
-        sim = energy.noisy_from_noiseless(phi, mu, n)
-        joint = infotheory.FiniteJoint.from_protocol(phi, mu)
-        leaves = ["00", "01", "10", "11"]
-        expected = np.array(
-            [
-                sum(pr for (x, y, t), pr in joint.table.items() if t == leaf)
-                for leaf in leaves
-            ]
-        )
-        pair_list = list(mu.keys())
-        weights = np.array([mu[p] for p in pair_list])
-        gen = np.random.default_rng(seed + 500 + idx)
-        draws = gen.choice(len(pair_list), size=trials, p=weights)
-        rng = RandomSource(seed + 600 + idx)
-        counts = np.zeros(len(leaves), dtype=np.int64)
-        total_energy = 0.0
-        for d in draws:
-            x, y = pair_list[d]
-            transcript, ledger = sim.run(x, y, rng)
-            counts[leaves.index(transcript)] += 1
-            total_energy += ledger.energy
-        gof = verify.chi_square_gof(counts, expected)
-        ic = external_info_cost(phi, mu).bits
-        ratio = (total_energy / trials) / (ic + 1.0 / (2 * n))
-        ok = gof.passed and ratio <= 1e4
-        passed = passed and ok
-        rows.append(
-            {
-                "protocol": name,
-                "p_value": gof.p_value,
-                "mean_energy": total_energy / trials,
-                "info_bits": ic,
-                "energy_ratio": ratio,
-                "ok": ok,
-            }
-        )
-    return CriterionResult(
-        10,
-        "noisy replay of noiseless protocols",
-        passed,
-        {
-            "min_p_value": min(r["p_value"] for r in rows),
-            "max_energy_ratio": max(r["energy_ratio"] for r in rows),
-            "battery": rows,
-        },
-    )
+    res = ecub_experiment(256, 50_000, seed + 500)
+    return CriterionResult(10, "noisy replay of noiseless protocols", res.passed, res.metrics)
 
 
 def criterion_11_divergence_bounds(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
@@ -505,20 +700,18 @@ def criterion_11_divergence_bounds(seed: int = DEFAULT_SUITE_SEED) -> CriterionR
 def criterion_12_chain_rule(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
     """Direct, chain-rule and divergence forms of IC_ext agree to 1e-9."""
     worst = 0.0
+    passed = True
     for k in range(50):
         gen = np.random.default_rng(seed + 900 + k)
         rounds = int(gen.integers(1, 4))
         phi = random_noiseless_spec(gen, rounds)
-        mu = random_mu(gen, phi)
-        res = external_info_cost(phi, mu)
-        spread = max(res.bits, res.chain_bits, res.divergence_bits) - min(
-            res.bits, res.chain_bits, res.divergence_bits
-        )
-        worst = max(worst, spread)
+        res = icost_experiment(phi, random_mu(gen, phi))
+        worst = max(worst, res.metrics["route_spread_bits"])
+        passed = passed and res.passed
     return CriterionResult(
         12,
         "information-cost route agreement",
-        worst <= 1e-9,
+        passed,
         {"instances": 50, "worst_spread_bits": worst},
     )
 

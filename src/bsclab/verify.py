@@ -13,14 +13,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
 from scipy.stats import chi2
 
 from . import compressor
-from .core import ALICE, BOB, CostLedger, ProtocolSpec, RandomSource, count_errors
+from .core import (
+    ALICE,
+    BOB,
+    CostLedger,
+    IterationCapExceeded,
+    ProtocolSpec,
+    RandomSource,
+    count_errors,
+)
 from .compressor import ChunkParams, ProductCountDistribution, threshold
 
 
@@ -167,14 +175,92 @@ class MonteCarloChunkResult:
     p95_bits: float
     branch_trials: dict[int, int]
     branch_mean_rounds: dict[int, float]
-    rejection_rounds: dict[int, np.ndarray]
     mean_threshold_rounds: float
     bits: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     failures: list[str] = field(default_factory=list)
 
-    @property
-    def empirical_law(self) -> np.ndarray:
-        return self.counts / max(self.counts.sum(), 1)
+
+class ChunkTrial(NamedTuple):
+    """Outcome of one chunk run: its class and cost, or why it aborted."""
+
+    index: int
+    m_x: int = 0
+    m_y: int = 0
+    bits: int = 0
+    branch: int = 0
+    rounds: int = 0
+    threshold_rounds: int = 0
+    failure: str | None = None
+
+
+def run_chunk_trials(
+    params: ChunkParams,
+    spec: ProtocolSpec,
+    x: Any,
+    y: Any,
+    base_seed: int,
+    start: int,
+    stop: int,
+) -> list[ChunkTrial]:
+    """Real chunk runs for trials start..stop-1, trial i at seed base_seed + i.
+
+    Each leaf's class is recovered by independent replay (count_errors).  A
+    trial that hits an iteration cap is recorded as aborted under its index;
+    any other error propagates.
+    """
+    if spec.rounds != params.gamma:
+        raise ValueError("chunk trials want a spec of exactly one chunk depth")
+    trials = []
+    for i in range(start, stop):
+        rng = RandomSource.for_trial(base_seed, i)
+        ledger = CostLedger()
+        record: dict = {}
+        try:
+            leaf = compressor.simulate_chunk(
+                spec, x, y, "", params, rng, ledger, record
+            )
+        except IterationCapExceeded as exc:
+            trials.append(ChunkTrial(i, failure=f"trial {i}: {exc}"))
+            continue
+        trials.append(
+            ChunkTrial(
+                i,
+                count_errors(spec, ALICE, x, leaf),
+                count_errors(spec, BOB, y, leaf),
+                ledger.bits_sent,
+                record["branch"],
+                record["rounds"],
+                record.get("threshold_rounds", 0),
+            )
+        )
+    return trials
+
+
+def summarize_chunk_trials(half: int, trials: list[ChunkTrial]) -> MonteCarloChunkResult:
+    """Class counts and cost statistics of a batch of chunk trials."""
+    counts = np.zeros((half + 1, half + 1), dtype=np.int64)
+    done = [t for t in trials if t.failure is None]
+    rounds_by_branch: dict[int, list[int]] = {0: [], 1: []}
+    for t in done:
+        counts[t.m_x, t.m_y] += 1
+        rounds_by_branch[t.branch].append(t.rounds)
+    used = len(done)
+    bits = np.array([t.bits for t in done], dtype=np.int64)
+    return MonteCarloChunkResult(
+        counts=counts,
+        n_trials=used,
+        mean_bits=float(bits.mean()) if used else 0.0,
+        p95_bits=float(np.percentile(bits, 95)) if used else 0.0,
+        branch_trials={b: len(r) for b, r in rounds_by_branch.items()},
+        branch_mean_rounds={
+            b: (float(np.mean(r)) if r else 0.0) for b, r in rounds_by_branch.items()
+        },
+        mean_threshold_rounds=(
+            sum(t.threshold_rounds for t in done) / used if used else 0.0
+        ),
+        bits=bits,
+        failures=[t.failure for t in trials if t.failure is not None],
+    )
 
 
 def monte_carlo_chunk(
@@ -187,55 +273,9 @@ def monte_carlo_chunk(
 ) -> MonteCarloChunkResult:
     """Seeded batch of real chunk runs; class counts plus cost diagnostics.
 
-    Trial i uses seed base_seed + i.  The class of each output leaf is
-    recovered by independent replay (count_errors), which also exercises the
-    leaf materialization path.  Aborted trials are recorded, not fatal.
+    Trial i uses seed base_seed + i.  Trials aborted at an iteration cap are
+    recorded in `failures` as "trial {i}: ...", not fatal.
     """
-    if spec.rounds != params.gamma:
-        raise ValueError("monte_carlo_chunk wants a spec of exactly one chunk depth")
-    half = params.half
-    counts = np.zeros((half + 1, half + 1), dtype=np.int64)
-    bits = np.zeros(n_trials, dtype=np.int64)
-    rounds_by_branch: dict[int, list[int]] = {0: [], 1: []}
-    threshold_rounds_total = 0
-    failures: list[str] = []
-    used = 0
-    for i in range(n_trials):
-        rng = RandomSource.for_trial(base_seed, i)
-        ledger = CostLedger()
-        record: dict = {}
-        try:
-            leaf = compressor.simulate_chunk(
-                spec, x, y, "", params, rng, ledger, record
-            )
-        except Exception as exc:  # recorded per trial, batch continues
-            failures.append(f"trial {i}: {exc}")
-            continue
-        m_x = count_errors(spec, ALICE, x, leaf)
-        m_y = count_errors(spec, BOB, y, leaf)
-        counts[m_x, m_y] += 1
-        bits[used] = ledger.bits_sent
-        used += 1
-        rounds_by_branch[record["branch"]].append(record["rounds"])
-        threshold_rounds_total += record.get("threshold_rounds", 0)
-    bits = bits[:used]
-    branch_trials = {b: len(r) for b, r in rounds_by_branch.items()}
-    branch_mean = {
-        b: (float(np.mean(r)) if r else 0.0) for b, r in rounds_by_branch.items()
-    }
-    rejection_hist = {
-        b: (np.bincount(r) if r else np.zeros(0, dtype=np.int64))
-        for b, r in rounds_by_branch.items()
-    }
-    return MonteCarloChunkResult(
-        counts=counts,
-        n_trials=used,
-        mean_bits=float(bits.mean()) if used else 0.0,
-        p95_bits=float(np.percentile(bits, 95)) if used else 0.0,
-        branch_trials=branch_trials,
-        branch_mean_rounds=branch_mean,
-        rejection_rounds=rejection_hist,
-        mean_threshold_rounds=threshold_rounds_total / used if used else 0.0,
-        bits=bits,
-        failures=failures,
+    return summarize_chunk_trials(
+        params.half, run_chunk_trials(params, spec, x, y, base_seed, 0, n_trials)
     )

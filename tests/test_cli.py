@@ -61,8 +61,8 @@ class TestChunkVerify:
         monkeypatch.setenv("BSCLAB_WORKERS", "3")
         run_cli(args + ["--out", str(par)])
         a, b = load_without_clock(seq), load_without_clock(par)
-        assert a["metrics"]["mean_bits"] == b["metrics"]["mean_bits"]
-        assert a["metrics"]["chi2_statistic"] == b["metrics"]["chi2_statistic"]
+        assert a["metrics"] == b["metrics"]
+        assert a["tests"] == b["tests"]
 
     def test_invalid_params_exit_nonzero(self, capsys):
         code = run_cli(
@@ -81,6 +81,23 @@ class TestCompress:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["metrics"]["mean_bits"] == 10.0  # padded to even length
+
+    def test_each_chunk_law_checked(self, tmp_path):
+        # 150 rounds at eps 0.1: a canonical 100-round chunk, then a 50-round one
+        out = tmp_path / "c.json"
+        code = run_cli(
+            ["compress", "--epsilon", "0.1", "--rounds", "150", "--trials", "100",
+             "--seed", "2", "--out", str(out)]
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["metrics"]["chunks"] == 2
+        assert [t["name"] for t in doc["tests"]] == [
+            "chunk 0 (100 rounds) class law chi-square at 0.001",
+            "chunk 1 (50 rounds) class law chi-square at 0.001",
+            "mean bits within alpha ceiling",
+        ]
+        assert all(t["passed"] for t in doc["tests"])
 
     def test_chunked_regime_runs(self, tmp_path):
         code = run_cli(
@@ -120,6 +137,10 @@ class TestSamplePrior:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["metrics"]["max_energy_ratio"] == 0.0
+        assert [t["name"] for t in doc["tests"]] == [
+            "mean within 3 sigma at p=0.25, q=0.25",
+            "energy ratio <= 200 at p=0.25, q=0.25",
+        ]
 
     def test_pair_list(self):
         code = run_cli(
@@ -180,12 +201,16 @@ class TestEquiv:
         doc = json.loads(out.read_text())
         assert doc["metrics"]["eclb_worst_slack_bits"] <= 1e-9
 
-    def test_ecub_quick(self):
+    def test_ecub_quick(self, tmp_path):
+        out = tmp_path / "eq.json"
         code = run_cli(
             ["equiv", "--mode", "ecub", "--samples", "1200", "--grid-n", "32",
-             "--seed", "9"]
+             "--seed", "9", "--out", str(out)]
         )
         assert code == 0
+        doc = json.loads(out.read_text())
+        ratio_checks = [t for t in doc["tests"] if "energy ratio <= 1e4" in t["name"]]
+        assert len(ratio_checks) == 3 and doc["metrics"]["ecub_max_energy_ratio"] <= 1e4
 
 
 class TestSuiteCommand:

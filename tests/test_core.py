@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsclab import core
 from bsclab.core import (
@@ -176,6 +178,34 @@ class TestFlipIndependence:
                 assert gof.passed, f"pair ({a},{b}): p={gof.p_value}"
 
 
+def _prefixes(rounds: int) -> list[str]:
+    return [""] + [format(i, f"0{r}b") for r in range(1, rounds) for i in range(1 << r)]
+
+
+@st.composite
+def table_documents(draw):
+    """JSON documents of random table protocols of 1-5 rounds on inputs {0, 1},
+    with deterministic and Bernoulli nodes and, sometimes, per-bit crossovers."""
+    rounds = draw(st.integers(1, 5))
+
+    def table(values):
+        return {
+            party: {inp: {p: draw(values) for p in _prefixes(rounds)} for inp in ("0", "1")}
+            for party in ("alice", "bob")
+        }
+
+    doc = {
+        "rounds": rounds,
+        "alice_inputs": [0, 1],
+        "bob_inputs": [0, 1],
+        "kind": "table",
+        "table": table(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+    }
+    if draw(st.booleans()):
+        doc["crossover_table"] = table(st.floats(0.0, 0.5))
+    return doc
+
+
 class TestPadding:
     def test_even_spec_untouched(self):
         spec = constant_spec(4)
@@ -188,14 +218,17 @@ class TestPadding:
         # dummy round intends 0 regardless of state
         assert padded.intent(BOB, 1, "101") == 0.0
 
-    def test_padded_prefix_law_matches_raw(self):
-        spec = seeded_spec(3, seed=5)
-        padded = pad_to_even(spec)
-        noise = Noise.from_crossover(0.2)
-        raw = dict(enumerate_transcripts(spec, 0, 1, noise))
+    @settings(max_examples=60, deadline=None)
+    @given(table_documents(), st.floats(0.0, 0.5), st.sampled_from([0, 1]), st.sampled_from([0, 1]))
+    def test_padded_prefix_law_matches_raw(self, doc, crossover, x, y):
+        spec = spec_from_dict(doc)
+        noise = Noise.from_crossover(crossover)
+        raw = dict(enumerate_transcripts(spec, x, y, noise))
         padded_law: dict = {}
-        for leaf, pr in enumerate_transcripts(padded, 0, 1, noise):
-            padded_law[leaf[:3]] = padded_law.get(leaf[:3], 0.0) + pr
+        for leaf, pr in enumerate_transcripts(pad_to_even(spec), x, y, noise):
+            cut = leaf[: spec.rounds]
+            padded_law[cut] = padded_law.get(cut, 0.0) + pr
+        assert padded_law.keys() == raw.keys()
         for leaf, pr in raw.items():
             assert padded_law[leaf] == pytest.approx(pr, abs=1e-12)
 
@@ -237,6 +270,19 @@ class TestSpecFiles:
             }
         )
         assert spec.crossover_at(ALICE, 0, "") == 0.25
+
+    @settings(max_examples=60, deadline=None)
+    @given(table_documents(), st.sampled_from([0, 1]), st.sampled_from([0, 1]))
+    def test_table_document_matches_table_spec(self, doc, x, y):
+        built = spec_from_dict(doc)
+        direct = table_spec(
+            doc["rounds"], doc["table"], (0, 1), (0, 1), doc.get("crossover_table")
+        )
+        assert built.deterministic == direct.deterministic
+        noise = Noise.from_crossover(0.2)
+        assert dict(enumerate_transcripts(built, x, y, noise)) == dict(
+            enumerate_transcripts(direct, x, y, noise)
+        )
 
     def test_unknown_kind(self):
         with pytest.raises(SpecError):

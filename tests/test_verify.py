@@ -4,7 +4,7 @@ import pytest
 from bsclab import compressor as C
 from bsclab import verify as V
 from bsclab.compressor import ChunkParams, CountDistribution, ProductCountDistribution
-from bsclab.core import seeded_spec
+from bsclab.core import IterationCapExceeded, InvariantViolation, seeded_spec
 
 
 class TestTraceThreshold:
@@ -137,3 +137,28 @@ class TestMonteCarloChunk:
         result = V.monte_carlo_chunk(params, spec, 1, 0, 4000, base_seed=88)
         gof = V.chi_square_gof(result.counts, V.exact_chunk_distribution(params))
         assert gof.passed, (gamma, eps, gof.p_value)
+
+    def test_only_iteration_caps_abort_trials(self, monkeypatch):
+        params = ChunkParams(8, 0.1, 1.6, C.minimal_t(8, 0.1, 1.6))
+        spec = seeded_spec(8, seed=77)
+        real = C.simulate_chunk
+
+        def capped_at_trial_4(spec, x, y, root, params, rng, *args, **kwargs):
+            if rng.seed == 9 + 4:
+                raise IterationCapExceeded("cap hit")
+            return real(spec, x, y, root, params, rng, *args, **kwargs)
+
+        monkeypatch.setattr(C, "simulate_chunk", capped_at_trial_4)
+        result = V.monte_carlo_chunk(params, spec, 0, 1, 6, base_seed=9)
+        assert result.failures == ["trial 4: cap hit"] and result.n_trials == 5
+        # a slice starting mid-batch reports the same global trial index
+        trials = V.run_chunk_trials(params, spec, 0, 1, 9, 3, 6)
+        assert [t.index for t in trials] == [3, 4, 5]
+        assert V.summarize_chunk_trials(params.half, trials).failures == ["trial 4: cap hit"]
+
+        def broken(*args, **kwargs):
+            raise InvariantViolation("bug")
+
+        monkeypatch.setattr(C, "simulate_chunk", broken)
+        with pytest.raises(InvariantViolation):
+            V.monte_carlo_chunk(params, spec, 0, 1, 6, base_seed=9)
