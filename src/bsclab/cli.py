@@ -24,7 +24,7 @@ import numpy as np
 
 from . import compressor, suite, verify
 from .compressor import ChunkParams, minimal_t
-from .core import constant_spec, load_spec, spec_from_dict
+from .core import SpecError, constant_spec, load_spec, spec_from_dict
 from .infotheory import uniform_inputs
 
 
@@ -220,13 +220,12 @@ def _load_mu(arg: str, spec) -> dict:
         return uniform_inputs(spec)
     with open(arg, encoding="utf-8") as fh:
         doc = json.load(fh)
-    mu = {}
-    for row in doc["pairs"]:
-        mu[(row["x"], row["y"])] = float(row["w"])
-    total = sum(mu.values())
-    if abs(total - 1.0) > 1e-9:
-        raise SystemExit(f"input distribution sums to {total}, not 1")
-    return mu
+    try:
+        return {(row["x"], row["y"]): float(row["w"]) for row in doc["pairs"]}
+    except KeyError as exc:
+        raise SpecError(f"mu file {arg} is missing field {exc}") from exc
+    except TypeError as exc:
+        raise SpecError(f'mu file {arg} is not {{"pairs": [{{"x", "y", "w"}}, ...]}}') from exc
 
 
 def cmd_icost(args: argparse.Namespace) -> ReportDocument:
@@ -383,9 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         doc: ReportDocument = args.func(args)
-    except (ValueError, OSError, SystemExit) as exc:
-        if isinstance(exc, SystemExit) and exc.code in (0, None):
-            raise
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc.wall_clock_seconds = time.perf_counter() - start

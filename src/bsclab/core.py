@@ -8,6 +8,12 @@ the received transcript prefix.  Transcripts are plain strings of '0'/'1'.
 The reference executor `run_over_bsc` is the ground-truth oracle for the
 rest of the package: it flips each transmitted bit independently with the
 channel's crossover probability and accounts bits and energy exactly.
+
+`protocol_tree` is the one exact walk over a protocol tree: it checks the
+input law, applies ENUMERATION_GUARD and streams every reachable node level
+by level with the joint reach of each input pair.  The leaf law, the joint
+(x, y, transcript) table, expected energy and information cost all consume
+it; `node_law` is the single rule for a node's received-bit probability.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ ALICE = "alice"
 BOB = "bob"
 
 Transcript = str
+
+# Largest number of (input pair, leaf) rows a protocol-tree walk may reach;
+# keeps exact enumeration small enough to stay exact in double precision.
+ENUMERATION_GUARD = 1 << 20
 
 
 class ParameterError(ValueError):
@@ -246,13 +256,11 @@ def run_over_bsc(
     ledger = CostLedger()
     for i in range(spec.rounds):
         party = speaker(i)
-        own = spec.input_for(party, x, y)
-        intent = spec.intent(party, own, transcript)
+        intent, c, _ = node_law(spec, party, spec.input_for(party, x, y), transcript, noise)
         if intent in (0.0, 1.0):
             sent = int(intent)
         else:
             sent = bernoulli(rng.stream_for(party), intent)
-        c = spec.crossover_at(party, own, transcript) if spec.crossover is not None else noise.crossover
         flipped = bernoulli(rng.channel, c)
         received = sent ^ flipped
         ledger.charge(c)
@@ -314,6 +322,79 @@ def apply_flip_pattern(
     return transcript
 
 
+def check_mu(spec: ProtocolSpec, mu: dict) -> None:
+    """Reject an input law that is not a probability law on the declared domains."""
+    for pair, weight in mu.items():
+        x, y = pair
+        if x not in spec.alice_inputs or y not in spec.bob_inputs:
+            raise SpecError(f"input pair {pair!r} outside the declared domains")
+        if not weight >= 0.0:
+            raise ParameterError(f"input pair {pair!r} has negative weight {weight}")
+    total = sum(mu.values())
+    if not abs(total - 1.0) <= 1e-9:
+        raise ParameterError(f"input distribution sums to {total}, not 1")
+
+
+def node_law(
+    spec: ProtocolSpec, party: str, own_input: Any, prefix: Transcript, noise: Noise | None = None
+) -> tuple[float, float, float]:
+    """Intent r, crossover c and received-one probability r(1-c) + (1-r)c of a node.
+
+    The crossover is the spec's per-bit table when present, else `noise`,
+    else 0 (the noiseless sent-bit law).
+    """
+    r = spec.intent(party, own_input, prefix)
+    if spec.crossover is not None:
+        c = spec.crossover_at(party, own_input, prefix)
+    elif noise is not None:
+        c = noise.crossover
+    else:
+        c = 0.0
+    return r, c, r * (1.0 - c) + (1.0 - r) * c
+
+
+def protocol_tree(
+    spec: ProtocolSpec, mu: dict, noise: Noise | None = None
+) -> Iterator[tuple[Transcript, list[tuple]]]:
+    """Walk the tree level by level, yielding every reachable node with its rows.
+
+    A row is (pair, reach, intent, crossover) at an interior node and
+    (pair, reach) at a leaf, where reach is the joint probability of the
+    input pair and the received prefix under `mu` (crossover rule as in
+    `node_law`).  Nodes come in level order, lexicographic within a level,
+    and rows in the order of `mu`; zero-probability branches are pruned.
+    Only the current level's frontier is held in memory.
+    """
+    check_mu(spec, mu)
+    size = len(mu) << spec.rounds
+    if size > ENUMERATION_GUARD:
+        raise SpecError(f"protocol tree of {size} (pair, leaf) rows exceeds the guard")
+    frontier = {"": [(pair, w) for pair, w in mu.items() if w > 0.0]}
+    for i in range(spec.rounds):
+        party = speaker(i)
+        own = 0 if party == ALICE else 1
+        nxt: dict[Transcript, list] = {}
+        for prefix, reached in frontier.items():
+            rows = []
+            zeros = []
+            ones = []
+            for pair, reach in reached:
+                r, c, pr_one = node_law(spec, party, pair[own], prefix, noise)
+                rows.append((pair, reach, r, c))
+                zero, one = reach * (1.0 - pr_one), reach * pr_one
+                if zero > 0.0:
+                    zeros.append((pair, zero))
+                if one > 0.0:
+                    ones.append((pair, one))
+            yield prefix, rows
+            if zeros:
+                nxt[prefix + "0"] = zeros
+            if ones:
+                nxt[prefix + "1"] = ones
+        frontier = nxt
+    yield from frontier.items()
+
+
 def enumerate_transcripts(
     spec: ProtocolSpec, x: Any, y: Any, noise: Noise | None = None
 ) -> Iterator[tuple[Transcript, float]]:
@@ -322,26 +403,9 @@ def enumerate_transcripts(
     With `noise` (or a per-bit crossover table) the law is the received-bit
     law over the channel; with neither, the noiseless sent-bit law.
     """
-    stack = [("", 1.0)]
-    while stack:
-        prefix, prob = stack.pop()
+    for prefix, rows in protocol_tree(spec, {(x, y): 1.0}, noise):
         if len(prefix) == spec.rounds:
-            yield prefix, prob
-            continue
-        party = speaker(len(prefix))
-        own = spec.input_for(party, x, y)
-        r = spec.intent(party, own, prefix)
-        if spec.crossover is not None:
-            c = spec.crossover_at(party, own, prefix)
-        elif noise is not None:
-            c = noise.crossover
-        else:
-            c = 0.0
-        pr_one = r * (1.0 - c) + (1.0 - r) * c
-        if pr_one > 0.0:
-            stack.append((prefix + "1", prob * pr_one))
-        if pr_one < 1.0:
-            stack.append((prefix + "0", prob * (1.0 - pr_one)))
+            yield prefix, rows[0][1]
 
 
 def prefix_probability(
@@ -351,15 +415,7 @@ def prefix_probability(
     prob = 1.0
     for i, bit in enumerate(prefix):
         party = speaker(i)
-        own = spec.input_for(party, x, y)
-        r = spec.intent(party, own, prefix[:i])
-        if spec.crossover is not None:
-            c = spec.crossover_at(party, own, prefix[:i])
-        elif noise is not None:
-            c = noise.crossover
-        else:
-            c = 0.0
-        pr_one = r * (1.0 - c) + (1.0 - r) * c
+        pr_one = node_law(spec, party, spec.input_for(party, x, y), prefix[:i], noise)[2]
         prob *= pr_one if bit == "1" else 1.0 - pr_one
     return prob
 

@@ -28,7 +28,10 @@ from .core import (
     Transcript,
     bernoulli,
     bit_energy,
+    check_mu,
+    node_law,
     prefix_probability,
+    protocol_tree,
     speaker,
 )
 
@@ -255,11 +258,11 @@ def sample_with_prior(
     from the prior directly.  A walk absorbing at 0 yields bit 0.
     """
     plan = BitWithPrior(p, q, n_i)
+    if q in (0.0, 1.0) and p != q:
+        raise ParameterError(f"prior q={q} forces the parameter to {q}, got p={p}")
     if plan.flipped:
         return 1 - sample_with_prior(1.0 - p, 1.0 - q, n_i, rng, ledger)
     if q == 0.0:
-        if p > 0.0:
-            raise ParameterError("prior 0 forces the parameter to 0")
         return 0
     s0 = plan.start_index
     q_r = plan.q_rounded
@@ -305,9 +308,7 @@ def noiseless_from_noisy(pi: ProtocolSpec, mu: dict | None = None) -> ProtocolSp
         raise SpecError("protocol has no per-bit crossover table to absorb")
 
     def next_bit(party: str, own_input: Any, prefix: Transcript) -> float:
-        r = pi.intent(party, own_input, prefix)
-        c = pi.crossover_at(party, own_input, prefix)
-        return r + c - 2.0 * r * c
+        return node_law(pi, party, own_input, prefix)[2]
 
     return ProtocolSpec(
         pi.rounds,
@@ -325,24 +326,10 @@ def expected_energy_cost(pi: ProtocolSpec, mu: dict) -> float:
     if pi.crossover is None:
         raise SpecError("protocol has no per-bit crossover table")
     total = 0.0
-    for (x, y), weight in mu.items():
-        if weight == 0.0:
-            continue
-        stack = [("", 1.0)]
-        while stack:
-            prefix, pr = stack.pop()
-            if len(prefix) == pi.rounds:
-                continue
-            party = speaker(len(prefix))
-            own = pi.input_for(party, x, y)
-            r = pi.intent(party, own, prefix)
-            c = pi.crossover_at(party, own, prefix)
-            total += weight * pr * bit_energy(c)
-            pr_one = r * (1.0 - c) + (1.0 - r) * c
-            if pr_one > 0.0:
-                stack.append((prefix + "1", pr * pr_one))
-            if pr_one < 1.0:
-                stack.append((prefix + "0", pr * (1.0 - pr_one)))
+    for prefix, rows in protocol_tree(pi, mu):
+        if len(prefix) < pi.rounds:
+            for _, reach, _, c in rows:
+                total += reach * bit_energy(c)
     return total
 
 
@@ -415,4 +402,5 @@ def noisy_from_noiseless(phi: ProtocolSpec, mu: dict, n: int) -> NoisySimulation
     """Executable variable-noise simulation of a noiseless protocol."""
     if phi.crossover is not None:
         raise SpecError("expected a noiseless protocol")
+    check_mu(phi, mu)
     return NoisySimulation(phi, mu, n)

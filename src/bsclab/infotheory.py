@@ -1,8 +1,9 @@
 """Exact information quantities on small finite protocols.
 
 Everything is reported in bits; where a bound is native to natural logs the
-ln(2) factor is kept explicit at the API boundary.  Protocol enumeration is
-guarded to table sizes that stay comfortably exact in double precision.
+ln(2) factor is kept explicit at the API boundary.  The joint table and the
+information cost read their probabilities off `core.protocol_tree`, which
+also checks mu and enforces the enumeration guard (`core.ENUMERATION_GUARD`).
 """
 
 from __future__ import annotations
@@ -10,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ParameterError, ProtocolSpec, SpecError, Transcript, speaker
+from .core import InvariantViolation, ParameterError, ProtocolSpec, SpecError, protocol_tree
 
 LN2 = math.log(2.0)
-
-ENUMERATION_GUARD = 1 << 20
 
 
 def binary_entropy(p: float) -> float:
@@ -55,35 +54,15 @@ class FiniteJoint:
 
     @classmethod
     def from_protocol(cls, spec: ProtocolSpec, mu: dict) -> "FiniteJoint":
-        size = len(spec.alice_inputs) * len(spec.bob_inputs) * (1 << spec.rounds)
-        if size > ENUMERATION_GUARD:
-            raise SpecError(f"joint table of {size} entries exceeds the guard")
-        table: dict[tuple, float] = {}
-        for (x, y), weight in mu.items():
-            if weight < 0:
-                raise ParameterError("mu has a negative weight")
-            if weight == 0.0:
-                continue
-            stack: list[tuple[Transcript, float]] = [("", weight)]
-            while stack:
-                prefix, pr = stack.pop()
-                if len(prefix) == spec.rounds:
-                    table[(x, y, prefix)] = table.get((x, y, prefix), 0.0) + pr
-                    continue
-                party = speaker(len(prefix))
-                r = spec.intent(party, spec.input_for(party, x, y), prefix)
-                if spec.crossover is not None:
-                    c = spec.crossover_at(party, spec.input_for(party, x, y), prefix)
-                    pr_one = r * (1.0 - c) + (1.0 - r) * c
-                else:
-                    pr_one = r
-                if pr_one > 0.0:
-                    stack.append((prefix + "1", pr * pr_one))
-                if pr_one < 1.0:
-                    stack.append((prefix + "0", pr * (1.0 - pr_one)))
-        total = sum(table.values())
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidJointError(f"joint table sums to {total}, not 1")
+        table = {
+            (*pair, prefix): reach
+            for prefix, rows in protocol_tree(spec, mu)
+            if len(prefix) == spec.rounds
+            for pair, reach in rows
+        }
+        total, mass = sum(table.values()), sum(mu.values())
+        if abs(total - mass) > 1e-9:
+            raise InvariantViolation(f"joint table sums to {total}, but mu to {mass}")
         return cls(table, spec.rounds)
 
     def mutual_information(self) -> float:
@@ -98,10 +77,6 @@ class FiniteJoint:
             if pr > 0.0:
                 info += pr * math.log2(pr / (p_xy[(x, y)] * p_t[t]))
         return info
-
-
-class InvalidJointError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -126,61 +101,34 @@ class InfoCostResult:
 def external_info_cost(phi: ProtocolSpec, mu: dict) -> InfoCostResult:
     """Exact IC of a noiseless protocol: what the transcript tells an observer.
 
-    Enumerates the prefix tree once.  Private coins (Bernoulli nodes) are
-    marginalized by construction; zero-weight branches are pruned.
+    One walk of the prefix tree feeds all three routes: interior nodes give
+    the per-round chain-rule and divergence terms, leaves the joint table of
+    the direct route.  Private coins (Bernoulli nodes) are marginalized by
+    construction; zero-weight branches are pruned.
     """
     if phi.crossover is not None:
         raise SpecError("information cost is computed for noiseless protocols")
-    size = len(phi.alice_inputs) * len(phi.bob_inputs) * (1 << phi.rounds)
-    if size > ENUMERATION_GUARD:
-        raise SpecError(f"enumeration of {size} entries exceeds the guard")
-
-    # level: prefix -> {(x, y): joint probability of (inputs, prefix)}
-    level: dict[Transcript, dict[tuple, float]] = {
-        "": {pair: w for pair, w in mu.items() if w > 0.0}
-    }
-    per_round_chain: list[float] = []
-    per_round_div: list[float] = []
-    for i in range(phi.rounds):
-        party = speaker(i)
-        info_chain = 0.0
-        info_div = 0.0
-        nxt: dict[Transcript, dict[tuple, float]] = {}
-        for prefix, joint in level.items():
-            p_prefix = sum(joint.values())
-            if p_prefix <= 0.0:
-                continue
-            q = 0.0
-            params = {}
-            for (x, y), pr in joint.items():
-                r = phi.intent(party, phi.input_for(party, x, y), prefix)
-                params[(x, y)] = r
-                q += pr * r
-            q /= p_prefix
-            mean_h = 0.0
-            mean_d = 0.0
-            for (x, y), pr in joint.items():
-                r = params[(x, y)]
-                mean_h += pr / p_prefix * binary_entropy(r)
-                mean_d += pr / p_prefix * kl_bernoulli(r, q) if pr > 0 else 0.0
-                child1 = pr * r
-                child0 = pr * (1.0 - r)
-                if child1 > 0.0:
-                    nxt.setdefault(prefix + "1", {})[(x, y)] = child1
-                if child0 > 0.0:
-                    nxt.setdefault(prefix + "0", {})[(x, y)] = child0
-            info_chain += p_prefix * (binary_entropy(q) - mean_h)
-            info_div += p_prefix * mean_d
-        per_round_chain.append(info_chain)
-        per_round_div.append(info_div)
-        level = nxt
-
-    direct = FiniteJoint.from_protocol(phi, mu).mutual_information()
+    chain = [0.0] * phi.rounds
+    div = [0.0] * phi.rounds
+    leaves: dict[tuple, float] = {}
+    for prefix, rows in protocol_tree(phi, mu):
+        if len(prefix) == phi.rounds:
+            for pair, reach in rows:
+                leaves[(*pair, prefix)] = reach
+            continue
+        p_prefix = sum(row[1] for row in rows)
+        q = sum(reach * r for _, reach, r, _ in rows) / p_prefix
+        weighted_h = weighted_d = 0.0
+        for _, reach, r, _ in rows:
+            weighted_h += reach * binary_entropy(r)
+            weighted_d += reach * kl_bernoulli(r, q)
+        chain[len(prefix)] += p_prefix * binary_entropy(q) - weighted_h
+        div[len(prefix)] += weighted_d
     return InfoCostResult(
-        bits=direct,
-        chain_bits=sum(per_round_chain),
-        divergence_bits=sum(per_round_div),
-        per_round=tuple(per_round_chain),
+        bits=FiniteJoint(leaves, phi.rounds).mutual_information(),
+        chain_bits=sum(chain),
+        divergence_bits=sum(div),
+        per_round=tuple(chain),
     )
 
 

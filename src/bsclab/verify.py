@@ -32,6 +32,10 @@ from .core import (
 from .compressor import ChunkParams, ProductCountDistribution, threshold
 
 
+# Deepest chunk the exact class DP analyses.
+CLASS_DP_MAX_GAMMA = 64
+
+
 def trace_threshold(
     dist: ProductCountDistribution, theta: int, m_x: int, m_y: int
 ) -> tuple[int, int, int, int]:
@@ -66,8 +70,8 @@ class ChunkAnalysis:
 
 
 def exact_branch_analysis(params: ChunkParams) -> ChunkAnalysis:
-    if params.gamma > 64:
-        raise ValueError("class DP guarded to gamma <= 64")
+    if params.gamma > CLASS_DP_MAX_GAMMA:
+        raise ValueError(f"class DP guarded to gamma <= {CLASS_DP_MAX_GAMMA}")
     violations = compressor.validate_params(params)
     if violations:
         raise ValueError("; ".join(violations))

@@ -64,11 +64,29 @@ class TestChunkVerify:
         assert a["metrics"] == b["metrics"]
         assert a["tests"] == b["tests"]
 
-    def test_invalid_params_exit_nonzero(self, capsys):
+    def test_above_class_dp_depth_checks_channel_law(self, tmp_path):
+        out = tmp_path / "deep.json"
         code = run_cli(
-            ["chunk-verify", "--gamma", "7", "--epsilon", "0.1", "--samples", "10"]
+            ["chunk-verify", "--gamma", "100", "--epsilon", "0.1", "--samples", "300",
+             "--seed", "7", "--out", str(out)]
         )
-        assert code == 2
+        assert code != 2
+        doc = json.loads(out.read_text())
+        names = [t["name"] for t in doc["tests"]]
+        assert "chi-square fit at 0.001" in names
+        assert not any("exact law" in n for n in names)
+        assert "exact_max_abs_diff" not in doc["metrics"]
+        assert doc["metrics"]["trials"] == 300
+
+    def test_invalid_params_exit_nonzero(self, capsys):
+        # 101 is above the class DP's depth limit, so only the parameter
+        # validation stands between it and the sampler.
+        for gamma in ("7", "101"):
+            code = run_cli(
+                ["chunk-verify", "--gamma", gamma, "--epsilon", "0.1", "--samples", "10"]
+            )
+            assert code == 2
+            assert "gamma must be even" in capsys.readouterr().err
 
 
 class TestCompress:
@@ -142,6 +160,11 @@ class TestSamplePrior:
             "energy ratio <= 200 at p=0.25, q=0.25",
         ]
 
+    def test_certain_prior_named_as_given(self, capsys):
+        code = run_cli(["sample-prior", "--p", "0.5", "--q", "1.0", "--samples", "10"])
+        assert code == 2
+        assert "prior q=1.0 forces the parameter to 1.0, got p=0.5" in capsys.readouterr().err
+
     def test_pair_list(self):
         code = run_cli(
             ["sample-prior", "--pairs", "0.3:0.2,0.01:0.002", "--grid-n", "128",
@@ -188,6 +211,30 @@ class TestIcost:
         )
         code = run_cli(["icost", "--spec", str(spec_path), "--mu", str(mu_path)])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "mu_doc, message",
+        [
+            ({"rows": []}, "missing field 'pairs'"),
+            ([{"x": 0, "y": 0, "w": 1.0}], 'is not {"pairs"'),
+            ({"pairs": [{"x": 0, "y": 0, "w": 0.5}, {"x": 2, "y": 0, "w": 0.5}]},
+             "input pair (2, 0) outside the declared domains"),
+            ({"pairs": [{"x": 0, "y": y, "w": 0.45} for y in (0, 1)]},
+             "input distribution sums to 0.9"),
+        ],
+        ids=["no pairs", "not an object", "pair outside the domains", "total 0.9"],
+    )
+    def test_bad_mu_file_exits_2(self, tmp_path, capsys, mu_doc, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(
+                {"rounds": 2, "alice_inputs": [0, 1], "bob_inputs": [0, 1], "kind": "xor"}
+            )
+        )
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps(mu_doc))
+        assert run_cli(["icost", "--spec", str(spec_path), "--mu", str(mu_path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestEquiv:

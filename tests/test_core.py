@@ -22,10 +22,13 @@ from bsclab.core import (
     prefix_probability,
     run_over_bsc,
     seeded_spec,
+    speaker,
     spec_from_dict,
     table_spec,
     xor_spec,
 )
+from bsclab.energy import expected_energy_cost
+from bsclab.infotheory import FiniteJoint
 from bsclab.verify import chi_square_gof
 
 
@@ -231,6 +234,47 @@ class TestPadding:
         assert padded_law.keys() == raw.keys()
         for leaf, pr in raw.items():
             assert padded_law[leaf] == pytest.approx(pr, abs=1e-12)
+
+
+class TestProtocolTree:
+    """The walker against routes that do not use it: per-path products
+    (prefix_probability) and per-leaf energy sums."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        table_documents(),
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+            lambda w: sum(w) > 0.1
+        ),
+    )
+    def test_walk_matches_path_products(self, doc, weights):
+        spec = spec_from_dict(doc)
+        pairs = [(x, y) for x in (0, 1) for y in (0, 1)]
+        mu = {pair: w / sum(weights) for pair, w in zip(pairs, weights)}
+        leaves = [format(i, f"0{spec.rounds}b") for i in range(1 << spec.rounds)]
+        path = {
+            (x, y, leaf): prefix_probability(spec, x, y, leaf)
+            for (x, y) in pairs
+            for leaf in leaves
+        }
+        for x, y in pairs:
+            law = dict(enumerate_transcripts(spec, x, y))
+            assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+            for leaf in leaves:
+                assert law.get(leaf, 0.0) == pytest.approx(path[(x, y, leaf)], abs=1e-12)
+        table = FiniteJoint.from_protocol(spec, mu).table
+        for (x, y, leaf), pr in path.items():
+            expected = mu[(x, y)] * pr
+            assert table.get((x, y, leaf), 0.0) == pytest.approx(expected, abs=1e-12)
+        if spec.crossover is None:
+            return
+        by_leaves = 0.0
+        for (x, y, leaf), pr in path.items():
+            for i in range(spec.rounds):
+                party = speaker(i)
+                c = spec.crossover_at(party, spec.input_for(party, x, y), leaf[:i])
+                by_leaves += mu[(x, y)] * pr * bit_energy(c)
+        assert expected_energy_cost(spec, mu) == pytest.approx(by_leaves, abs=1e-12)
 
 
 class TestSpecFiles:

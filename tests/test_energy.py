@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,8 +108,18 @@ class TestSampleWithPrior:
         assert led.bits_sent == 0 and led.energy == 0.0
 
     def test_zero_prior_rejects_positive_parameter(self):
-        with pytest.raises(ParameterError):
-            E.sample_with_prior(0.5, 0.0, 512, RandomSource(0), CostLedger())
+        # So does prior 1; the error quotes the prior as given (q = 1 is not
+        # mirrored to 0) and nothing is drawn before it.
+        for q in (0.0, 1.0):
+            rng = RandomSource(0)
+            with pytest.raises(ParameterError, match=f"prior q={q} .* got p=0.5"):
+                E.sample_with_prior(0.5, q, 512, rng, CostLedger())
+            assert rng.channel.random() == RandomSource(0).channel.random()
+
+    def test_certain_prior_matched(self):
+        led = CostLedger()
+        assert E.sample_with_prior(1.0, 1.0, 512, RandomSource(0), led) == 1
+        assert led.bits_sent == 0
 
     def test_matched_quarter_prior_costs_nothing(self):
         # p = q = 1/4 on a grid where the prior is exact: the walk spends
@@ -308,3 +319,32 @@ class TestNoisyFromNoiseless:
         pi = S.random_variable_noise_spec(gen, 2)
         with pytest.raises(SpecError):
             E.noisy_from_noiseless(pi, {}, 16)
+
+
+def _noisy_two_rounds():
+    return S.random_variable_noise_spec(np.random.default_rng(76), 2)
+
+
+# mu, the error it raises and a fragment of the message naming the fault.
+BAD_MU = {
+    "pair outside the domains": ({(0, 0): 0.5, (2, 3): 0.5}, SpecError, "(2, 3)"),
+    "negative weight": (
+        {(0, 0): 1.5, (1, 1): -0.5}, ParameterError, "(1, 1) has negative weight -0.5"
+    ),
+    "total 2": ({(0, 0): 2.0}, ParameterError, "sums to 2.0"),
+}
+
+MU_CONSUMERS = {
+    "external_info_cost": lambda mu: I.external_info_cost(xor_spec(2), mu),
+    "expected_energy_cost": lambda mu: E.expected_energy_cost(_noisy_two_rounds(), mu),
+    "FiniteJoint.from_protocol": lambda mu: I.FiniteJoint.from_protocol(xor_spec(2), mu),
+    "noisy_from_noiseless": lambda mu: E.noisy_from_noiseless(xor_spec(2), mu, 16),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MU))
+@pytest.mark.parametrize("consumer", list(MU_CONSUMERS))
+def test_bad_input_law_rejected(consumer, case):
+    mu, error, named = BAD_MU[case]
+    with pytest.raises(error, match=re.escape(named)):
+        MU_CONSUMERS[consumer](mu)
