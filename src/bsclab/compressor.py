@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -41,6 +41,7 @@ DEFAULT_T_CAP = math.exp(6.0)
 DEFAULT_MAX_ROUNDS = 10**9
 
 BITS_PER_THRESHOLD_ROUND = 4
+MAX_THRESHOLD_ROUNDS = 10_000
 
 
 def default_gamma(epsilon: float) -> int:
@@ -287,7 +288,7 @@ def threshold(
     current = dist
     while True:
         rounds += 1
-        if rounds > 10_000:
+        if rounds > MAX_THRESHOLD_ROUNDS:
             raise InvariantViolation("threshold recursion failed to terminate")
         if ledger is not None:
             ledger.charge(0.0, BITS_PER_THRESHOLD_ROUND)
@@ -321,25 +322,61 @@ def threshold(
         )
 
 
+def threshold_nodes(
+    dist: ProductCountDistribution, theta: int, half: int
+) -> Iterator[tuple[int, slice, slice, ProductCountDistribution, int]]:
+    """Walk the threshold protocol's node tree over the class grid [0, half]^2.
+
+    Yields (rounds, rows, cols, node, xi) for every node, parents before
+    children: the classes reaching the node are rows x cols (slices), `node`
+    is `dist` conditioned to them and xi the node's split.  Only the two
+    off-diagonal quadrants that hold classes recurse, conditioned exactly as
+    `threshold` conditions them, so each class meets the nodes of its replay.
+    """
+    stack = [(1, 0, half, 0, half, dist)]
+    while stack:
+        rounds, x0, x1, y0, y1, node = stack.pop()
+        if rounds > MAX_THRESHOLD_ROUNDS:
+            raise InvariantViolation("threshold recursion failed to terminate")
+        xi = find_xi(node, theta)
+        k = theta - xi
+        yield rounds, slice(x0, x1 + 1), slice(y0, y1 + 1), node, xi
+        if xi < x1 and y0 < k:
+            stack.append((
+                rounds + 1, max(x0, xi + 1), x1, y0, min(y1, k - 1),
+                ProductCountDistribution(node.dx.given_gt(xi), node.dy.given_lt(k)),
+            ))
+        if x0 < xi and k < y1:
+            stack.append((
+                rounds + 1, x0, min(x1, xi - 1), max(y0, k + 1), y1,
+                ProductCountDistribution(node.dx.given_lt(xi), node.dy.given_gt(k)),
+            ))
+
+
 def threshold_table(
     dist: ProductCountDistribution, theta: int, half: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Trace the threshold protocol for every class (m_x, m_y) in [0, half]^2.
 
-    Returns (answer, theta_x, theta_y, rounds) arrays indexed [m_x, m_y].
+    Returns (answer, theta_x, theta_y, rounds) arrays indexed [m_x, m_y],
+    equal to a per-class `threshold` replay.  Each node of `threshold_nodes`
+    decides its whole rectangle at once; the quadrants it leaves open are
+    overwritten by its children.
     """
     shape = (half + 1, half + 1)
     answer = np.zeros(shape, dtype=np.int64)
     tx = np.zeros(shape, dtype=np.int64)
     ty = np.zeros(shape, dtype=np.int64)
     rounds = np.zeros(shape, dtype=np.int64)
-    for mx in range(half + 1):
-        for my in range(half + 1):
-            res = threshold(theta, dist, mx, my)
-            answer[mx, my] = res.answer
-            tx[mx, my] = res.theta_x
-            ty[mx, my] = res.theta_y
-            rounds[mx, my] = res.rounds_used
+    grid = np.arange(half + 1)
+    for depth, rows, cols, _, xi in threshold_nodes(dist, theta, half):
+        m_x, m_y = grid[rows, None], grid[None, cols]
+        # m_x = xi answers by m_y's verdict; any other class decided here
+        # (the column m_y = theta - xi or an agreeing quadrant) by m_x's.
+        answer[rows, cols] = np.where(m_x == xi, m_y > theta - xi, m_x > xi)
+        tx[rows, cols] = xi
+        ty[rows, cols] = theta - xi
+        rounds[rows, cols] = depth
     return answer, tx, ty, rounds
 
 

@@ -23,7 +23,6 @@ from . import compressor, energy, infotheory, verify
 from .compressor import ChunkParams, ProductCountDistribution, minimal_t
 from .core import (
     CostLedger,
-    ParameterError,
     ProtocolSpec,
     RandomSource,
     constant_spec,
@@ -131,20 +130,14 @@ def chunk_experiment(
 ) -> ExperimentResult:
     """One chunk's exact class law against the product binomial, then
     `samples` runs of `spec` on inputs (0, 1), trial i at seed seed + i,
-    against the exact law.  Above the class DP's depth limit the DP check is
-    skipped and the runs are tested against the product binomial, the law
-    the DP is checked equal to.  `run_trials` has the signature of
+    against the exact law.  Bad parameters raise `ParameterError` from the
+    class DP before any trial runs.  `run_trials` has the signature of
     verify.run_chunk_trials; the CLI passes one that spreads the trials over
     processes."""
-    expected = verify.class_law(params.half, params.epsilon)
-    exact, metrics, checks = expected, {}, []
-    if params.gamma <= verify.CLASS_DP_MAX_GAMMA:
-        exact = verify.exact_chunk_distribution(params)
-        max_diff = float(np.max(np.abs(exact - expected)))
-        metrics = {"exact_max_abs_diff": max_diff}
-        checks = [_check("exact law matches product binomial (1e-10)", max_diff <= 1e-10)]
-    elif violations := compressor.validate_params(params):
-        raise ParameterError("; ".join(violations))
+    exact = verify.exact_chunk_distribution(params)
+    max_diff = float(np.max(np.abs(exact - verify.class_law(params.half, params.epsilon))))
+    metrics = {"exact_max_abs_diff": max_diff}
+    checks = [_check("exact law matches product binomial (1e-10)", max_diff <= 1e-10)]
     if not samples:
         return ExperimentResult(metrics, checks)
     trials = run_trials(params, spec, 0, 1, seed, 0, samples)

@@ -2,9 +2,10 @@
 
 All chunk probabilities factor through the per-party error counts
 (m_x, m_y), so instead of 2^gamma leaves the oracle works on the
-(gamma/2+1)^2 class grid: it replays the threshold protocol per class,
-applies the closed-form acceptance products, and reconstructs each branch's
-output law and per-round acceptance mass analytically.  The mixture must
+(gamma/2+1)^2 class grid: it takes each class's threshold trace from the
+protocol's node tree (`compressor.threshold_table`), applies the
+closed-form acceptance products, and reconstructs each branch's output law
+and per-round acceptance mass analytically.  The mixture must
 reproduce the product-binomial channel law exactly; Monte Carlo runs of the
 real sampler are then compared against it with a chi-square test.
 """
@@ -25,15 +26,12 @@ from .core import (
     BOB,
     CostLedger,
     IterationCapExceeded,
+    ParameterError,
     ProtocolSpec,
     RandomSource,
     count_errors,
 )
 from .compressor import ChunkParams, ProductCountDistribution, threshold
-
-
-# Deepest chunk the exact class DP analyses.
-CLASS_DP_MAX_GAMMA = 64
 
 
 def trace_threshold(
@@ -70,11 +68,12 @@ class ChunkAnalysis:
 
 
 def exact_branch_analysis(params: ChunkParams) -> ChunkAnalysis:
-    if params.gamma > CLASS_DP_MAX_GAMMA:
-        raise ValueError(f"class DP guarded to gamma <= {CLASS_DP_MAX_GAMMA}")
     violations = compressor.validate_params(params)
     if violations:
-        raise ValueError("; ".join(violations))
+        raise ParameterError(
+            f"eps={params.epsilon}, gamma={params.gamma}, theta={params.theta:.6g}: "
+            + "; ".join(violations)
+        )
     e = params.epsilon
     half = params.half
     ti = params.theta_int

@@ -65,6 +65,8 @@ class TestChunkVerify:
         assert a["tests"] == b["tests"]
 
     def test_above_class_dp_depth_checks_channel_law(self, tmp_path):
+        # The class DP has no depth limit: at canonical gamma 100 it runs
+        # before the sampled classes are tested against it.
         out = tmp_path / "deep.json"
         code = run_cli(
             ["chunk-verify", "--gamma", "100", "--epsilon", "0.1", "--samples", "300",
@@ -74,13 +76,13 @@ class TestChunkVerify:
         doc = json.loads(out.read_text())
         names = [t["name"] for t in doc["tests"]]
         assert "chi-square fit at 0.001" in names
-        assert not any("exact law" in n for n in names)
-        assert "exact_max_abs_diff" not in doc["metrics"]
+        assert "exact law matches product binomial (1e-10)" in names
+        assert doc["metrics"]["exact_max_abs_diff"] <= 1e-10
         assert doc["metrics"]["trials"] == 300
 
     def test_invalid_params_exit_nonzero(self, capsys):
-        # 101 is above the class DP's depth limit, so only the parameter
-        # validation stands between it and the sampler.
+        # The class DP validates the parameters before any trial runs, at
+        # any depth.
         for gamma in ("7", "101"):
             code = run_cli(
                 ["chunk-verify", "--gamma", gamma, "--epsilon", "0.1", "--samples", "10"]

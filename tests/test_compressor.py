@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsclab import compressor as C
 from bsclab import verify as V
 from bsclab.core import (
     CostLedger,
+    InvariantViolation,
     IterationCapExceeded,
     Noise,
     ParameterError,
@@ -25,6 +28,8 @@ from bsclab.compressor import (
     find_xi,
     low_error_mass,
     threshold,
+    threshold_nodes,
+    threshold_table,
     validate_params,
 )
 
@@ -124,6 +129,103 @@ class TestThreshold:
                     assert m_x <= res.theta_x and m_y <= res.theta_y
                 else:
                     assert m_x >= res.theta_x and m_y >= res.theta_y
+
+
+@st.composite
+def count_margins(draw, half):
+    """One error-count margin on [0, half]: binomial at a random q, or a random
+    positive pmf."""
+    if draw(st.booleans()):
+        return CountDistribution.binomial(half, draw(st.floats(0.02, 0.98)))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=half + 1, max_size=half + 1))
+    return CountDistribution(np.array(weights))
+
+
+@st.composite
+def threshold_instances(draw):
+    """(dist, theta, half): a random product law with a budget in [0, 2 half]."""
+    half = draw(st.integers(1, 40))
+    dist = ProductCountDistribution(draw(count_margins(half)), draw(count_margins(half)))
+    return dist, draw(st.integers(0, 2 * half)), half
+
+
+def replay_table(dist, theta, classes):
+    """(answer, theta_x, theta_y, rounds) per class, one `threshold` run each."""
+    traces = [threshold(theta, dist, int(mx), int(my)) for mx, my in classes]
+    return [
+        np.array([getattr(t, f) for t in traces])
+        for f in ("answer", "theta_x", "theta_y", "rounds_used")
+    ]
+
+
+def assert_table_matches_replay(dist, theta, half, classes=None):
+    if classes is None:
+        classes = np.argwhere(np.ones((half + 1, half + 1), dtype=bool))
+    table = threshold_table(dist, theta, half)
+    for built, replayed in zip(table, replay_table(dist, theta, classes)):
+        assert built.dtype == np.int64
+        np.testing.assert_array_equal(built[classes[:, 0], classes[:, 1]], replayed)
+
+
+def canonical_laws(eps):
+    params = ChunkParams.for_advantage(eps)
+    return params, {
+        "low": ProductCountDistribution.binomial(params.half, 0.5 - 2 * eps),
+        "high": ProductCountDistribution.uniform_leaves(params.half),
+    }
+
+
+class TestThresholdTable:
+    @settings(max_examples=40, deadline=None)
+    @given(threshold_instances())
+    def test_matches_per_class_replay(self, instance):
+        assert_table_matches_replay(*instance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(threshold_instances())
+    def test_find_xi_exists_on_every_node(self, instance):
+        dist, theta, half = instance
+        seen = np.zeros((half + 1, half + 1), dtype=bool)
+        for _, rows, cols, node, xi in threshold_nodes(dist, theta, half):
+            assert -1 <= xi <= theta
+            assert node.dx.prob_le(xi - 1) <= node.dy.prob_le(theta - xi)
+            assert node.dx.prob_le(xi) >= node.dy.prob_le(theta - xi - 1)
+            assert rows.start < rows.stop and cols.start < cols.stop
+            seen[rows, cols] = True
+        assert seen.all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(threshold_instances())
+    def test_witnesses_sound(self, instance):
+        dist, theta, half = instance
+        answer, tx, ty, rounds = threshold_table(dist, theta, half)
+        m_x = np.arange(half + 1)[:, None]
+        m_y = np.arange(half + 1)[None, :]
+        np.testing.assert_array_equal(answer, m_x + m_y > theta)
+        assert np.all(tx + ty == theta)
+        low = answer == 0
+        assert np.all(((m_x <= tx) & (m_y <= ty))[low])
+        assert np.all(((m_x >= tx) & (m_y >= ty))[~low])
+        assert rounds.min() >= 1
+
+    @pytest.mark.parametrize("branch", ["low", "high"])
+    def test_canonical_full_grid(self, branch):
+        params, laws = canonical_laws(0.1)
+        assert_table_matches_replay(laws[branch], params.theta_int, params.half)
+
+    @pytest.mark.parametrize("branch", ["low", "high"])
+    def test_canonical_sampled_classes(self, branch):
+        params, laws = canonical_laws(0.06)
+        classes = np.random.default_rng(6).integers(0, params.half + 1, size=(500, 2))
+        assert_table_matches_replay(laws[branch], params.theta_int, params.half, classes)
+
+    def test_nonterminating_recursion_guarded(self, monkeypatch):
+        # A split that leaves the whole rectangle in one off-diagonal quadrant
+        # never shrinks it; the depth guard must stop the walk.
+        d = ProductCountDistribution.binomial(4, 0.5)
+        monkeypatch.setattr(C, "find_xi", lambda dist, theta: -1)
+        with pytest.raises(InvariantViolation, match="failed to terminate"):
+            threshold_table(d, 10, 4)
 
 
 class TestValidateParams:

@@ -4,7 +4,12 @@ import pytest
 from bsclab import compressor as C
 from bsclab import verify as V
 from bsclab.compressor import ChunkParams, CountDistribution, ProductCountDistribution
-from bsclab.core import IterationCapExceeded, InvariantViolation, seeded_spec
+from bsclab.core import (
+    IterationCapExceeded,
+    InvariantViolation,
+    ParameterError,
+    seeded_spec,
+)
 
 
 class TestTraceThreshold:
@@ -54,9 +59,15 @@ class TestExactChunkDistribution:
         low = base * (m <= params.theta_int)
         np.testing.assert_allclose(analysis.low_law, low / low.sum(), atol=1e-12)
 
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            V.exact_chunk_distribution(ChunkParams.for_advantage(0.05, gamma=66))
+    @pytest.mark.parametrize("eps", [0.1, 0.08, 0.06])
+    def test_matches_class_law_at_canonical_depth(self, eps):
+        params = ChunkParams.for_advantage(eps)
+        law = V.exact_chunk_distribution(params)
+        assert np.max(np.abs(law - V.class_law(params.half, eps))) <= 1e-10
+
+    def test_bad_params_raise_parameter_error(self):
+        with pytest.raises(ParameterError, match="gamma=7.*gamma must be even"):
+            V.exact_branch_analysis(ChunkParams.for_advantage(0.1, gamma=7))
 
     def test_class_law_normalized(self):
         law = V.class_law(9, 0.13)
