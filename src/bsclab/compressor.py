@@ -289,7 +289,10 @@ def threshold(
     while True:
         rounds += 1
         if rounds > MAX_THRESHOLD_ROUNDS:
-            raise InvariantViolation("threshold recursion failed to terminate")
+            raise InvariantViolation(
+                f"threshold recursion failed to terminate: theta={theta}, "
+                f"half={dist.dx.n}, {rounds} rounds > {MAX_THRESHOLD_ROUNDS}"
+            )
         if ledger is not None:
             ledger.charge(0.0, BITS_PER_THRESHOLD_ROUND)
         xi = find_xi(current, theta)
@@ -337,7 +340,10 @@ def threshold_nodes(
     while stack:
         rounds, x0, x1, y0, y1, node = stack.pop()
         if rounds > MAX_THRESHOLD_ROUNDS:
-            raise InvariantViolation("threshold recursion failed to terminate")
+            raise InvariantViolation(
+                f"threshold recursion failed to terminate: theta={theta}, "
+                f"half={half}, {rounds} rounds > {MAX_THRESHOLD_ROUNDS}"
+            )
         xi = find_xi(node, theta)
         k = theta - xi
         yield rounds, slice(x0, x1 + 1), slice(y0, y1 + 1), node, xi

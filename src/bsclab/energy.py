@@ -40,6 +40,28 @@ BRW_MAX_DEPTH = 100
 _BLOCK = 1 << 15
 
 
+def _word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Net displacement, lowest and highest prefix sum of every 16-step word.
+
+    Bit j of a word (little-endian) is step j, 1 for up and 0 for down.  The
+    prefix sums run over steps 1..16, not the empty prefix, so a word flags
+    only positions the walk reaches.  The 16-bit tables are joined from the
+    8-bit ones: word = first + 256 * second.
+    """
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    sums = np.cumsum(2 * bits - 1, axis=1)
+    disp, lo, hi = sums[:, -1], sums.min(axis=1), sums.max(axis=1)
+    tables = (
+        disp + disp[:, None],
+        np.minimum(lo, disp + lo[:, None]),
+        np.maximum(hi, disp + hi[:, None]),
+    )
+    return tuple(t.ravel().astype(np.int8) for t in tables)
+
+
+_WORD_DISP, _WORD_LO, _WORD_HI = _word_tables()
+
+
 @dataclass(frozen=True)
 class Grid:
     """Walk grid of points k/(2*n_i) for k in [0, 2*n_i]."""
@@ -85,21 +107,45 @@ def _walk_phase(
     Every step is one transmitted bit at the given crossover; the received
     bit moves the walk right with probability up_prob.  Returns the final
     position and the number of steps taken.
+
+    Contract: step k moves up exactly when the k-th double of `rng.channel`
+    is below up_prob, and the doubles are drawn in blocks of
+    min(step_budget - taken, 2 * expected, _BLOCK) steps, where expected is
+    the symmetric walk's mean exit time from start, floored at 64.  A block
+    is drawn whole even when the walk exits inside it, and each block
+    charges the ledger once (the steps up to and including the exit for the
+    last one).  The result, the ledger and the state of the channel stream
+    are bit-identical to a walk that checks the boundaries after every step.
+
+    The exit is found per 16-step word: each word's start position is pos
+    plus its predecessors' net displacements, and the first word whose
+    lowest or highest prefix position reaches a boundary holds the exit,
+    which is then resolved step by step.  The steps after the last whole
+    word (fewer than 16) are also resolved step by step.
     """
     pos = start
     taken = 0
     expected = max((start - low) * (high - start), 64)
     while taken < step_budget:
         block = int(min(step_budget - taken, min(2 * expected, _BLOCK)))
-        moves = np.where(rng.channel.random(block) < up_prob, 1, -1).astype(np.int32)
-        path = pos + np.cumsum(moves, dtype=np.int32)
-        hits = np.flatnonzero((path <= low) | (path >= high))
-        if hits.size:
-            k = int(hits[0])
-            ledger.charge(crossover, k + 1)
-            return int(path[k]), taken + k + 1
+        ups = rng.channel.random(block) < up_prob
+        words = np.packbits(ups[: block & ~15], bitorder="little").view("<u2")
+        begins = np.empty(words.size + 1, dtype=np.int64)
+        begins[0] = pos
+        np.cumsum(_WORD_DISP[words], out=begins[1:])
+        begins[1:] += pos
+        heads = begins[:-1]
+        hits = np.flatnonzero(
+            (heads + _WORD_LO[words] <= low) | (heads + _WORD_HI[words] >= high)
+        )
+        w = int(hits[0]) if hits.size else words.size
+        pos = int(begins[w])
+        for k, up in enumerate(ups[16 * w : 16 * w + 16].tolist(), 16 * w):
+            pos += 1 if up else -1
+            if pos <= low or pos >= high:
+                ledger.charge(crossover, k + 1)
+                return pos, taken + k + 1
         ledger.charge(crossover, block)
-        pos = int(path[-1])
         taken += block
     return pos, taken
 
@@ -123,7 +169,10 @@ def brw_to_top(
     if not a >= b >= 0:
         raise ParameterError(f"need a >= b >= 0, got a={a}, b={b}")
     if _depth > BRW_MAX_DEPTH:
-        raise IterationCapExceeded("biased-walk recursion exceeded its depth cap")
+        raise IterationCapExceeded(
+            f"biased-walk recursion exceeded its depth cap: a={a}, b={b}, "
+            f"depth {_depth} > BRW_MAX_DEPTH={BRW_MAX_DEPTH}"
+        )
     bits0, energy0 = ledger.bits_sent, ledger.energy
     if b == 0:
         return WalkOutcome(a, 0, 0, 0.0)

@@ -224,7 +224,9 @@ class TestThresholdTable:
         # never shrinks it; the depth guard must stop the walk.
         d = ProductCountDistribution.binomial(4, 0.5)
         monkeypatch.setattr(C, "find_xi", lambda dist, theta: -1)
-        with pytest.raises(InvariantViolation, match="failed to terminate"):
+        with pytest.raises(
+            InvariantViolation, match="failed to terminate: theta=10, half=4, 10001 rounds"
+        ):
             threshold_table(d, 10, 4)
 
 

@@ -3,12 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsclab import energy as E
 from bsclab import infotheory as I
 from bsclab import suite as S
 from bsclab.core import (
     CostLedger,
+    IterationCapExceeded,
     ParameterError,
     RandomSource,
     SpecError,
@@ -40,6 +43,122 @@ class TestGridTypes:
         assert 0 < plan.q_rounded <= 0.5
 
 
+def per_step_walk_phase(start, low, high, up_prob, crossover, step_budget, rng, ledger):
+    """Reference walker: the same draws and blocks, boundaries checked per step."""
+    pos = start
+    taken = 0
+    expected = max((start - low) * (high - start), 64)
+    while taken < step_budget:
+        block = int(min(step_budget - taken, min(2 * expected, E._BLOCK)))
+        moves = np.where(rng.channel.random(block) < up_prob, 1, -1).astype(np.int32)
+        path = pos + np.cumsum(moves, dtype=np.int32)
+        hits = np.flatnonzero((path <= low) | (path >= high))
+        if hits.size:
+            k = int(hits[0])
+            ledger.charge(crossover, k + 1)
+            return int(path[k]), taken + k + 1
+        ledger.charge(crossover, block)
+        pos = int(path[-1])
+        taken += block
+    return pos, taken
+
+
+def _walk_record(walker, args, seed):
+    rng = RandomSource(seed)
+    ledger = CostLedger()
+    end = walker(*args, rng, ledger)
+    return end, ledger.bits_sent, ledger.energy, rng.channel.bit_generator.state
+
+
+@st.composite
+def walk_cases(draw):
+    low = draw(st.integers(-40, 40))
+    high = low + draw(st.integers(1, 600))
+    start = draw(
+        st.one_of(
+            st.sampled_from([low, low + 1, high - 1, high]),
+            st.integers(low, high),
+        )
+    )
+    c = draw(st.integers(6, 400))
+    up_prob = draw(
+        st.one_of(st.just(0.5), st.just(1.0 - (0.5 - 3.0 / c)), st.floats(0.0, 1.0))
+    )
+    crossover = min(up_prob, 1.0 - up_prob)
+    budget = draw(st.integers(1, 5000))
+    return (start, low, high, up_prob, crossover, budget), draw(st.integers(0, 2**32))
+
+
+class TestWalkPhase:
+    """The word-level walker against the per-step reference, draw for draw."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_cases())
+    def test_matches_per_step_walker(self, case):
+        args, seed = case
+        assert _walk_record(E._walk_phase, args, seed) == _walk_record(
+            per_step_walk_phase, args, seed
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (500, 0, 1000, 0.5, 0.5, 37),  # budget runs out inside the first block
+            (500, 0, 1000, 0.5, 0.5, 4096),  # budget a multiple of 16
+            (1, 0, 2, 0.5, 0.5, 100),  # one step from both boundaries
+            (30, 15, 55, 0.7, 0.3, 225),  # a biased phase of brw_to_top
+            (50_000, 0, 100_000, 0.5, 0.5, 70_001),  # three blocks, the last partial
+            (10, 0, 100_000, 0.0, 0.0, 70_001),  # every step down
+            (10, 0, 100_000, 1.0, 0.0, 70_001),  # every step up
+        ],
+    )
+    def test_fixed_cases(self, args):
+        for seed in range(5):
+            assert _walk_record(E._walk_phase, args, seed) == _walk_record(
+                per_step_walk_phase, args, seed
+            )
+
+    def test_word_tables(self):
+        for word in np.random.default_rng(0).integers(0, 1 << 16, size=500):
+            steps = 2 * ((int(word) >> np.arange(16)) & 1) - 1
+            sums = np.cumsum(steps)
+            assert E._WORD_DISP[word] == sums[-1]
+            assert E._WORD_LO[word] == sums.min()
+            assert E._WORD_HI[word] == sums.max()
+
+    @pytest.mark.parametrize(
+        "p,q", [(0.3, 0.2), (0.25, 0.25), (0.01, 0.002), (0.6, 0.25), (0.05, 0.005)]
+    )
+    def test_sample_with_prior_unchanged(self, p, q, monkeypatch):
+        def draws():
+            rng = RandomSource(81)
+            ledger = CostLedger()
+            bits = [E.sample_with_prior(p, q, 512, rng, ledger) for _ in range(150)]
+            return bits, ledger.bits_sent, ledger.energy, rng.channel.bit_generator.state
+
+        fast = draws()
+        monkeypatch.setattr(E, "_walk_phase", per_step_walk_phase)
+        assert fast == draws()
+
+    @pytest.mark.parametrize("idx", range(3))
+    def test_noisy_replay_unchanged(self, idx, monkeypatch):
+        _, phi = S.ecub_battery()[idx]
+        sim = E.noisy_from_noiseless(phi, I.uniform_inputs(phi), 256)
+
+        def runs():
+            rng = RandomSource(82 + idx)
+            out = []
+            for k in range(60):
+                x, y = list(sim.mu)[k % len(sim.mu)]
+                tr, ledger = sim.run(x, y, rng)
+                out.append((tr, ledger.bits_sent, ledger.energy))
+            return out, rng.channel.bit_generator.state
+
+        fast = runs()
+        monkeypatch.setattr(E, "_walk_phase", per_step_walk_phase)
+        assert fast == runs()
+
+
 class TestBiasedWalk:
     def test_base_case_exact_energy(self):
         led = CostLedger()
@@ -66,6 +185,17 @@ class TestBiasedWalk:
             assert out.end_index == 26
             energies.append(out.energy)
         assert np.mean(energies) <= 48.0
+
+    def test_depth_cap_names_its_parameters(self, monkeypatch):
+        # Every phase falls one step short of its start, so the first
+        # recursive climb runs at depth 1, past a cap of 0.
+        monkeypatch.setattr(E, "BRW_MAX_DEPTH", 0)
+        monkeypatch.setattr(E, "_walk_phase", lambda start, *_: (start - 1, 1))
+        with pytest.raises(
+            IterationCapExceeded,
+            match=re.escape("depth cap: a=39, b=1, depth 1 > BRW_MAX_DEPTH=0"),
+        ):
+            E.brw_to_top(40, 20, RandomSource(0), CostLedger())
 
     def test_ledger_energy_matches_outcome(self):
         led = CostLedger()
