@@ -10,10 +10,12 @@ rest of the package: it flips each transmitted bit independently with the
 channel's crossover probability and accounts bits and energy exactly.
 
 `protocol_tree` is the one exact walk over a protocol tree: it checks the
-input law, applies ENUMERATION_GUARD and streams every reachable node level
-by level with the joint reach of each input pair.  The leaf law, the joint
-(x, y, transcript) table, expected energy and information cost all consume
-it; `node_law` is the single rule for a node's received-bit probability.
+input law, applies ENUMERATION_GUARD and yields one level at a time as
+arrays, the joint reach of every reachable node and input pair together with
+the node's intent and crossover.  The leaf law, the joint (x, y, transcript)
+table, expected energy and information cost are reductions over those
+arrays; `node_law` is the single rule for a node's received-bit probability,
+called once per (node, speaker's own input value).
 """
 
 from __future__ import annotations
@@ -353,46 +355,76 @@ def node_law(
     return r, c, r * (1.0 - c) + (1.0 - r) * c
 
 
+def _own_values(pairs: list[tuple], own: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """Distinct values of coordinate `own` over `pairs`, each pair's index into
+    them, and the (pair x value) indicator of who holds what.
+
+    The type is part of a value's identity, so 0, 0.0 and False stay distinct
+    inputs, as they are to a spec keyed on str(own_input).
+    """
+    index: dict[tuple, int] = {}
+    column_value = np.array(
+        [index.setdefault((type(p[own]), p[own]), len(index)) for p in pairs], dtype=np.intp
+    )
+    values = [key[1] for key in index]
+    return values, column_value, column_value[:, None] == np.arange(len(values))
+
+
 def protocol_tree(
     spec: ProtocolSpec, mu: dict, noise: Noise | None = None
-) -> Iterator[tuple[Transcript, list[tuple]]]:
-    """Walk the tree level by level, yielding every reachable node with its rows.
+) -> Iterator[tuple[list[Transcript], np.ndarray, np.ndarray | None, np.ndarray | None]]:
+    """Walk the tree one level at a time, yielding (prefixes, reach, intent, crossover).
 
-    A row is (pair, reach, intent, crossover) at an interior node and
-    (pair, reach) at a leaf, where reach is the joint probability of the
-    input pair and the received prefix under `mu` (crossover rule as in
-    `node_law`).  Nodes come in level order, lexicographic within a level,
-    and rows in the order of `mu`; zero-probability branches are pruned.
-    Only the current level's frontier is held in memory.
+    `prefixes` lists the level's reachable nodes in lexicographic order.
+    `reach` is a float64 array with one row per node and one column per
+    input pair of positive weight, in the order of `mu`: the joint
+    probability of the pair and the received prefix (crossover rule as in
+    `node_law`).  `intent` and `crossover` have the same shape and are None
+    at the leaf level.  A node is dropped when all its entries are 0; a 0
+    entry at a kept node stays 0 and its intent and crossover are
+    meaningless, so consumers must weight by reach.
+
+    Intent and crossover depend only on the speaker's own input, so
+    `node_law` is called once per (node, own input value) held by some pair
+    of positive reach there, and broadcast to that value's columns.  Only
+    the current level is held in memory.
     """
     check_mu(spec, mu)
     size = len(mu) << spec.rounds
     if size > ENUMERATION_GUARD:
-        raise SpecError(f"protocol tree of {size} (pair, leaf) rows exceeds the guard")
-    frontier = {"": [(pair, w) for pair, w in mu.items() if w > 0.0]}
+        raise SpecError(
+            f"protocol tree of {size} (pair, leaf) rows exceeds the guard: "
+            f"{len(mu)} input pairs x 2^{spec.rounds} leaves ({spec.rounds} rounds) "
+            f"> ENUMERATION_GUARD = {ENUMERATION_GUARD}"
+        )
+    pairs = [pair for pair, w in mu.items() if w > 0.0]
+    own_values = {ALICE: _own_values(pairs, 0), BOB: _own_values(pairs, 1)}
+    prefixes = [""]
+    reach = np.array([[mu[pair] for pair in pairs]], dtype=np.float64)
     for i in range(spec.rounds):
         party = speaker(i)
-        own = 0 if party == ALICE else 1
-        nxt: dict[Transcript, list] = {}
-        for prefix, reached in frontier.items():
-            rows = []
-            zeros = []
-            ones = []
-            for pair, reach in reached:
-                r, c, pr_one = node_law(spec, party, pair[own], prefix, noise)
-                rows.append((pair, reach, r, c))
-                zero, one = reach * (1.0 - pr_one), reach * pr_one
-                if zero > 0.0:
-                    zeros.append((pair, zero))
-                if one > 0.0:
-                    ones.append((pair, one))
-            yield prefix, rows
-            if zeros:
-                nxt[prefix + "0"] = zeros
-            if ones:
-                nxt[prefix + "1"] = ones
-        frontier = nxt
-    yield from frontier.items()
+        values, column_value, holds = own_values[party]
+        # (node, value) pairs where some pair of positive reach holds the value,
+        # node by node in lexicographic order.
+        rows, groups = np.nonzero((reach > 0.0) @ holds)
+        laws = np.zeros((len(prefixes), len(values), 2))
+        laws[rows, groups] = [
+            node_law(spec, party, values[g], prefixes[k], noise)[:2]
+            for k, g in zip(rows.tolist(), groups.tolist())
+        ]
+        intent = laws[:, column_value, 0]
+        crossover = laws[:, column_value, 1]
+        yield prefixes, reach, intent, crossover
+        pr_one = intent * (1.0 - crossover) + (1.0 - intent) * crossover
+        children = np.empty((len(prefixes), 2, len(pairs)))
+        np.multiply(reach, 1.0 - pr_one, out=children[:, 0])
+        np.multiply(reach, pr_one, out=children[:, 1])
+        children = children.reshape(2 * len(prefixes), len(pairs))
+        keep = (children > 0.0).any(axis=1)
+        prefixes = [p + b for p in prefixes for b in "01"]
+        prefixes = [p for p, k in zip(prefixes, keep.tolist()) if k]
+        reach = children[keep]
+    yield prefixes, reach, None, None
 
 
 def enumerate_transcripts(
@@ -403,9 +435,9 @@ def enumerate_transcripts(
     With `noise` (or a per-bit crossover table) the law is the received-bit
     law over the channel; with neither, the noiseless sent-bit law.
     """
-    for prefix, rows in protocol_tree(spec, {(x, y): 1.0}, noise):
-        if len(prefix) == spec.rounds:
-            yield prefix, rows[0][1]
+    for prefixes, reach, intent, _ in protocol_tree(spec, {(x, y): 1.0}, noise):
+        if intent is None:
+            yield from zip(prefixes, reach[:, 0].tolist())
 
 
 def prefix_probability(

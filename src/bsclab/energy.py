@@ -27,7 +27,6 @@ from .core import (
     SpecError,
     Transcript,
     bernoulli,
-    bit_energy,
     check_mu,
     node_law,
     prefix_probability,
@@ -375,10 +374,10 @@ def expected_energy_cost(pi: ProtocolSpec, mu: dict) -> float:
     if pi.crossover is None:
         raise SpecError("protocol has no per-bit crossover table")
     total = 0.0
-    for prefix, rows in protocol_tree(pi, mu):
-        if len(prefix) < pi.rounds:
-            for _, reach, _, c in rows:
-                total += reach * bit_energy(c)
+    for _, reach, _, crossover in protocol_tree(pi, mu):
+        if crossover is not None:
+            # bit_energy elementwise; node_law has validated every crossover.
+            total += float(np.sum(reach * (4.0 * (crossover - 0.5) ** 2)))
     return total
 
 

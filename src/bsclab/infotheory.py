@@ -4,12 +4,18 @@ Everything is reported in bits; where a bound is native to natural logs the
 ln(2) factor is kept explicit at the API boundary.  The joint table and the
 information cost read their probabilities off `core.protocol_tree`, which
 also checks mu and enforces the enumeration guard (`core.ENUMERATION_GUARD`).
+The walk yields one tree level at a time as (node x input pair) arrays, so
+the information cost is a handful of array reductions per level; the scalar
+`binary_entropy` and `kl_bernoulli` remain for single values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import entr, rel_entr
 
 from .core import InvariantViolation, ParameterError, ProtocolSpec, SpecError, protocol_tree
 
@@ -39,6 +45,16 @@ def kl_bernoulli(p: float, q: float) -> float:
     return total
 
 
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """Elementwise binary_entropy."""
+    return (entr(p) + entr(1.0 - p)) / LN2
+
+
+def _divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Elementwise kl_bernoulli."""
+    return (rel_entr(p, q) + rel_entr(1.0 - p, 1.0 - q)) / LN2
+
+
 def uniform_inputs(spec: ProtocolSpec) -> dict:
     """Uniform product distribution over the declared input domains."""
     w = 1.0 / (len(spec.alice_inputs) * len(spec.bob_inputs))
@@ -54,29 +70,18 @@ class FiniteJoint:
 
     @classmethod
     def from_protocol(cls, spec: ProtocolSpec, mu: dict) -> "FiniteJoint":
+        pairs = [pair for pair, w in mu.items() if w > 0.0]
+        for leaves, reach, _, _ in protocol_tree(spec, mu):
+            pass  # the leaf level comes last
+        rows, cols = np.nonzero(reach > 0.0)
         table = {
-            (*pair, prefix): reach
-            for prefix, rows in protocol_tree(spec, mu)
-            if len(prefix) == spec.rounds
-            for pair, reach in rows
+            (*pairs[j], leaves[i]): pr
+            for i, j, pr in zip(rows.tolist(), cols.tolist(), reach[rows, cols].tolist())
         }
         total, mass = sum(table.values()), sum(mu.values())
         if abs(total - mass) > 1e-9:
             raise InvariantViolation(f"joint table sums to {total}, but mu to {mass}")
         return cls(table, spec.rounds)
-
-    def mutual_information(self) -> float:
-        """I(XY; transcript) in bits, straight from the joint table."""
-        p_xy: dict[tuple, float] = {}
-        p_t: dict[str, float] = {}
-        for (x, y, t), pr in self.table.items():
-            p_xy[(x, y)] = p_xy.get((x, y), 0.0) + pr
-            p_t[t] = p_t.get(t, 0.0) + pr
-        info = 0.0
-        for (x, y, t), pr in self.table.items():
-            if pr > 0.0:
-                info += pr * math.log2(pr / (p_xy[(x, y)] * p_t[t]))
-        return info
 
 
 @dataclass(frozen=True)
@@ -101,31 +106,30 @@ class InfoCostResult:
 def external_info_cost(phi: ProtocolSpec, mu: dict) -> InfoCostResult:
     """Exact IC of a noiseless protocol: what the transcript tells an observer.
 
-    One walk of the prefix tree feeds all three routes: interior nodes give
-    the per-round chain-rule and divergence terms, leaves the joint table of
-    the direct route.  Private coins (Bernoulli nodes) are marginalized by
-    construction; zero-weight branches are pruned.
+    One walk of the prefix tree feeds all three routes: each interior level
+    gives its chain-rule and divergence terms, the leaf level the joint
+    matrix of the direct route.  Private coins (Bernoulli nodes) are
+    marginalized by construction; zero-weight branches are pruned.
     """
     if phi.crossover is not None:
         raise SpecError("information cost is computed for noiseless protocols")
     chain = [0.0] * phi.rounds
     div = [0.0] * phi.rounds
-    leaves: dict[tuple, float] = {}
-    for prefix, rows in protocol_tree(phi, mu):
-        if len(prefix) == phi.rounds:
-            for pair, reach in rows:
-                leaves[(*pair, prefix)] = reach
-            continue
-        p_prefix = sum(row[1] for row in rows)
-        q = sum(reach * r for _, reach, r, _ in rows) / p_prefix
-        weighted_h = weighted_d = 0.0
-        for _, reach, r, _ in rows:
-            weighted_h += reach * binary_entropy(r)
-            weighted_d += reach * kl_bernoulli(r, q)
-        chain[len(prefix)] += p_prefix * binary_entropy(q) - weighted_h
-        div[len(prefix)] += weighted_d
+    for level, (_, reach, intent, _) in enumerate(protocol_tree(phi, mu)):
+        rows, cols = np.nonzero(reach > 0.0)
+        w = reach[rows, cols]
+        if intent is None:
+            p_leaf = reach.sum(axis=1)[rows]
+            p_pair = reach.sum(axis=0)[cols]
+            bits = float(np.dot(w, np.log2(w / (p_pair * p_leaf))))
+            break
+        r = intent[rows, cols]
+        p_prefix = reach.sum(axis=1)
+        q = (reach * intent).sum(axis=1) / p_prefix
+        chain[level] = float(np.dot(p_prefix, _entropy(q)) - np.dot(w, _entropy(r)))
+        div[level] = float(np.dot(w, _divergence(r, q[rows])))
     return InfoCostResult(
-        bits=FiniteJoint(leaves, phi.rounds).mutual_information(),
+        bits=bits,
         chain_bits=sum(chain),
         divergence_bits=sum(div),
         per_round=tuple(chain),

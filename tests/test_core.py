@@ -1,4 +1,8 @@
 import json
+import math
+import re
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from bsclab import core
 from bsclab.core import (
     ALICE,
     BOB,
+    ENUMERATION_GUARD,
     Noise,
     ParameterError,
     RandomSource,
@@ -18,6 +23,7 @@ from bsclab.core import (
     count_errors,
     enumerate_transcripts,
     flip_pattern,
+    node_law,
     pad_to_even,
     prefix_probability,
     run_over_bsc,
@@ -27,8 +33,8 @@ from bsclab.core import (
     table_spec,
     xor_spec,
 )
-from bsclab.energy import expected_energy_cost
-from bsclab.infotheory import FiniteJoint
+from bsclab.energy import expected_energy_cost, noiseless_from_noisy
+from bsclab.infotheory import FiniteJoint, binary_entropy, external_info_cost, kl_bernoulli
 from bsclab.verify import chi_square_gof
 
 
@@ -275,6 +281,275 @@ class TestProtocolTree:
                 c = spec.crossover_at(party, spec.input_for(party, x, y), leaf[:i])
                 by_leaves += mu[(x, y)] * pr * bit_energy(c)
         assert expected_energy_cost(spec, mu) == pytest.approx(by_leaves, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the per-(pair, node) row walker and its four consumers.
+# The level walker must reproduce its reaches bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _row_walk(spec, mu, noise=None):
+    """Yield (prefix, rows) level by level; a row is (pair, reach, intent,
+    crossover) at an interior node and (pair, reach) at a leaf."""
+    frontier = {"": [(pair, w) for pair, w in mu.items() if w > 0.0]}
+    for i in range(spec.rounds):
+        party = speaker(i)
+        own = 0 if party == ALICE else 1
+        nxt = {}
+        for prefix, reached in frontier.items():
+            rows, zeros, ones = [], [], []
+            for pair, reach in reached:
+                r, c, pr_one = node_law(spec, party, pair[own], prefix, noise)
+                rows.append((pair, reach, r, c))
+                zero, one = reach * (1.0 - pr_one), reach * pr_one
+                if zero > 0.0:
+                    zeros.append((pair, zero))
+                if one > 0.0:
+                    ones.append((pair, one))
+            yield prefix, rows
+            if zeros:
+                nxt[prefix + "0"] = zeros
+            if ones:
+                nxt[prefix + "1"] = ones
+        frontier = nxt
+    yield from frontier.items()
+
+
+def _row_joint(spec, mu):
+    return {
+        (*pair, prefix): reach
+        for prefix, rows in _row_walk(spec, mu)
+        if len(prefix) == spec.rounds
+        for pair, reach in rows
+    }
+
+
+def _row_transcripts(spec, x, y, noise=None):
+    return [
+        (prefix, rows[0][1])
+        for prefix, rows in _row_walk(spec, {(x, y): 1.0}, noise)
+        if len(prefix) == spec.rounds
+    ]
+
+
+def _row_energy(pi, mu):
+    return sum(
+        reach * bit_energy(c)
+        for prefix, rows in _row_walk(pi, mu)
+        if len(prefix) < pi.rounds
+        for _, reach, _, c in rows
+    )
+
+
+def _row_info_cost(phi, mu):
+    """(bits, chain_bits, divergence_bits, per_round) by scalar loops."""
+    chain = [0.0] * phi.rounds
+    div = [0.0] * phi.rounds
+    leaves = {}
+    for prefix, rows in _row_walk(phi, mu):
+        if len(prefix) == phi.rounds:
+            for pair, reach in rows:
+                leaves[(*pair, prefix)] = reach
+            continue
+        p_prefix = sum(row[1] for row in rows)
+        q = sum(reach * r for _, reach, r, _ in rows) / p_prefix
+        chain[len(prefix)] += p_prefix * binary_entropy(q) - sum(
+            reach * binary_entropy(r) for _, reach, r, _ in rows
+        )
+        div[len(prefix)] += sum(reach * kl_bernoulli(r, q) for _, reach, r, _ in rows)
+    p_xy, p_t = {}, {}
+    for (x, y, t), pr in leaves.items():
+        p_xy[(x, y)] = p_xy.get((x, y), 0.0) + pr
+        p_t[t] = p_t.get(t, 0.0) + pr
+    bits = sum(pr * math.log2(pr / (p_xy[(x, y)] * p_t[t])) for (x, y, t), pr in leaves.items())
+    return bits, sum(chain), sum(div), chain
+
+
+DOMAINS = [((0, 1), (0, 1)), ((0, 1, 2), (0, 1)), (("a", "b"), ("u", "v", "w"))]
+
+
+def _random_walk_case(gen, rounds, alice, bob, p_det, noisy, zero_pairs):
+    """Table protocol whose nodes are deterministic with probability p_det
+    (so branches prune), with a crossover table when `noisy` (0 at half the
+    nodes, so pruning survives it), and an input law with `zero_pairs` zeroed."""
+    prefixes = _prefixes(rounds)
+    domains = {"alice": alice, "bob": bob}
+
+    def table(draw_node):
+        return {
+            party: {str(v): {p: draw_node() for p in prefixes} for v in domain}
+            for party, domain in domains.items()
+        }
+
+    def node_bit():
+        return float(gen.integers(2)) if gen.random() < p_det else float(gen.random())
+
+    def node_crossover():
+        return 0.0 if gen.random() < 0.5 else float(0.5 * gen.random())
+
+    bits = table(node_bit)
+    crossovers = table(node_crossover) if noisy else None
+    spec = table_spec(rounds, bits, alice, bob, crossover_table=crossovers)
+    pairs = [(x, y) for x in alice for y in bob]
+    weights = gen.random(len(pairs))
+    weights[[k % len(pairs) for k in zero_pairs]] = 0.0
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    mu = {pair: float(w) for pair, w in zip(pairs, weights / weights.sum())}
+    return spec, mu
+
+
+def _xor4_tables():
+    """Noiseless 4-round send-your-input protocol on inputs 0..3, with the
+    intent and a zero crossover defined only at reachable nodes."""
+    bits = {"alice": {}, "bob": {}}
+    for x in range(4):
+        for y in range(4):
+            t = _xor4_leaf(x, y)
+            for i in range(4):
+                party, own = ("alice", x) if i % 2 == 0 else ("bob", y)
+                bits[party].setdefault(str(own), {})[t[:i]] = int(t[i])
+    cross = {
+        party: {v: dict.fromkeys(nodes, 0.0) for v, nodes in per.items()}
+        for party, per in bits.items()
+    }
+    return bits, cross
+
+
+def _xor4_leaf(x, y):
+    return f"{x & 1}{y & 1}{x >> 1}{y >> 1}"
+
+
+XOR4 = (0, 1, 2, 3)
+
+# Edit to the partial XOR tables, the error it raises and the message fragment.
+BAD_NODES = {
+    "undefined reachable node": (
+        lambda bits, cross: bits["bob"]["1"].pop("0"),
+        SpecError,
+        "next_bit undefined at (bob, 1, '0')",
+    ),
+    "intent 1.5": (
+        lambda bits, cross: bits["alice"]["2"].update({"": 1.5}),
+        SpecError,
+        "next_bit value 1.5 at '' is not a probability",
+    ),
+    "crossover 0.7": (
+        lambda bits, cross: cross["bob"]["3"].update({"111": 0.7}),
+        ParameterError,
+        "per-bit crossover 0.7 outside [0, 1/2]",
+    ),
+}
+
+WALK_CONSUMERS = {
+    "external_info_cost": lambda pi, mu: external_info_cost(noiseless_from_noisy(pi, mu), mu),
+    "expected_energy_cost": expected_energy_cost,
+}
+
+
+class TestLevelWalker:
+    """The level walker against the row-walker oracle above, its call set
+    and its errors."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.sampled_from(DOMAINS),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        st.booleans(),
+        st.lists(st.integers(0, 5), max_size=3),
+        st.sampled_from([None, 0.0, 0.2, 0.5]),
+    )
+    def test_matches_row_walker(self, rounds, domains, seed, p_det, noisy, zero_pairs, crossover):
+        gen = np.random.default_rng(seed)
+        spec, mu = _random_walk_case(gen, rounds, *domains, p_det, noisy, zero_pairs)
+        assert FiniteJoint.from_protocol(spec, mu).table == _row_joint(spec, mu)
+        noise = None if crossover is None else Noise.from_crossover(crossover)
+        for x, y in mu:
+            assert list(enumerate_transcripts(spec, x, y, noise)) == _row_transcripts(
+                spec, x, y, noise
+            )
+        if noisy:
+            assert expected_energy_cost(spec, mu) == pytest.approx(_row_energy(spec, mu), abs=1e-12)
+        phi = replace(spec, crossover=None)
+        got = external_info_cost(phi, mu)
+        bits, chain_bits, divergence_bits, per_round = _row_info_cost(phi, mu)
+        assert got.bits == pytest.approx(bits, abs=1e-12)
+        assert got.chain_bits == pytest.approx(chain_bits, abs=1e-12)
+        assert got.divergence_bits == pytest.approx(divergence_bits, abs=1e-12)
+        assert got.per_round == pytest.approx(per_round, abs=1e-12)
+
+    def test_one_node_law_call_per_node_and_own_value(self):
+        gen = np.random.default_rng(7)
+        base, mu = _random_walk_case(gen, 6, (0, 1, 2), (0, 1), 0.7, True, [])
+        mu = {(x, y): (0.0 if x == 2 else 0.25) for x, y in mu}
+        calls = {"intent": [], "crossover": []}
+
+        def counted(kind, inner):
+            def rule(party, own_input, prefix):
+                calls[kind].append((party, own_input, prefix))
+                return inner(party, own_input, prefix)
+
+            return rule
+
+        spec = replace(
+            base,
+            next_bit=counted("intent", base.next_bit),
+            crossover=counted("crossover", base.crossover),
+        )
+        expected = Counter(
+            {
+                (speaker(len(prefix)), pair[0 if speaker(len(prefix)) == ALICE else 1], prefix): 1
+                for prefix, rows in _row_walk(base, mu)
+                if len(prefix) < base.rounds
+                for pair, *_ in rows
+            }
+        )
+        FiniteJoint.from_protocol(spec, mu)
+        assert Counter(calls["intent"]) == expected
+        assert Counter(calls["crossover"]) == expected
+        # Pruning and the unused input 2 both show: fewer calls than the
+        # 2 * 63 (node, value) combinations of a full 6-round tree.
+        assert len(expected) < 126 and all(own != 2 for _, own, _ in expected)
+
+    def test_partial_table_on_reachable_paths(self):
+        bits, cross = _xor4_tables()
+        phi = table_spec(4, bits, XOR4, XOR4)
+        pi = table_spec(4, bits, XOR4, XOR4, crossover_table=cross)
+        mu = {(x, y): 1 / 16 for x in XOR4 for y in XOR4}
+        assert FiniteJoint.from_protocol(phi, mu).table == {
+            (x, y, _xor4_leaf(x, y)): 1 / 16 for x, y in mu
+        }
+        for x, y in mu:
+            assert list(enumerate_transcripts(phi, x, y)) == [(_xor4_leaf(x, y), 1.0)]
+        ic = external_info_cost(phi, mu)
+        for route in (ic.bits, ic.chain_bits, ic.divergence_bits):
+            assert route == pytest.approx(4.0, abs=1e-12)
+        assert expected_energy_cost(pi, mu) == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", list(BAD_NODES))
+    @pytest.mark.parametrize("consumer", list(WALK_CONSUMERS))
+    def test_bad_node_raises_typed_error(self, consumer, case):
+        edit, error, named = BAD_NODES[case]
+        bits, cross = _xor4_tables()
+        edit(bits, cross)
+        pi = table_spec(4, bits, XOR4, XOR4, crossover_table=cross)
+        mu = {(x, y): 1 / 16 for x in XOR4 for y in XOR4}
+        with pytest.raises(error, match=re.escape(named)):
+            WALK_CONSUMERS[consumer](pi, mu)
+
+    def test_guard_names_its_parameters(self):
+        mu = {(x, y): 0.25 for x in (0, 1) for y in (0, 1)}
+        with pytest.raises(
+            SpecError,
+            match=re.escape(
+                f"protocol tree of {4 << 19} (pair, leaf) rows exceeds the guard: "
+                f"4 input pairs x 2^19 leaves (19 rounds) > ENUMERATION_GUARD = {ENUMERATION_GUARD}"
+            ),
+        ):
+            FiniteJoint.from_protocol(constant_spec(19, alice_inputs=(0, 1), bob_inputs=(0, 1)), mu)
 
 
 class TestSpecFiles:
