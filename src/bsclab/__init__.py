@@ -60,7 +60,6 @@ from .verify import (
     chi_square_gof,
     exact_chunk_distribution,
     monte_carlo_chunk,
-    trace_threshold,
 )
 
 __version__ = "0.1.0"

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import compressor, suite, verify
-from .compressor import ChunkParams, minimal_t
-from .core import SpecError, constant_spec, load_spec, spec_from_dict
+from .compressor import ChunkParams, default_theta, minimal_t
+from .core import ParameterError, SpecError, constant_spec, load_spec, spec_from_dict
 from .infotheory import uniform_inputs
 
 
@@ -86,10 +86,14 @@ def emit_report(doc: ReportDocument, path: str | None, fmt: str = "json") -> Non
 
 
 def _workers() -> int:
+    raw = os.environ.get("BSCLAB_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("BSCLAB_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ParameterError(f"BSCLAB_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +143,7 @@ def cmd_chunk_verify(args: argparse.Namespace) -> ReportDocument:
             "kind": "seeded",
             "seed": args.spec_seed,
         }
-    theta = args.theta if args.theta is not None else args.gamma * (0.5 - 3 * args.epsilon)
+    theta = args.theta if args.theta is not None else default_theta(args.gamma, args.epsilon)
     if args.t == "minimal":
         t = minimal_t(args.gamma, args.epsilon, theta)
     elif args.t == "default":

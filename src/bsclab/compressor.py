@@ -57,6 +57,11 @@ def default_t(epsilon: float, t_cap: float = DEFAULT_T_CAP) -> float:
     return min(t_cap, (1.0 + 2.0 * epsilon) ** (3.0 / epsilon))
 
 
+def default_theta(gamma: int, epsilon: float) -> float:
+    """Canonical error threshold: gamma * (1/2 - 3 eps), clamped at 0."""
+    return max(0.0, gamma * (0.5 - 3.0 * epsilon))
+
+
 def integer_budget(theta: float) -> int:
     """floor(theta) with a guard against floating-point fuzz in gamma*(1/2-3eps)."""
     return math.floor(theta + 1e-9)
@@ -109,7 +114,7 @@ class ChunkParams:
         if gamma is None:
             gamma = default_gamma(epsilon)
         if theta is None:
-            theta = max(0.0, gamma * (0.5 - 3.0 * epsilon))
+            theta = default_theta(gamma, epsilon)
         if t is None:
             t = default_t(epsilon, t_cap)
         return cls(gamma, epsilon, theta, t, beta)
@@ -442,8 +447,11 @@ def validate_params(params: ChunkParams, *, beta: float | None = None) -> list[s
 # ---------------------------------------------------------------------------
 
 
-class _ChunkTables:
-    """Threshold traces and acceptance probabilities for both branches."""
+class ChunkTables:
+    """Both branches' threshold answers and rounds and each party's
+    acceptance probabilities, indexed [m_x, m_y].  The samplers draw from
+    these arrays and the exact class DP (`verify.exact_branch_analysis`)
+    reads the same ones."""
 
     def __init__(self, params: ChunkParams):
         e = params.epsilon
@@ -490,14 +498,15 @@ class _ChunkTables:
         self.mass_high = round_accept_mass_high(params)
 
 
-_TABLE_CACHE: dict[tuple, _ChunkTables] = {}
+_TABLE_CACHE: dict[tuple, ChunkTables] = {}
 
 
-def _tables(params: ChunkParams) -> _ChunkTables:
+def chunk_tables(params: ChunkParams) -> ChunkTables:
+    """The cached `ChunkTables` of one parameter set."""
     key = (params.gamma, params.epsilon, params.theta_int, params.t)
     tables = _TABLE_CACHE.get(key)
     if tables is None:
-        tables = _ChunkTables(params)
+        tables = ChunkTables(params)
         _TABLE_CACHE[key] = tables
     return tables
 
@@ -521,7 +530,7 @@ def _params_for(epsilon: float, gamma: int, cfg: _Config) -> ChunkParams:
     key = (epsilon, gamma, cfg.t_cap, cfg.beta)
     params = _PARAM_CACHE.get(key)
     if params is None:
-        theta = max(0.0, gamma * (0.5 - 3.0 * epsilon))
+        theta = default_theta(gamma, epsilon)
         t = default_t(epsilon, cfg.t_cap)
         if gamma < default_gamma(epsilon):
             # Short trailing chunk: the per-advantage default would inflate the
@@ -621,7 +630,7 @@ def _branch_high_pattern(
     cfg: _Config,
     record: dict | None,
 ) -> np.ndarray:
-    tables = _tables(params)
+    tables = chunk_tables(params)
     half = params.half
     if tables.mass_high <= 0.0:
         raise InvariantViolation("high branch entered with zero acceptance mass")
@@ -643,28 +652,23 @@ def _branch_high_pattern(
             ub < tables.acc_high_y[mx[eligible], my[eligible]]
         )
         winners = np.flatnonzero(hits)
-        if winners.size:
-            w = int(eligible[winners[0]])
-            bits = (
-                BITS_PER_THRESHOLD_ROUND * int(tables.rounds_high[mx[: w + 1], my[: w + 1]].sum())
-                + 2 * int(np.count_nonzero(ans[: w + 1]))
-            )
-            ledger.charge(0.0, bits)
-            if record is not None:
-                record["branch"] = 1
-                record["rounds"] = record.get("rounds", 0) + done + w + 1
-                record["threshold_rounds"] = record.get("threshold_rounds", 0) + int(
-                    tables.rounds_high[mx[: w + 1], my[: w + 1]].sum()
-                )
-            return _materialize_counts(half, int(mx[w]), int(my[w]), rng)
-        bits = BITS_PER_THRESHOLD_ROUND * int(
-            tables.rounds_high[mx, my].sum()
-        ) + 2 * int(eligible.size)
-        ledger.charge(0.0, bits)
+        # Proposals this batch spent: up to its first winner, else all k.
+        spent = int(eligible[winners[0]]) + 1 if winners.size else k
+        threshold_rounds = int(tables.rounds_high[mx[:spent], my[:spent]].sum())
+        ledger.charge(
+            0.0,
+            BITS_PER_THRESHOLD_ROUND * threshold_rounds
+            + 2 * int(np.count_nonzero(ans[:spent])),
+        )
         if record is not None:
-            record["threshold_rounds"] = record.get("threshold_rounds", 0) + int(
-                tables.rounds_high[mx, my].sum()
+            if winners.size:
+                record["branch"] = 1
+                record["rounds"] = record.get("rounds", 0) + done + spent
+            record["threshold_rounds"] = (
+                record.get("threshold_rounds", 0) + threshold_rounds
             )
+        if winners.size:
+            return _materialize_counts(half, int(mx[spent - 1]), int(my[spent - 1]), rng)
         done += k
 
 
@@ -675,7 +679,7 @@ def _branch_low_pattern(
     cfg: _Config,
     record: dict | None,
 ) -> np.ndarray:
-    tables = _tables(params)
+    tables = chunk_tables(params)
     rounds = 0
     while True:
         rounds += 1

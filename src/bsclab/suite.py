@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import compressor, energy, infotheory, verify
-from .compressor import ChunkParams, ProductCountDistribution, minimal_t
+from .compressor import ChunkParams, ProductCountDistribution, default_theta, minimal_t
 from .core import (
     CostLedger,
     ProtocolSpec,
@@ -489,7 +489,7 @@ def criterion_01_chunk_exact_analytic(seed: int = DEFAULT_SUITE_SEED) -> Criteri
 def criterion_02_chunk_exact_statistical(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
     """Sampled chunk classes fit the exact law at significance 0.001."""
     params = ChunkParams.for_advantage(
-        0.1, gamma=20, t=minimal_t(20, 0.1, 20 * (0.5 - 0.3))
+        0.1, gamma=20, t=minimal_t(20, 0.1, default_theta(20, 0.1))
     )
     res = chunk_experiment(params, seeded_spec(20, seed=41), 50_000, seed)
     m = res.metrics
@@ -541,7 +541,8 @@ def criterion_04_threshold(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
     sound = True
     for m_x in range(half + 1):
         for m_y in range(half + 1):
-            tx, ty, answer, _ = verify.trace_threshold(dist, theta, m_x, m_y)
+            res = compressor.threshold(theta, dist, m_x, m_y)
+            tx, ty, answer = res.theta_x, res.theta_y, res.answer
             ok = (
                 answer == int(m_x + m_y > theta)
                 and tx + ty == theta

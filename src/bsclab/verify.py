@@ -2,12 +2,13 @@
 
 All chunk probabilities factor through the per-party error counts
 (m_x, m_y), so instead of 2^gamma leaves the oracle works on the
-(gamma/2+1)^2 class grid: it takes each class's threshold trace from the
-protocol's node tree (`compressor.threshold_table`), applies the
-closed-form acceptance products, and reconstructs each branch's output law
-and per-round acceptance mass analytically.  The mixture must
-reproduce the product-binomial channel law exactly; Monte Carlo runs of the
-real sampler are then compared against it with a chi-square test.
+(gamma/2+1)^2 class grid.  The class DP reads the sampler's own per-class
+tables (`compressor.chunk_tables`: threshold answers and each party's
+acceptance probabilities) and weights them by the exact proposal laws
+(`class_law`), giving each branch's output law and per-round acceptance
+mass.  The mixture must reproduce the product-binomial channel law
+exactly; Monte Carlo runs of the real sampler are then compared against it
+with a chi-square test.
 """
 
 from __future__ import annotations
@@ -29,20 +30,10 @@ from .core import (
     ParameterError,
     ProtocolSpec,
     RandomSource,
+    SpecError,
     count_errors,
 )
-from .compressor import ChunkParams, ProductCountDistribution, threshold
-
-
-def trace_threshold(
-    dist: ProductCountDistribution, theta: int, m_x: int, m_y: int
-) -> tuple[int, int, int, int]:
-    """Deterministic replay of the threshold protocol (it has no randomness).
-
-    Returns (theta_x, theta_y, answer, rounds).
-    """
-    res = threshold(theta, dist, m_x, m_y)
-    return res.theta_x, res.theta_y, res.answer, res.rounds_used
+from .compressor import ChunkParams
 
 
 def class_law(half: int, epsilon: float) -> np.ndarray:
@@ -74,42 +65,30 @@ def exact_branch_analysis(params: ChunkParams) -> ChunkAnalysis:
             f"eps={params.epsilon}, gamma={params.gamma}, theta={params.theta:.6g}: "
             + "; ".join(violations)
         )
-    e = params.epsilon
     half = params.half
-    ti = params.theta_int
-    l1m, l1p = math.log(0.5 - e), math.log(0.5 + e)
-    l2m, l2p = math.log(0.5 - 2 * e), math.log(0.5 + 2 * e)
-    mx = np.arange(half + 1)[:, None]
-    my = np.arange(half + 1)[None, :]
+    e = params.epsilon
+    tables = compressor.chunk_tables(params)
 
     # Low branch: candidate law is the exact doubled-advantage class law
     # (the nested simulation is itself exact, verified at its own scale).
-    d_low = ProductCountDistribution.binomial(half, 0.5 - 2 * e)
-    ans0, tx0, ty0, _ = compressor.threshold_table(d_low, ti, half)
-    acc0 = np.exp(
-        (mx - tx0) * (l1m - l2m)
-        + (tx0 - mx) * (l1p - l2p)
-        + (my - ty0) * (l1m - l2m)
-        + (ty0 - my) * (l1p - l2p)
+    accepted_low = (
+        class_law(half, 2 * e)
+        * (tables.ans_low == 0)
+        * tables.acc_low_x
+        * tables.acc_low_y
     )
-    accepted0 = class_law(half, 2 * e) * (ans0 == 0) * acc0
-    mass_low = float(accepted0.sum())
-    low_law = accepted0 / mass_low if mass_low > 0 else accepted0
+    mass_low = float(accepted_low.sum())
+    low_law = accepted_low / mass_low if mass_low > 0 else accepted_low
 
     # High branch: uniform proposals over leaves.
-    d_high = ProductCountDistribution.uniform_leaves(half)
-    ans1, tx1, ty1, _ = compressor.threshold_table(d_high, ti, half)
-    log_t = math.log(params.t)
-    acc1 = np.exp(
-        (mx + my) * l1m
-        + (2 * half - mx - my) * l1p
-        - 2 * log_t
-        - (tx1 + ty1 - ti) * (l1m - l1p)
-        + 2 * half * math.log(2.0)
+    accepted_high = (
+        class_law(half, 0.0)
+        * (tables.ans_high == 1)
+        * tables.acc_high_x
+        * tables.acc_high_y
     )
-    accepted1 = class_law(half, 0.0) * (ans1 == 1) * acc1
-    mass_high = float(accepted1.sum())
-    high_law = accepted1 / mass_high if mass_high > 0 else accepted1
+    mass_high = float(accepted_high.sum())
+    high_law = accepted_high / mass_high if mass_high > 0 else accepted_high
 
     p = params.low_mass
     mixture = p * low_law + (1.0 - p) * high_law
@@ -212,7 +191,10 @@ def run_chunk_trials(
     any other error propagates.
     """
     if spec.rounds != params.gamma:
-        raise ValueError("chunk trials want a spec of exactly one chunk depth")
+        raise SpecError(
+            f"chunk trials want a spec of exactly one chunk depth: "
+            f"spec.rounds={spec.rounds}, params.gamma={params.gamma}"
+        )
     trials = []
     for i in range(start, stop):
         rng = RandomSource.for_trial(base_seed, i)

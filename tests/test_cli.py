@@ -64,6 +64,27 @@ class TestChunkVerify:
         assert a["metrics"] == b["metrics"]
         assert a["tests"] == b["tests"]
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_worker_count_exits_2(self, monkeypatch, capsys, value):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("BSCLAB_WORKERS", value)
+        code = run_cli(["chunk-verify", "--gamma", "6", "--epsilon", "0.1", "--samples", "10"])
+        assert code == 2
+        assert f"BSCLAB_WORKERS must be a positive integer, got {value!r}" in capsys.readouterr().err
+
+    def test_default_theta_clamped_at_zero(self, tmp_path):
+        # gamma * (1/2 - 3 eps) is negative at eps 0.2; the default clamps it.
+        out = tmp_path / "clamped.json"
+        code = run_cli(
+            ["chunk-verify", "--epsilon", "0.2", "--gamma", "20", "--samples", "2000",
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["parameters"]["theta"] == 0.0
+
     def test_above_class_dp_depth_checks_channel_law(self, tmp_path):
         # The class DP has no depth limit: at canonical gamma 100 it runs
         # before the sampled classes are tested against it.

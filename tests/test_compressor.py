@@ -47,6 +47,11 @@ class TestParams:
         assert C.default_t(0.01) < math.e**6
         assert C.default_t(0.1, t_cap=100.0) == 100.0
 
+    def test_default_theta_clamped_at_zero(self):
+        assert C.default_theta(100, 0.1) == pytest.approx(20.0)
+        assert C.default_theta(20, 0.2) == 0.0
+        assert ChunkParams.for_advantage(0.2, gamma=20).theta == 0.0
+
     def test_theta_integer_budget_guard(self):
         params = ChunkParams.for_advantage(0.1, gamma=100)
         assert params.theta_int == 20
@@ -115,6 +120,18 @@ class TestThreshold:
             CountDistribution(np.array([0.0, 1.0])),
         )
         assert threshold(2, d, 1, 1).rounds_used == 1
+
+    def test_point_mass_one_sided(self):
+        d = ProductCountDistribution(
+            CountDistribution(np.array([0.0, 0.0, 1.0])),
+            CountDistribution(np.array([1.0])),
+        )
+        assert threshold(2, d, 2, 0).rounds_used == 1
+
+    def test_zero_errors_full_budget(self):
+        d = ProductCountDistribution.binomial(5, 0.4)
+        res = threshold(10, d, 0, 0)
+        assert res.answer == 0 and res.rounds_used == 1
 
     @pytest.mark.parametrize("q", [0.5, 0.3])
     @pytest.mark.parametrize("half,theta", [(4, 2), (12, 5), (10, 4)])

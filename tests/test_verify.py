@@ -8,28 +8,9 @@ from bsclab.core import (
     IterationCapExceeded,
     InvariantViolation,
     ParameterError,
+    SpecError,
     seeded_spec,
 )
-
-
-class TestTraceThreshold:
-    def test_reproduces_protocol_traces(self):
-        d = ProductCountDistribution.binomial(4, 0.5)
-        assert V.trace_threshold(d, 2, 0, 0) == (1, 1, 0, 1)
-        assert V.trace_threshold(d, 2, 3, 3) == (1, 1, 1, 1)
-        assert V.trace_threshold(d, 2, 2, 0) == (2, 0, 0, 2)
-
-    def test_zero_errors_full_budget(self):
-        d = ProductCountDistribution.binomial(5, 0.4)
-        tx, ty, answer, rounds = V.trace_threshold(d, 10, 0, 0)
-        assert answer == 0 and rounds == 1
-
-    def test_point_mass_single_round(self):
-        d = ProductCountDistribution(
-            CountDistribution(np.array([0.0, 0.0, 1.0])),
-            CountDistribution(np.array([1.0])),
-        )
-        assert V.trace_threshold(d, 2, 2, 0)[3] == 1
 
 
 class TestExactChunkDistribution:
@@ -64,6 +45,19 @@ class TestExactChunkDistribution:
         params = ChunkParams.for_advantage(eps)
         law = V.exact_chunk_distribution(params)
         assert np.max(np.abs(law - V.class_law(params.half, eps))) <= 1e-10
+
+    def test_reads_the_sampler_tables(self, monkeypatch):
+        # Halving one used high-branch acceptance entry of the sampler's
+        # cached tables must move the exact law off the channel law.
+        params = ChunkParams.for_advantage(0.1, gamma=20)
+        tables = C.chunk_tables(params)
+        used = V.class_law(params.half, 0.0) * (tables.ans_high == 1)
+        cls = np.unravel_index(np.argmax(used), used.shape)
+        faulty = tables.acc_high_x.copy()
+        faulty[cls] /= 2
+        monkeypatch.setattr(tables, "acc_high_x", faulty)
+        law = V.exact_chunk_distribution(params)
+        assert np.max(np.abs(law - V.class_law(params.half, 0.1))) > 1e-10
 
     def test_bad_params_raise_parameter_error(self):
         with pytest.raises(ParameterError, match="gamma=7.*gamma must be even"):
@@ -128,7 +122,7 @@ class TestMonteCarloChunk:
 
     def test_spec_must_cover_exactly_one_chunk(self):
         params = ChunkParams(8, 0.1, 1.6, 3.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError, match=r"spec\.rounds=10, params\.gamma=8"):
             V.monte_carlo_chunk(params, seeded_spec(10, seed=1), 0, 0, 10, 0)
 
     def test_reproducible_from_seed(self):
