@@ -447,14 +447,26 @@ def validate_params(params: ChunkParams, *, beta: float | None = None) -> list[s
 # ---------------------------------------------------------------------------
 
 
+def _masked_exp(exponent: np.ndarray, unused: np.ndarray) -> np.ndarray:
+    """exp(exponent), with 0 on the unused classes: their exponents can
+    overflow, and 0 * inf would put NaN into the class DP."""
+    return np.exp(np.where(unused, -np.inf, exponent))
+
+
 class ChunkTables:
     """Both branches' threshold answers and rounds and each party's
     acceptance probabilities, indexed [m_x, m_y].  The samplers draw from
     these arrays and the exact class DP (`verify.exact_branch_analysis`)
-    reads the same ones."""
+    reads the same ones.  A branch's acceptance probabilities are 0 on the
+    classes its threshold answer rejects, which neither reads."""
 
     def __init__(self, params: ChunkParams):
         e = params.epsilon
+        if 2 * e >= 0.5:
+            raise ParameterError(
+                f"eps={e}, gamma={params.gamma}: 2*eps >= 1/2, so the low "
+                "branch's doubled-advantage proposal channel does not exist"
+            )
         half = params.half
         ti = params.theta_int
         l1m, l1p = math.log(0.5 - e), math.log(0.5 + e)
@@ -464,35 +476,37 @@ class ChunkTables:
         self.ans_low, tx0, ty0, self.rounds_low = threshold_table(d_low, ti, half)
         mx = np.arange(half + 1)[:, None]
         my = np.arange(half + 1)[None, :]
-        self.acc_low_x = np.exp((mx - tx0) * (l1m - l2m) + (tx0 - mx) * (l1p - l2p))
-        self.acc_low_y = np.exp((my - ty0) * (l1m - l2m) + (ty0 - my) * (l1p - l2p))
-        used = self.ans_low == 0
-        if np.any(self.acc_low_x[used] > 1.0 + 1e-12) or np.any(
-            self.acc_low_y[used] > 1.0 + 1e-12
-        ):
+        unused = self.ans_low == 1
+        self.acc_low_x = _masked_exp(
+            (mx - tx0) * (l1m - l2m) + (tx0 - mx) * (l1p - l2p), unused
+        )
+        self.acc_low_y = _masked_exp(
+            (my - ty0) * (l1m - l2m) + (ty0 - my) * (l1p - l2p), unused
+        )
+        if np.any(self.acc_low_x > 1.0 + 1e-12) or np.any(self.acc_low_y > 1.0 + 1e-12):
             raise InvariantViolation("low-branch acceptance probability exceeds 1")
 
         d_high = ProductCountDistribution.uniform_leaves(half)
         self.ans_high, tx1, ty1, self.rounds_high = threshold_table(d_high, ti, half)
         log_t = math.log(params.t)
-        self.acc_high_x = np.exp(
+        unused = self.ans_high == 0
+        self.acc_high_x = _masked_exp(
             mx * l1m
             + (half - mx) * l1p
             - log_t
             - (tx1 - ti / 2.0) * (l1m - l1p)
-            + half * math.log(2.0)
+            + half * math.log(2.0),
+            unused,
         )
-        self.acc_high_y = np.exp(
+        self.acc_high_y = _masked_exp(
             my * l1m
             + (half - my) * l1p
             - log_t
             - (ty1 - ti / 2.0) * (l1m - l1p)
-            + half * math.log(2.0)
+            + half * math.log(2.0),
+            unused,
         )
-        used = self.ans_high == 1
-        if np.any(self.acc_high_x[used] > 1.0 + 1e-12) or np.any(
-            self.acc_high_y[used] > 1.0 + 1e-12
-        ):
+        if np.any(self.acc_high_x > 1.0 + 1e-12) or np.any(self.acc_high_y > 1.0 + 1e-12):
             raise InvariantViolation("high-branch acceptance probability exceeds 1")
 
         self.mass_high = round_accept_mass_high(params)
@@ -524,6 +538,14 @@ class _Config:
 
 
 _PARAM_CACHE: dict[tuple, ChunkParams] = {}
+
+
+def _describe(params: ChunkParams) -> str:
+    """The chunk parameters an error message names."""
+    return (
+        f"eps={params.epsilon}, gamma={params.gamma}, "
+        f"theta={params.theta:.6g}, t={params.t:.6g}"
+    )
 
 
 def _params_for(epsilon: float, gamma: int, cfg: _Config) -> ChunkParams:
@@ -573,8 +595,9 @@ def _validate_span(epsilon: float, depth: int, cfg: _Config) -> None:
 
 
 def _fair_binomial(gen: np.random.Generator, n: int, size: int) -> np.ndarray:
-    """Vector of Binomial(n, 1/2) draws via popcounts of uniform words."""
-    total = np.zeros(size, dtype=np.int64)
+    """Vector of Binomial(n, 1/2) draws via popcounts of uniform words, in
+    the smallest unsigned dtype that holds n."""
+    total = np.zeros(size, dtype=np.min_scalar_type(n))
     remaining = n
     while remaining > 0:
         width = min(remaining, 64)
@@ -634,41 +657,48 @@ def _branch_high_pattern(
     half = params.half
     if tables.mass_high <= 0.0:
         raise InvariantViolation("high branch entered with zero acceptance mass")
+    # Flat views of the [m_x, m_y] tables: a proposal's class is one index
+    # m_x * (half + 1) + m_y into each of them.
+    ans_flat = tables.ans_high.reshape(-1)
+    acc_x_flat = tables.acc_high_x.reshape(-1)
+    acc_y_flat = tables.acc_high_y.reshape(-1)
+    rounds_flat = tables.rounds_high.reshape(-1)
     batch = int(min(max(2.0 / tables.mass_high, 8), 1 << 16))
     done = 0
     while True:
         if done >= cfg.max_rounds:
             raise IterationCapExceeded(
-                f"high-branch rejection loop exceeded {cfg.max_rounds} rounds"
+                f"high-branch rejection loop exceeded {cfg.max_rounds} rounds: "
+                f"{_describe(params)}"
             )
         k = int(min(batch, cfg.max_rounds - done))
-        mx = _fair_binomial(rng.public, half, k)
-        my = _fair_binomial(rng.public, half, k)
-        ans = tables.ans_high[mx, my]
-        eligible = np.flatnonzero(ans == 1)
-        ua = rng.alice.random(eligible.size)
-        ub = rng.bob.random(eligible.size)
-        hits = (ua < tables.acc_high_x[mx[eligible], my[eligible]]) & (
-            ub < tables.acc_high_y[mx[eligible], my[eligible]]
-        )
-        winners = np.flatnonzero(hits)
-        # Proposals this batch spent: up to its first winner, else all k.
-        spent = int(eligible[winners[0]]) + 1 if winners.size else k
-        threshold_rounds = int(tables.rounds_high[mx[:spent], my[:spent]].sum())
+        idx = _fair_binomial(rng.public, half, k).astype(np.intp)
+        idx *= half + 1
+        idx += _fair_binomial(rng.public, half, k)
+        eligible = np.flatnonzero(ans_flat.take(idx))
+        cls = idx.take(eligible)
+        hits = rng.alice.random(eligible.size) < acc_x_flat.take(cls)
+        hits &= rng.bob.random(eligible.size) < acc_y_flat.take(cls)
+        w = int(hits.argmax()) if hits.size else 0
+        won = hits.size > 0 and bool(hits[w])
+        # Proposals this batch spent: up to its first winner, else all k;
+        # each eligible one among them cost its two accept bits.
+        spent = int(eligible[w]) + 1 if won else k
+        checked = w + 1 if won else eligible.size
+        threshold_rounds = int(rounds_flat.take(idx[:spent]).sum())
         ledger.charge(
-            0.0,
-            BITS_PER_THRESHOLD_ROUND * threshold_rounds
-            + 2 * int(np.count_nonzero(ans[:spent])),
+            0.0, BITS_PER_THRESHOLD_ROUND * threshold_rounds + 2 * checked
         )
         if record is not None:
-            if winners.size:
+            if won:
                 record["branch"] = 1
                 record["rounds"] = record.get("rounds", 0) + done + spent
             record["threshold_rounds"] = (
                 record.get("threshold_rounds", 0) + threshold_rounds
             )
-        if winners.size:
-            return _materialize_counts(half, int(mx[spent - 1]), int(my[spent - 1]), rng)
+        if won:
+            m_x, m_y = divmod(int(cls[w]), half + 1)
+            return _materialize_counts(half, m_x, m_y, rng)
         done += k
 
 
@@ -685,7 +715,8 @@ def _branch_low_pattern(
         rounds += 1
         if rounds > cfg.max_rounds:
             raise IterationCapExceeded(
-                f"low-branch rejection loop exceeded {cfg.max_rounds} rounds"
+                f"low-branch rejection loop exceeded {cfg.max_rounds} rounds: "
+                f"{_describe(params)}"
             )
         pattern = _span_pattern(2.0 * params.epsilon, params.gamma, rng, ledger, cfg)
         mx = int(pattern[0::2].sum())

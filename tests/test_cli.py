@@ -85,6 +85,12 @@ class TestChunkVerify:
         assert code == 0
         assert json.loads(out.read_text())["parameters"]["theta"] == 0.0
 
+    def test_advantage_of_a_quarter_exits_2(self, capsys):
+        # The low branch proposes at advantage 2 eps, which must stay < 1/2.
+        code = run_cli(["chunk-verify", "--epsilon", "0.3", "--gamma", "20", "--samples", "10"])
+        assert code == 2
+        assert "eps=0.3, gamma=20: 2*eps >= 1/2" in capsys.readouterr().err
+
     def test_above_class_dp_depth_checks_channel_law(self, tmp_path):
         # The class DP has no depth limit: at canonical gamma 100 it runs
         # before the sampled classes are tested against it.

@@ -279,6 +279,13 @@ class TestValidateParams:
         assert any("1/4" in v for v in validate_params(bad))
 
 
+class TestChunkTables:
+    @pytest.mark.parametrize("eps", [0.25, 0.3])
+    def test_doubled_advantage_must_stay_below_half(self, eps):
+        with pytest.raises(ParameterError, match=rf"eps={eps}, gamma=20: 2\*eps >= 1/2"):
+            C.chunk_tables(ChunkParams(20, eps, 0.0, 1.0))
+
+
 class TestRoundMasses:
     @pytest.mark.parametrize("gamma,eps", [(20, 0.1), (8, 0.05)])
     def test_closed_forms_match_brute_force(self, gamma, eps):
@@ -408,8 +415,135 @@ class TestSimulateNoiseless:
 
     def test_iteration_cap_aborts_loudly(self):
         spec = constant_spec(2)
-        with pytest.raises(IterationCapExceeded):
+        with pytest.raises(
+            IterationCapExceeded,
+            match=r"-branch rejection loop exceeded 0 rounds: "
+            r"eps=0\.1, gamma=2, theta=0\.4, t=",
+        ):
             C.simulate_noiseless(spec, 0, 0, 0.1, RandomSource(1), max_rounds=0)
+
+    @pytest.mark.parametrize("branch", ["low", "high"])
+    def test_iteration_cap_names_parameters(self, branch):
+        params = ChunkParams(4, 0.1, 0.8, 5.0)
+        run = C.branch_low if branch == "low" else C.branch_high
+        with pytest.raises(
+            IterationCapExceeded,
+            match=f"^{branch}-branch rejection loop exceeded 0 rounds: "
+            r"eps=0\.1, gamma=4, theta=0\.8, t=5$",
+        ):
+            run(constant_spec(4), 0, 0, "", params, RandomSource(1), max_rounds=0)
+
+
+def _reference_fair_binomial(gen, n, size):
+    """`compressor._fair_binomial` before the flat-index kernel."""
+    total = np.zeros(size, dtype=np.int64)
+    remaining = n
+    while remaining > 0:
+        width = min(remaining, 64)
+        words = gen.integers(0, 1 << width, size=size, dtype=np.uint64, endpoint=False)
+        total += np.bitwise_count(words)
+        remaining -= width
+    return total
+
+
+def reference_branch_high_pattern(params, rng, ledger, cfg, record):
+    """The high-branch kernel before flat class indices, kept as an oracle:
+    two-array indexing into the [m_x, m_y] tables."""
+    tables = C.chunk_tables(params)
+    half = params.half
+    if tables.mass_high <= 0.0:
+        raise InvariantViolation("high branch entered with zero acceptance mass")
+    batch = int(min(max(2.0 / tables.mass_high, 8), 1 << 16))
+    done = 0
+    while True:
+        if done >= cfg.max_rounds:
+            raise IterationCapExceeded(
+                f"high-branch rejection loop exceeded {cfg.max_rounds} rounds"
+            )
+        k = int(min(batch, cfg.max_rounds - done))
+        mx = _reference_fair_binomial(rng.public, half, k)
+        my = _reference_fair_binomial(rng.public, half, k)
+        ans = tables.ans_high[mx, my]
+        eligible = np.flatnonzero(ans == 1)
+        ua = rng.alice.random(eligible.size)
+        ub = rng.bob.random(eligible.size)
+        hits = (ua < tables.acc_high_x[mx[eligible], my[eligible]]) & (
+            ub < tables.acc_high_y[mx[eligible], my[eligible]]
+        )
+        winners = np.flatnonzero(hits)
+        # Proposals this batch spent: up to its first winner, else all k.
+        spent = int(eligible[winners[0]]) + 1 if winners.size else k
+        threshold_rounds = int(tables.rounds_high[mx[:spent], my[:spent]].sum())
+        ledger.charge(
+            0.0,
+            C.BITS_PER_THRESHOLD_ROUND * threshold_rounds
+            + 2 * int(np.count_nonzero(ans[:spent])),
+        )
+        if record is not None:
+            if winners.size:
+                record["branch"] = 1
+                record["rounds"] = record.get("rounds", 0) + done + spent
+            record["threshold_rounds"] = (
+                record.get("threshold_rounds", 0) + threshold_rounds
+            )
+        if winners.size:
+            return C._materialize_counts(half, int(mx[spent - 1]), int(my[spent - 1]), rng)
+        done += k
+
+
+@st.composite
+def high_kernel_cases(draw):
+    """(params, max_rounds, seed): canonical or short even depth at eps 0.1,
+    0.08 or 0.06, minimal or default t, and a cap that is either out of
+    reach or small enough to cut a batch short."""
+    eps = draw(st.sampled_from([0.1, 0.08, 0.06]))
+    gamma = draw(st.one_of(st.just(C.default_gamma(eps)), st.integers(1, 15).map(lambda h: 2 * h)))
+    theta = C.default_theta(gamma, eps)
+    t = C.minimal_t(gamma, eps, theta) if draw(st.booleans()) else C.default_t(eps)
+    max_rounds = draw(st.one_of(st.just(C.DEFAULT_MAX_ROUNDS), st.integers(1, 300)))
+    return ChunkParams(gamma, eps, theta, t), max_rounds, draw(st.integers(0, 2**32 - 1))
+
+
+def run_high_kernel(kernel, params, max_rounds, seed):
+    """Everything one kernel call leaves behind: pattern, ledger, record,
+    the cap error if any, and all four streams' states."""
+    rng = RandomSource(seed)
+    ledger, record = CostLedger(), {}
+    try:
+        pattern = kernel(params, rng, ledger, C._Config(max_rounds=max_rounds), record).tobytes()
+        error = None
+    except IterationCapExceeded as exc:
+        pattern, error = None, str(exc)
+    states = [g.bit_generator.state for g in (rng.public, rng.alice, rng.bob, rng.channel)]
+    return pattern, ledger.bits_sent, ledger.energy, record, states, error
+
+
+class TestHighKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(high_kernel_cases())
+    def test_matches_reference_kernel(self, case):
+        new = run_high_kernel(C._branch_high_pattern, *case)
+        old = run_high_kernel(reference_branch_high_pattern, *case)
+        assert new[:5] == old[:5]
+        if old[5] is None:
+            assert new[5] is None
+        else:
+            # Same point, and the old text stays the message's prefix.
+            assert new[5].startswith(old[5] + ": eps=")
+
+    def test_matches_reference_on_tiny_batches(self):
+        # gamma 2, theta_int 0: a quarter of the proposals are ineligible, so
+        # some one- and two-proposal batches have none to check at all.
+        params = ChunkParams(2, 0.06, 0.64, C.minimal_t(2, 0.06, 0.64))
+        capped = 0
+        for max_rounds in (1, 2, 9):
+            for seed in range(120):
+                new = run_high_kernel(C._branch_high_pattern, params, max_rounds, seed)
+                old = run_high_kernel(reference_branch_high_pattern, params, max_rounds, seed)
+                assert new[:5] == old[:5]
+                assert (new[5] is None) == (old[5] is None)
+                capped += old[5] is not None
+        assert 0 < capped < 360
 
 
 class TestChunkApi:

@@ -59,6 +59,20 @@ class TestExactChunkDistribution:
         law = V.exact_chunk_distribution(params)
         assert np.max(np.abs(law - V.class_law(params.half, 0.1))) > 1e-10
 
+    def test_large_chunk_stays_finite(self):
+        # At half 600 the unused classes' acceptance exponents overflow; they
+        # must be 0 in the tables, not inf (0 * inf is NaN in the DP).
+        params = ChunkParams(1200, 0.2, 0.0, C.minimal_t(1200, 0.2, 0.0))
+        with np.errstate(over="raise", invalid="raise"):
+            analysis = V.exact_branch_analysis(params)
+        tables = C.chunk_tables(params)
+        assert not np.any(tables.acc_low_x[tables.ans_low == 1])
+        assert not np.any(tables.acc_high_y[tables.ans_high == 0])
+        assert analysis.mass_low == pytest.approx(
+            C.round_accept_mass_low(params), rel=1e-10
+        )
+        assert np.max(np.abs(analysis.mixture - V.class_law(600, 0.2))) <= 1e-10
+
     def test_bad_params_raise_parameter_error(self):
         with pytest.raises(ParameterError, match="gamma=7.*gamma must be even"):
             V.exact_branch_analysis(ChunkParams.for_advantage(0.1, gamma=7))
