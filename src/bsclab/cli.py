@@ -224,12 +224,18 @@ def _load_mu(arg: str, spec) -> dict:
         return uniform_inputs(spec)
     with open(arg, encoding="utf-8") as fh:
         doc = json.load(fh)
+    mu: dict = {}
     try:
-        return {(row["x"], row["y"]): float(row["w"]) for row in doc["pairs"]}
+        for row in doc["pairs"]:
+            pair = (row["x"], row["y"])
+            if pair in mu:
+                raise SpecError(f"mu file {arg} lists input pair {pair!r} twice")
+            mu[pair] = float(row["w"])
     except KeyError as exc:
         raise SpecError(f"mu file {arg} is missing field {exc}") from exc
     except TypeError as exc:
         raise SpecError(f'mu file {arg} is not {{"pairs": [{{"x", "y", "w"}}, ...]}}') from exc
+    return mu
 
 
 def cmd_icost(args: argparse.Namespace) -> ReportDocument:

@@ -14,8 +14,12 @@ input law, applies ENUMERATION_GUARD and yields one level at a time as
 arrays, the joint reach of every reachable node and input pair together with
 the node's intent and crossover.  The leaf law, the joint (x, y, transcript)
 table, expected energy and information cost are reductions over those
-arrays; `node_law` is the single rule for a node's received-bit probability,
-called once per (node, speaker's own input value).
+arrays.  A node's law has two forms with the same values: `node_law` asks
+the spec's rules at one node (the executor and the per-prefix callers use
+it), and `level_law` asks them over a whole level for one own input value,
+through a rule's `level` method when it has one.  The walker queries each
+level once per speaker's own input value, so every rule is still asked once
+per (node, own value); `received_one` is the one received-bit formula.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from itertools import chain, compress
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -337,13 +342,21 @@ def check_mu(spec: ProtocolSpec, mu: dict) -> None:
         raise ParameterError(f"input distribution sums to {total}, not 1")
 
 
+def received_one(r, c):
+    """Probability r(1-c) + (1-r)c that the received bit is 1, for intent r
+    sent over crossover c; floats and arrays get the same IEEE operations."""
+    return r * (1.0 - c) + (1.0 - r) * c
+
+
 def node_law(
     spec: ProtocolSpec, party: str, own_input: Any, prefix: Transcript, noise: Noise | None = None
 ) -> tuple[float, float, float]:
-    """Intent r, crossover c and received-one probability r(1-c) + (1-r)c of a node.
+    """Intent r, crossover c and received-one probability of a node.
 
     The crossover is the spec's per-bit table when present, else `noise`,
-    else 0 (the noiseless sent-bit law).
+    else 0 (the noiseless sent-bit law).  This is the reference form of a
+    node's law: `level_law` gives the same values for a list of nodes and
+    falls back to this function to raise its errors.
     """
     r = spec.intent(party, own_input, prefix)
     if spec.crossover is not None:
@@ -352,7 +365,85 @@ def node_law(
         c = noise.crossover
     else:
         c = 0.0
-    return r, c, r * (1.0 - c) + (1.0 - r) * c
+    return r, c, received_one(r, c)
+
+
+def _rule_values(rule: Callable, party: str, asks: list[tuple[Any, list]]) -> np.ndarray:
+    """A rule's values over `asks`, a list of (own input, prefixes) segments,
+    concatenated in order.  A rule with a `level(party, own_input, prefixes)`
+    method answers a segment at once; any other rule is called per node."""
+    level = getattr(rule, "level", None)
+    parts = []
+    for own_input, prefixes in asks:
+        got = (
+            level(party, own_input, prefixes)
+            if level is not None
+            else [rule(party, own_input, p) for p in prefixes]
+        )
+        part = np.asarray(got, dtype=np.float64)
+        if part.shape != (len(prefixes),):
+            raise SpecError(f"rule gave shape {part.shape} for {len(prefixes)} nodes")
+        parts.append(part)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _in_range(values: np.ndarray, top: float) -> bool:
+    """Every value lies in [0, top]; a NaN fails, as min and max propagate it."""
+    return values.size == 0 or (
+        np.minimum.reduce(values) >= 0.0 and np.maximum.reduce(values) <= top
+    )
+
+
+def _level_laws(
+    spec: ProtocolSpec, party: str, asks: list[tuple[Any, list]], noise: Noise | None
+) -> tuple[np.ndarray, np.ndarray | float] | None:
+    """Intents and crossovers of the nodes of `asks`, in order, or None on a
+    fault: a rule raises, or a value is not a probability or a crossover in
+    [0, 1/2].  The crossover is one float when the spec has no per-bit rule.
+    The caller replays a fault through `node_law`, which raises it again at
+    the first bad node; that is why any exception is caught here."""
+    try:
+        intent = _rule_values(spec.next_bit, party, asks)
+        if spec.crossover is None:
+            crossover = noise.crossover if noise is not None else 0.0
+        else:
+            crossover = _rule_values(spec.crossover, party, asks)
+            if not _in_range(crossover, 0.5):
+                return None
+    except Exception:
+        return None
+    if not _in_range(intent, 1.0):
+        return None
+    return intent, crossover
+
+
+def level_law(
+    spec: ProtocolSpec,
+    party: str,
+    own_input: Any,
+    prefixes: list[Transcript],
+    noise: Noise | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Intent and crossover float64 arrays of one own input value over a list of nodes.
+
+    Entry k equals `node_law(spec, party, own_input, prefixes[k], noise)[:2]`,
+    and each rule is asked once per node.  On any fault (a rule raises, a
+    value is not a probability or a crossover is outside [0, 1/2]) the nodes
+    are replayed through `node_law` in order, which raises its own error at
+    the first bad node.
+    """
+    prefixes = list(prefixes)
+    if max(map(len, prefixes), default=0) < spec.rounds:
+        laws = _level_laws(spec, party, [(own_input, prefixes)], noise)
+        if laws is not None:
+            intent, crossover = laws
+            if spec.crossover is None:
+                crossover = np.full(intent.shape, crossover)
+            return intent, crossover
+    laws = np.array(
+        [node_law(spec, party, own_input, p, noise)[:2] for p in prefixes], dtype=np.float64
+    ).reshape(-1, 2)
+    return laws[:, 0], laws[:, 1]
 
 
 def _own_values(pairs: list[tuple], own: int) -> tuple[list, np.ndarray, np.ndarray]:
@@ -384,10 +475,14 @@ def protocol_tree(
     entry at a kept node stays 0 and its intent and crossover are
     meaningless, so consumers must weight by reach.
 
-    Intent and crossover depend only on the speaker's own input, so
-    `node_law` is called once per (node, own input value) held by some pair
-    of positive reach there, and broadcast to that value's columns.  Only
-    the current level is held in memory.
+    Intent and crossover depend only on the speaker's own input, so each
+    level asks the rules once per own input value held by some pair of
+    positive reach, over the nodes where such a pair is (the `level_law`
+    query), and broadcasts the answers to that value's columns: one query
+    per (node, own value).  The level's laws are validated at once; on any
+    fault the level is replayed through `node_law` node by node, then own
+    value by own value, so the error raised is `node_law`'s at the first bad
+    (node, value).  Only the current level is held in memory.
     """
     check_mu(spec, mu)
     size = len(mu) << spec.rounds
@@ -405,24 +500,35 @@ def protocol_tree(
         party = speaker(i)
         values, column_value, holds = own_values[party]
         # (node, value) pairs where some pair of positive reach holds the value,
-        # node by node in lexicographic order.
-        rows, groups = np.nonzero((reach > 0.0) @ holds)
+        # value by value for the level queries.
+        live = (reach > 0.0) @ holds
+        groups, rows = np.nonzero(live.T)
+        asked = list(map(prefixes.__getitem__, rows.tolist()))
+        asks, start = [], 0
+        for g, count in enumerate(np.bincount(groups, minlength=len(values)).tolist()):
+            if count:
+                asks.append((values[g], asked[start : start + count]))
+                start += count
         laws = np.zeros((len(prefixes), len(values), 2))
-        laws[rows, groups] = [
-            node_law(spec, party, values[g], prefixes[k], noise)[:2]
-            for k, g in zip(rows.tolist(), groups.tolist())
-        ]
+        found = _level_laws(spec, party, asks, noise)
+        if found is not None:
+            laws[rows, groups, 0], laws[rows, groups, 1] = found
+        else:
+            rows, groups = np.nonzero(live)
+            laws[rows, groups] = [
+                node_law(spec, party, values[g], prefixes[k], noise)[:2]
+                for k, g in zip(rows.tolist(), groups.tolist())
+            ]
         intent = laws[:, column_value, 0]
         crossover = laws[:, column_value, 1]
         yield prefixes, reach, intent, crossover
-        pr_one = intent * (1.0 - crossover) + (1.0 - intent) * crossover
+        pr_one = received_one(intent, crossover)
         children = np.empty((len(prefixes), 2, len(pairs)))
         np.multiply(reach, 1.0 - pr_one, out=children[:, 0])
         np.multiply(reach, pr_one, out=children[:, 1])
         children = children.reshape(2 * len(prefixes), len(pairs))
         keep = (children > 0.0).any(axis=1)
-        prefixes = [p + b for p in prefixes for b in "01"]
-        prefixes = [p for p, k in zip(prefixes, keep.tolist()) if k]
+        prefixes = list(compress([p + b for p in prefixes for b in "01"], keep.tolist()))
         reach = children[keep]
     yield prefixes, reach, None, None
 
@@ -521,6 +627,60 @@ def seeded_spec(
     return ProtocolSpec(rounds, tuple(alice_inputs), tuple(bob_inputs), next_bit)
 
 
+class TableRule:
+    """A rule read off a table: table[party][str(own_input)][prefix].
+
+    Called per node, or per level through `level`, which looks the
+    (party, own input) row up once for a whole list of prefixes.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: dict):
+        self.table = table
+
+    def __call__(self, party: str, own_input: Any, prefix: Transcript) -> Any:
+        return self.table[party][str(own_input)][prefix]
+
+    def level(self, party: str, own_input: Any, prefixes: list[Transcript]) -> list:
+        return list(map(self.table[party][str(own_input)].__getitem__, prefixes))
+
+
+def _table_values(name: str, table: dict) -> np.ndarray:
+    """Every entry of `table` as float64; SpecError at the first entry that
+    float() rejects."""
+    rows = [row for per_party in table.values() for row in per_party.values()]
+    # One C loop reads an all-numbers table; fromiter reads None as NaN, so
+    # a table with a NaN is read again entry by entry.
+    try:
+        values = np.fromiter(
+            chain.from_iterable(row.values() for row in rows),
+            dtype=np.float64,
+            count=sum(map(len, rows)),
+        )
+        if not np.isnan(values).any():
+            return values
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return np.array(
+        [
+            _entry(name, party, own, prefix, v)
+            for party, per_party in table.items()
+            for own, row in per_party.items()
+            for prefix, v in row.items()
+        ]
+    )
+
+
+def _entry(name: str, party: str, own: Any, prefix: Transcript, value: Any) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(
+            f"{name} entry {value!r} at ({party}, {own!r}, {prefix!r}) is not a number"
+        ) from exc
+
+
 def table_spec(
     rounds: int,
     table: dict,
@@ -528,27 +688,22 @@ def table_spec(
     bob_inputs: tuple,
     crossover_table: dict | None = None,
 ) -> ProtocolSpec:
-    """Explicit per-node table: table[party][str(input)][prefix] -> bit or probability."""
+    """Explicit per-node table: table[party][str(input)][prefix] -> bit or probability.
 
-    def next_bit(party: str, own_input: Any, prefix: Transcript) -> float:
-        return table[party][str(own_input)][prefix]
-
-    deterministic = all(
-        float(v) in (0.0, 1.0)
-        for per_party in table.values()
-        for per_input in per_party.values()
-        for v in per_input.values()
-    )
+    Every entry of `table` and `crossover_table` must be accepted by
+    float(); ranges are checked where the walk reads a node.
+    """
+    values = _table_values("table", table)
+    deterministic = bool(((values == 0.0) | (values == 1.0)).all())
     crossover = None
     if crossover_table is not None:
-        def crossover(party: str, own_input: Any, prefix: Transcript) -> float:
-            return crossover_table[party][str(own_input)][prefix]
-
+        _table_values("crossover_table", crossover_table)
+        crossover = TableRule(crossover_table)
     return ProtocolSpec(
         rounds,
         tuple(alice_inputs),
         tuple(bob_inputs),
-        next_bit,
+        TableRule(table),
         crossover=crossover,
         deterministic=deterministic,
     )

@@ -28,9 +28,11 @@ from .core import (
     Transcript,
     bernoulli,
     check_mu,
+    level_law,
     node_law,
     prefix_probability,
     protocol_tree,
+    received_one,
     speaker,
 )
 
@@ -344,6 +346,22 @@ def _climb(a: int, top: int, rng: RandomSource, ledger: CostLedger) -> None:
 # ---------------------------------------------------------------------------
 
 
+class ReceivedBit:
+    """Intent rule of a noisy protocol's noiseless replay: the noisy
+    protocol's received-one probability at the node, per node or per level."""
+
+    __slots__ = ("pi",)
+
+    def __init__(self, pi: ProtocolSpec):
+        self.pi = pi
+
+    def __call__(self, party: str, own_input: Any, prefix: Transcript) -> float:
+        return node_law(self.pi, party, own_input, prefix)[2]
+
+    def level(self, party: str, own_input: Any, prefixes: list[Transcript]) -> np.ndarray:
+        return received_one(*level_law(self.pi, party, own_input, prefixes))
+
+
 def noiseless_from_noisy(pi: ProtocolSpec, mu: dict | None = None) -> ProtocolSpec:
     """Replay a variable-noise protocol over the noiseless channel.
 
@@ -354,15 +372,11 @@ def noiseless_from_noisy(pi: ProtocolSpec, mu: dict | None = None) -> ProtocolSp
     """
     if pi.crossover is None:
         raise SpecError("protocol has no per-bit crossover table to absorb")
-
-    def next_bit(party: str, own_input: Any, prefix: Transcript) -> float:
-        return node_law(pi, party, own_input, prefix)[2]
-
     return ProtocolSpec(
         pi.rounds,
         pi.alice_inputs,
         pi.bob_inputs,
-        next_bit,
+        ReceivedBit(pi),
         crossover=None,
         deterministic=False,
         padding=pi.padding,
@@ -376,7 +390,7 @@ def expected_energy_cost(pi: ProtocolSpec, mu: dict) -> float:
     total = 0.0
     for _, reach, _, crossover in protocol_tree(pi, mu):
         if crossover is not None:
-            # bit_energy elementwise; node_law has validated every crossover.
+            # bit_energy elementwise; the walk has validated every crossover.
             total += float(np.sum(reach * (4.0 * (crossover - 0.5) ** 2)))
     return total
 

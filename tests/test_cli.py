@@ -250,8 +250,12 @@ class TestIcost:
              "input pair (2, 0) outside the declared domains"),
             ({"pairs": [{"x": 0, "y": y, "w": 0.45} for y in (0, 1)]},
              "input distribution sums to 0.9"),
+            ({"pairs": [{"x": 0, "y": 0, "w": 0.5}, {"x": 1, "y": 1, "w": 0.5},
+                        {"x": 0, "y": 0, "w": 0.5}]},
+             "lists input pair (0, 0) twice"),
         ],
-        ids=["no pairs", "not an object", "pair outside the domains", "total 0.9"],
+        ids=["no pairs", "not an object", "pair outside the domains", "total 0.9",
+             "repeated pair"],
     )
     def test_bad_mu_file_exits_2(self, tmp_path, capsys, mu_doc, message):
         spec_path = tmp_path / "spec.json"
@@ -264,6 +268,27 @@ class TestIcost:
         mu_path.write_text(json.dumps(mu_doc))
         assert run_cli(["icost", "--spec", str(spec_path), "--mu", str(mu_path)]) == 2
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "field, entry",
+        [("table", None), ("table", "abc"), ("crossover_table", None), ("crossover_table", "x")],
+    )
+    def test_non_numeric_table_entry_exits_2(self, tmp_path, capsys, field, entry):
+        doc = {
+            "rounds": 1,
+            "alice_inputs": [0],
+            "bob_inputs": [0],
+            "kind": "table",
+            "table": {"alice": {"0": {"": 1}}},
+            "crossover_table": {"alice": {"0": {"": 0.1}}},
+        }
+        doc[field]["alice"]["0"][""] = entry
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert run_cli(["icost", "--spec", str(spec_path), "--mu", "uniform"]) == 2
+        named = f"{field} entry {entry!r} at (alice, '0', '') is not a number"
+        assert named in capsys.readouterr().err
 
 
 class TestEquiv:

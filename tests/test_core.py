@@ -23,9 +23,11 @@ from bsclab.core import (
     count_errors,
     enumerate_transcripts,
     flip_pattern,
+    level_law,
     node_law,
     pad_to_even,
     prefix_probability,
+    protocol_tree,
     run_over_bsc,
     seeded_spec,
     speaker,
@@ -400,6 +402,16 @@ def _random_walk_case(gen, rounds, alice, bob, p_det, noisy, zero_pairs):
     return spec, mu
 
 
+def _per_node(spec):
+    """The same spec behind plain closures, which have no level form, so the
+    walker asks them node by node."""
+    return replace(
+        spec,
+        next_bit=lambda *a: spec.next_bit(*a),
+        crossover=None if spec.crossover is None else lambda *a: spec.crossover(*a),
+    )
+
+
 def _xor4_tables():
     """Noiseless 4-round send-your-input protocol on inputs 0..3, with the
     intent and a zero crossover defined only at reachable nodes."""
@@ -437,6 +449,27 @@ BAD_NODES = {
     ),
     "crossover 0.7": (
         lambda bits, cross: cross["bob"]["3"].update({"111": 0.7}),
+        ParameterError,
+        "per-bit crossover 0.7 outside [0, 1/2]",
+    ),
+    "NaN intent": (
+        lambda bits, cross: bits["alice"]["1"].update({"10": math.nan}),
+        SpecError,
+        "next_bit value nan at '10' is not a probability",
+    ),
+    "NaN crossover": (
+        lambda bits, cross: cross["alice"]["0"].update({"00": math.nan}),
+        ParameterError,
+        "per-bit crossover nan outside [0, 1/2]",
+    ),
+    # One level, two faults: node '010' comes first in node order, but its
+    # bad crossover belongs to the larger own value and is a crossover, not
+    # an intent; the level must still fail at '010' with the crossover's error.
+    "crossover at '010' before intent at '110'": (
+        lambda bits, cross: (
+            cross["bob"]["3"].update({"010": 0.7}),
+            bits["bob"]["1"].update({"110": 1.5}),
+        ),
         ParameterError,
         "per-bit crossover 0.7 outside [0, 1/2]",
     ),
@@ -540,6 +573,93 @@ class TestLevelWalker:
         with pytest.raises(error, match=re.escape(named)):
             WALK_CONSUMERS[consumer](pi, mu)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.sampled_from(DOMAINS),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        st.booleans(),
+        st.lists(st.integers(0, 5), max_size=3),
+        st.sampled_from([None, 0.0, 0.2, 0.5]),
+    )
+    def test_level_rules_match_per_node_rules(
+        self, rounds, domains, seed, p_det, noisy, zero_pairs, crossover
+    ):
+        """Rules with a level form (tables, the noiseless replay) give the
+        same bits as plain closures over them, which the walker asks node
+        by node."""
+        gen = np.random.default_rng(seed)
+        spec, mu = _random_walk_case(gen, rounds, *domains, p_det, noisy, zero_pairs)
+        noise = None if crossover is None else Noise.from_crossover(crossover)
+        specs = [spec, pad_to_even(spec)]
+        if noisy:
+            specs.append(noiseless_from_noisy(spec, mu))
+        for fast in specs:
+            slow = _per_node(fast)
+            for got, want in zip(
+                protocol_tree(fast, mu, noise), protocol_tree(slow, mu, noise), strict=True
+            ):
+                assert got[0] == want[0]
+                for a, b in zip(got[1:], want[1:]):
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            joint = FiniteJoint.from_protocol(fast, mu).table
+            assert joint == FiniteJoint.from_protocol(slow, mu).table
+            if fast.crossover is not None:
+                assert expected_energy_cost(fast, mu) == expected_energy_cost(slow, mu)
+            phi, phi_slow = (
+                (fast, slow)
+                if fast.crossover is None
+                else (replace(fast, crossover=None), replace(slow, crossover=None))
+            )
+            assert external_info_cost(phi, mu) == external_info_cost(phi_slow, mu)
+
+    def test_level_law_matches_node_law(self):
+        gen = np.random.default_rng(11)
+        spec, _ = _random_walk_case(gen, 5, (0, 1, 2), (0, 1), 0.5, True, [])
+        for which in (spec, noiseless_from_noisy(spec)):
+            for party, inputs in ((ALICE, spec.alice_inputs), (BOB, spec.bob_inputs)):
+                for own in inputs:
+                    for prefixes in (["", "0", "1"], ["10", "011", "0110"], []):
+                        intent, crossover = level_law(which, party, own, prefixes)
+                        assert intent.dtype == crossover.dtype == np.float64
+                        laws = [node_law(which, party, own, p)[:2] for p in prefixes]
+                        assert intent.tolist() == [r for r, _ in laws]
+                        assert crossover.tolist() == [c for _, c in laws]
+
+    @pytest.mark.parametrize(
+        "prefixes, error, named",
+        [
+            (["0", "11111", "1"], SpecError, "prefix '11111' is not interior"),
+            (["0", "1", "10"], SpecError, "next_bit value 1.5 at '1' is not a probability"),
+            (["0", "zz"], SpecError, "next_bit undefined at (alice, 0, 'zz')"),
+        ],
+    )
+    def test_level_law_raises_node_law_error(self, prefixes, error, named):
+        gen = np.random.default_rng(12)
+        spec, _ = _random_walk_case(gen, 5, (0, 1), (0, 1), 0.5, True, [])
+        spec.next_bit.table["alice"]["0"]["1"] = 1.5
+        spec.next_bit.table["alice"]["0"]["10"] = math.nan
+        with pytest.raises(error, match=re.escape(named)):
+            level_law(spec, ALICE, 0, prefixes)
+
+    def test_rule_returning_none_raises_like_node_law(self):
+        base = xor_spec(3)
+        spec = replace(
+            base,
+            next_bit=lambda party, own, prefix: (
+                None if prefix == "1" else base.next_bit(party, own, prefix)
+            ),
+        )
+        mu = {(x, y): 0.25 for x in (0, 1) for y in (0, 1)}
+        with pytest.raises(TypeError) as scalar:
+            node_law(spec, BOB, 0, "1")
+        with pytest.raises(TypeError) as walked:
+            FiniteJoint.from_protocol(spec, mu)
+        assert str(walked.value) == str(scalar.value)
+
     def test_guard_names_its_parameters(self):
         mu = {(x, y): 0.25 for x in (0, 1) for y in (0, 1)}
         with pytest.raises(
@@ -602,6 +722,32 @@ class TestSpecFiles:
         assert dict(enumerate_transcripts(built, x, y, noise)) == dict(
             enumerate_transcripts(direct, x, y, noise)
         )
+
+    @pytest.mark.parametrize("field", ["table", "crossover_table"])
+    @pytest.mark.parametrize("entry", [None, "abc", [0.5], {"p": 1}])
+    def test_non_numeric_entry_is_named(self, field, entry):
+        bits = {"alice": {"0": {"": 0.0}, "1": {"": 1.0}}, "bob": {"0": {"0": 0.0, "1": 1.0}}}
+        cross = {"alice": {"0": {"": 0.1}, "1": {"": 0.1}}, "bob": {"0": {"0": 0.1, "1": 0.1}}}
+        ({"table": bits, "crossover_table": cross}[field])["bob"]["0"]["1"] = entry
+        named = f"{field} entry {entry!r} at (bob, '0', '1') is not a number"
+        with pytest.raises(SpecError, match=re.escape(named)):
+            table_spec(2, bits, (0, 1), (0,), crossover_table=cross)
+
+    def test_entries_float_accepts_stay_accepted(self):
+        bits = {"alice": {"0": {"": "1"}, "1": {"": True}}, "bob": {"0": {"0": 0, "1": " 0.5 "}}}
+        cross = {"alice": {"0": {"": "0.25"}, "1": {"": 0}}, "bob": {"0": {"0": 0.1, "1": "0.1"}}}
+        spec = table_spec(2, bits, (0, 1), (0,), crossover_table=cross)
+        assert not spec.deterministic
+        assert [a.tolist() for a in level_law(spec, BOB, 0, ["0", "1"])] == [[0.0, 0.5], [0.1, 0.1]]
+        slow = _per_node(spec)
+        mu = {(0, 0): 0.5, (1, 0): 0.5}
+        joint = FiniteJoint.from_protocol(spec, mu).table
+        assert joint == FiniteJoint.from_protocol(slow, mu).table
+        assert expected_energy_cost(spec, mu) == expected_energy_cost(slow, mu)
+        # float() reads "nan" as a number; the walk then rejects it as a crossover.
+        cross["bob"]["0"]["1"] = "nan"
+        with pytest.raises(ParameterError, match="per-bit crossover nan outside"):
+            expected_energy_cost(table_spec(2, bits, (0, 1), (0,), crossover_table=cross), mu)
 
     def test_unknown_kind(self):
         with pytest.raises(SpecError):
