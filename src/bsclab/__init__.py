@@ -25,8 +25,6 @@ from .compressor import (
     CountDistribution,
     ProductCountDistribution,
     ThresholdResult,
-    branch_high,
-    branch_low,
     find_xi,
     low_error_mass,
     simulate_chunk,
@@ -36,7 +34,6 @@ from .compressor import (
 )
 from .energy import (
     BitWithPrior,
-    Grid,
     WalkOutcome,
     brw_to_top,
     expected_energy_cost,

@@ -11,6 +11,8 @@ simulation of the chunk at doubled advantage as the low-regime proposal.
 Everything the sampler decides on depends on the chunk's flip pattern only,
 never on the protocol tree, so the internal engine samples flip patterns;
 `core.apply_flip_pattern` turns the accepted pattern into the actual leaf.
+`simulate_noiseless` runs a whole protocol and `simulate_chunk` one chunk;
+both cap each rejection loop at `DEFAULT_MAX_ROUNDS` proposals, read per call.
 """
 
 from __future__ import annotations
@@ -107,17 +109,14 @@ class ChunkParams:
         gamma: int | None = None,
         theta: float | None = None,
         t: float | None = None,
-        *,
-        t_cap: float = DEFAULT_T_CAP,
-        beta: float = DEFAULT_BETA,
     ) -> "ChunkParams":
         if gamma is None:
             gamma = default_gamma(epsilon)
         if theta is None:
             theta = default_theta(gamma, epsilon)
         if t is None:
-            t = default_t(epsilon, t_cap)
-        return cls(gamma, epsilon, theta, t, beta)
+            t = default_t(epsilon)
+        return cls(gamma, epsilon, theta, t)
 
     @property
     def theta_int(self) -> int:
@@ -259,7 +258,12 @@ class ThresholdResult:
     theta_x: int
     theta_y: int
     rounds_used: int
-    bits_used: int
+
+
+def _support(d: CountDistribution) -> str:
+    """The range of counts carrying mass, as "lo..hi"."""
+    counts = np.flatnonzero(d.pmf)
+    return f"{counts[0]}..{counts[-1]}"
 
 
 def find_xi(dist: ProductCountDistribution, theta: int) -> int:
@@ -270,7 +274,9 @@ def find_xi(dist: ProductCountDistribution, theta: int) -> int:
         ) >= dist.dy.prob_le(theta - xi - 1):
             return xi
     raise InvariantViolation(
-        f"no admissible xi for theta={theta}; the sweep argument guarantees one"
+        f"no admissible xi for theta={theta}, half={dist.dx.n}, "
+        f"m_x support {_support(dist.dx)}, m_y support {_support(dist.dy)}; "
+        "the sweep argument guarantees one"
     )
 
 
@@ -322,11 +328,7 @@ def threshold(
             )
             continue
         return ThresholdResult(
-            answer=answer,
-            theta_x=xi,
-            theta_y=theta - xi,
-            rounds_used=rounds,
-            bits_used=rounds * BITS_PER_THRESHOLD_ROUND,
+            answer=answer, theta_x=xi, theta_y=theta - xi, rounds_used=rounds
         )
 
 
@@ -398,7 +400,7 @@ def threshold_table(
 COST_RATIO_FLOOR = 5.0
 
 
-def validate_params(params: ChunkParams, *, beta: float | None = None) -> list[str]:
+def validate_params(params: ChunkParams) -> list[str]:
     """Check a parameter set before any sampling; empty list means ok.
 
     At or above the base-case cutoff the chunk machinery is never used, so
@@ -407,18 +409,16 @@ def validate_params(params: ChunkParams, *, beta: float | None = None) -> list[s
     runs the same machinery with the same exactness, it just does not carry
     the canonical per-chunk cost bound.
     """
-    if beta is None:
-        beta = params.beta
-    if params.epsilon >= beta:
+    if params.epsilon >= params.beta:
         return []
     violations: list[str] = []
     if params.gamma % 2 != 0:
         violations.append(f"gamma must be even, got {params.gamma}")
     if not 0.0 <= params.theta <= params.gamma:
         violations.append(f"theta must lie in [0, gamma], got {params.theta}")
-    if beta > 0.25:
+    if params.beta > 0.25:
         violations.append(
-            f"beta={beta} leaves chunk levels with advantage >= 1/4, "
+            f"beta={params.beta} leaves chunk levels with advantage >= 1/4, "
             "where the doubled-noise proposal channel degenerates"
         )
     if params.epsilon >= 0.25:
@@ -471,44 +471,35 @@ class ChunkTables:
         ti = params.theta_int
         l1m, l1p = math.log(0.5 - e), math.log(0.5 + e)
         l2m, l2p = math.log(0.5 - 2 * e), math.log(0.5 + 2 * e)
+        log_t = math.log(params.t)
+
+        # Each branch's log acceptance probability for one party with error
+        # count m and threshold witness w.
+        def log_acc_low(m, w):
+            return (m - w) * (l1m - l2m) + (w - m) * (l1p - l2p)
+
+        def log_acc_high(m, w):
+            return (
+                m * l1m
+                + (half - m) * l1p
+                - log_t
+                - (w - ti / 2.0) * (l1m - l1p)
+                + half * math.log(2.0)
+            )
+
+        def accept(branch, log_acc, tx, ty, unused):
+            acc_x = _masked_exp(log_acc(np.arange(half + 1)[:, None], tx), unused)
+            acc_y = _masked_exp(log_acc(np.arange(half + 1)[None, :], ty), unused)
+            if np.any(acc_x > 1.0 + 1e-12) or np.any(acc_y > 1.0 + 1e-12):
+                raise InvariantViolation(f"{branch}-branch acceptance probability exceeds 1")
+            return acc_x, acc_y
 
         d_low = ProductCountDistribution.binomial(half, 0.5 - 2 * e)
-        self.ans_low, tx0, ty0, self.rounds_low = threshold_table(d_low, ti, half)
-        mx = np.arange(half + 1)[:, None]
-        my = np.arange(half + 1)[None, :]
-        unused = self.ans_low == 1
-        self.acc_low_x = _masked_exp(
-            (mx - tx0) * (l1m - l2m) + (tx0 - mx) * (l1p - l2p), unused
-        )
-        self.acc_low_y = _masked_exp(
-            (my - ty0) * (l1m - l2m) + (ty0 - my) * (l1p - l2p), unused
-        )
-        if np.any(self.acc_low_x > 1.0 + 1e-12) or np.any(self.acc_low_y > 1.0 + 1e-12):
-            raise InvariantViolation("low-branch acceptance probability exceeds 1")
-
+        self.ans_low, tx, ty, self.rounds_low = threshold_table(d_low, ti, half)
+        self.acc_low_x, self.acc_low_y = accept("low", log_acc_low, tx, ty, self.ans_low == 1)
         d_high = ProductCountDistribution.uniform_leaves(half)
-        self.ans_high, tx1, ty1, self.rounds_high = threshold_table(d_high, ti, half)
-        log_t = math.log(params.t)
-        unused = self.ans_high == 0
-        self.acc_high_x = _masked_exp(
-            mx * l1m
-            + (half - mx) * l1p
-            - log_t
-            - (tx1 - ti / 2.0) * (l1m - l1p)
-            + half * math.log(2.0),
-            unused,
-        )
-        self.acc_high_y = _masked_exp(
-            my * l1m
-            + (half - my) * l1p
-            - log_t
-            - (ty1 - ti / 2.0) * (l1m - l1p)
-            + half * math.log(2.0),
-            unused,
-        )
-        if np.any(self.acc_high_x > 1.0 + 1e-12) or np.any(self.acc_high_y > 1.0 + 1e-12):
-            raise InvariantViolation("high-branch acceptance probability exceeds 1")
-
+        self.ans_high, tx, ty, self.rounds_high = threshold_table(d_high, ti, half)
+        self.acc_high_x, self.acc_high_y = accept("high", log_acc_high, tx, ty, self.ans_high == 0)
         self.mass_high = round_accept_mass_high(params)
 
 
@@ -572,18 +563,13 @@ def _validate_span(epsilon: float, depth: int, cfg: _Config) -> None:
     seen: set[tuple[float, int]] = set()
 
     def visit(eps: float, d: int) -> None:
+        # Doubling only follows a validated level, whose beta <= 1/4 keeps
+        # the doubled advantage below 1/2.
         if eps >= cfg.beta:
-            if eps > 0.5:
-                raise ParameterError(f"advantage {eps} above 1/2 at the base case")
             return
         g = default_gamma(eps)
-        sizes = set()
-        if d >= g:
-            sizes.add(g)
-            if d % g:
-                sizes.add(d % g)
-        else:
-            sizes.add(d)
+        # Full chunks and the trailing remainder, or one short chunk.
+        sizes = {g, d % g} - {0} if d >= g else {d}
         for size in sizes:
             if (eps, size) in seen:
                 continue
@@ -607,14 +593,6 @@ def _fair_binomial(gen: np.random.Generator, n: int, size: int) -> np.ndarray:
     return total
 
 
-def _direct_pattern(
-    crossover: float, depth: int, rng: RandomSource, ledger: CostLedger
-) -> np.ndarray:
-    """Direct simulation: one true bit per round, a shared coin flips it."""
-    ledger.charge(0.0, depth)
-    return (rng.public.random(depth) < crossover).astype(np.int8)
-
-
 def _span_pattern(
     epsilon: float, depth: int, rng: RandomSource, ledger: CostLedger, cfg: _Config
 ) -> np.ndarray:
@@ -623,13 +601,15 @@ def _span_pattern(
     if depth == 0:
         return np.zeros(0, dtype=np.int8)
     if epsilon >= cfg.beta:
-        return _direct_pattern(0.5 - epsilon, depth, rng, ledger)
+        # Direct simulation: one true bit per round, a shared coin flips it.
+        ledger.charge(0.0, depth)
+        return (rng.public.random(depth) < 0.5 - epsilon).astype(np.int8)
     parts = []
     remaining = depth
     while remaining > 0:
         g = min(default_gamma(epsilon), remaining)
         params = _params_for(epsilon, g, cfg)
-        parts.append(_chunk_pattern(params, rng, ledger, cfg, None))
+        parts.append(_chunk_pattern(params, rng, ledger, cfg)[0])
         remaining -= g
     return np.concatenate(parts)
 
@@ -646,13 +626,14 @@ def _materialize_counts(
     return pattern
 
 
+# (branch, rounds, threshold_rounds) of one chunk: 0 low or 1 high, its
+# proposals up to the accepted one, and the threshold rounds they ran.
+_ChunkCounts = tuple[int, int, int]
+
+
 def _branch_high_pattern(
-    params: ChunkParams,
-    rng: RandomSource,
-    ledger: CostLedger,
-    cfg: _Config,
-    record: dict | None,
-) -> np.ndarray:
+    params: ChunkParams, rng: RandomSource, ledger: CostLedger, cfg: _Config
+) -> tuple[np.ndarray, _ChunkCounts]:
     tables = chunk_tables(params)
     half = params.half
     if tables.mass_high <= 0.0:
@@ -665,6 +646,7 @@ def _branch_high_pattern(
     rounds_flat = tables.rounds_high.reshape(-1)
     batch = int(min(max(2.0 / tables.mass_high, 8), 1 << 16))
     done = 0
+    threshold_rounds = 0
     while True:
         if done >= cfg.max_rounds:
             raise IterationCapExceeded(
@@ -685,32 +667,22 @@ def _branch_high_pattern(
         # each eligible one among them cost its two accept bits.
         spent = int(eligible[w]) + 1 if won else k
         checked = w + 1 if won else eligible.size
-        threshold_rounds = int(rounds_flat.take(idx[:spent]).sum())
-        ledger.charge(
-            0.0, BITS_PER_THRESHOLD_ROUND * threshold_rounds + 2 * checked
-        )
-        if record is not None:
-            if won:
-                record["branch"] = 1
-                record["rounds"] = record.get("rounds", 0) + done + spent
-            record["threshold_rounds"] = (
-                record.get("threshold_rounds", 0) + threshold_rounds
-            )
+        batch_rounds = int(rounds_flat.take(idx[:spent]).sum())
+        threshold_rounds += batch_rounds
+        ledger.charge(0.0, BITS_PER_THRESHOLD_ROUND * batch_rounds + 2 * checked)
         if won:
             m_x, m_y = divmod(int(cls[w]), half + 1)
-            return _materialize_counts(half, m_x, m_y, rng)
+            pattern = _materialize_counts(half, m_x, m_y, rng)
+            return pattern, (1, done + spent, threshold_rounds)
         done += k
 
 
 def _branch_low_pattern(
-    params: ChunkParams,
-    rng: RandomSource,
-    ledger: CostLedger,
-    cfg: _Config,
-    record: dict | None,
-) -> np.ndarray:
+    params: ChunkParams, rng: RandomSource, ledger: CostLedger, cfg: _Config
+) -> tuple[np.ndarray, _ChunkCounts]:
     tables = chunk_tables(params)
     rounds = 0
+    threshold_rounds = 0
     while True:
         rounds += 1
         if rounds > cfg.max_rounds:
@@ -721,33 +693,24 @@ def _branch_low_pattern(
         pattern = _span_pattern(2.0 * params.epsilon, params.gamma, rng, ledger, cfg)
         mx = int(pattern[0::2].sum())
         my = int(pattern[1::2].sum())
-        ledger.charge(0.0, BITS_PER_THRESHOLD_ROUND * int(tables.rounds_low[mx, my]))
-        if record is not None:
-            record["threshold_rounds"] = record.get("threshold_rounds", 0) + int(
-                tables.rounds_low[mx, my]
-            )
+        used = int(tables.rounds_low[mx, my])
+        threshold_rounds += used
+        ledger.charge(0.0, BITS_PER_THRESHOLD_ROUND * used)
         if tables.ans_low[mx, my] == 1:
             continue
         ledger.charge(0.0, 2)
         if rng.alice.random() < tables.acc_low_x[mx, my] and rng.bob.random() < tables.acc_low_y[mx, my]:
-            if record is not None:
-                record["branch"] = 0
-                record["rounds"] = record.get("rounds", 0) + rounds
-            return pattern
+            return pattern, (0, rounds, threshold_rounds)
 
 
 def _chunk_pattern(
-    params: ChunkParams,
-    rng: RandomSource,
-    ledger: CostLedger,
-    cfg: _Config,
-    record: dict | None,
-) -> np.ndarray:
+    params: ChunkParams, rng: RandomSource, ledger: CostLedger, cfg: _Config
+) -> tuple[np.ndarray, _ChunkCounts]:
     # Public coin; b = 0 (probability p = low_mass) enters the low branch.
     go_low = rng.public.random() < params.low_mass
     if go_low:
-        return _branch_low_pattern(params, rng, ledger, cfg, record)
-    return _branch_high_pattern(params, rng, ledger, cfg, record)
+        return _branch_low_pattern(params, rng, ledger, cfg)
+    return _branch_high_pattern(params, rng, ledger, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +727,6 @@ def simulate_noiseless(
     *,
     beta: float = DEFAULT_BETA,
     t_cap: float = DEFAULT_T_CAP,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> tuple[Transcript, CostLedger]:
     """Sample a full transcript distributed exactly as the BSC execution.
 
@@ -778,24 +740,12 @@ def simulate_noiseless(
     if not 0.0 < epsilon <= 0.5:
         raise ParameterError(f"advantage must be in (0, 1/2], got {epsilon}")
     padded = pad_to_even(spec)
-    cfg = _Config(beta=beta, t_cap=t_cap, max_rounds=max_rounds)
+    cfg = _Config(beta=beta, t_cap=t_cap, max_rounds=DEFAULT_MAX_ROUNDS)
     _validate_span(epsilon, padded.rounds, cfg)
     ledger = CostLedger()
     pattern = _span_pattern(epsilon, padded.rounds, rng, ledger, cfg)
     transcript = apply_flip_pattern(padded, x, y, "", pattern)
     return transcript, ledger
-
-
-def _sample_leaf(
-    engine, spec, x, y, root, params, rng, ledger, record, max_rounds
-) -> Transcript:
-    """Validate `params`, run one pattern engine, materialize its leaf below `root`."""
-    violations = validate_params(params)
-    if violations:
-        raise ParameterError("; ".join(violations))
-    cfg = _Config(beta=params.beta, max_rounds=max_rounds)
-    pattern = engine(params, rng, CostLedger() if ledger is None else ledger, cfg, record)
-    return apply_flip_pattern(spec, x, y, root, pattern)
 
 
 def simulate_chunk(
@@ -807,50 +757,25 @@ def simulate_chunk(
     rng: RandomSource,
     ledger: CostLedger | None = None,
     record: dict | None = None,
-    *,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> Transcript:
-    """Sample one depth-gamma leaf below `root` with the exact channel law."""
+    """Sample one depth-gamma leaf below `root` with the exact channel law.
+
+    Bits are charged to `ledger`.  `record` gets "branch" (0 low, 1 high) and
+    adds the chunk's proposal and threshold rounds to "rounds" and
+    "threshold_rounds"; a chunk stopped at the iteration cap leaves it as is.
+    """
     if len(root) % 2 != 0:
         raise SpecError("chunk roots sit at even depth in the padded tree")
     if len(root) + params.gamma > spec.rounds:
         raise SpecError("chunk extends past the protocol's leaf level")
-    return _sample_leaf(
-        _chunk_pattern, spec, x, y, root, params, rng, ledger, record, max_rounds
-    )
-
-
-def branch_low(
-    spec: ProtocolSpec,
-    x: Any,
-    y: Any,
-    root: Transcript,
-    params: ChunkParams,
-    rng: RandomSource,
-    ledger: CostLedger | None = None,
-    record: dict | None = None,
-    *,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-) -> Transcript:
-    """Low-error branch alone: nested doubled-advantage proposals, then rejection."""
-    return _sample_leaf(
-        _branch_low_pattern, spec, x, y, root, params, rng, ledger, record, max_rounds
-    )
-
-
-def branch_high(
-    spec: ProtocolSpec,
-    x: Any,
-    y: Any,
-    root: Transcript,
-    params: ChunkParams,
-    rng: RandomSource,
-    ledger: CostLedger | None = None,
-    record: dict | None = None,
-    *,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-) -> Transcript:
-    """High-error branch alone: uniform public proposals, then rejection."""
-    return _sample_leaf(
-        _branch_high_pattern, spec, x, y, root, params, rng, ledger, record, max_rounds
-    )
+    violations = validate_params(params)
+    if violations:
+        raise ParameterError("; ".join(violations))
+    cfg = _Config(beta=params.beta, max_rounds=DEFAULT_MAX_ROUNDS)
+    ledger = CostLedger() if ledger is None else ledger
+    pattern, (branch, rounds, threshold_rounds) = _chunk_pattern(params, rng, ledger, cfg)
+    if record is not None:
+        record["branch"] = branch
+        record["rounds"] = record.get("rounds", 0) + rounds
+        record["threshold_rounds"] = record.get("threshold_rounds", 0) + threshold_rounds
+    return apply_flip_pattern(spec, x, y, root, pattern)

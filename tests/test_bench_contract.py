@@ -1,0 +1,56 @@
+"""The names the benchmark's tracer and workloads call in the library.
+
+`bench/tracing.py` patches library functions by name and binds their
+arguments by keyword, so renaming or removing one breaks the traced
+benchmark run.  This test installs the tracer on freshly imported modules in
+a child interpreter (the patches are process-wide) and makes the calls the
+workloads make.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+from bsclab import compressor, core, energy, infotheory, verify
+
+tracer = tracing.Tracer()
+tracing.install(tracer, core, compressor, energy, infotheory, verify)
+eps, gamma = 0.1, 20
+params = compressor.ChunkParams.for_advantage(
+    eps, gamma=gamma, t=compressor.minimal_t(gamma, eps, gamma * (0.5 - 3 * eps))
+)
+spec = core.seeded_spec(gamma, 41)
+ledger = core.CostLedger()
+rng = core.RandomSource.for_trial(12345, 1)
+leaf = compressor.simulate_chunk(spec, 0, 1, "", params, rng, ledger, {})
+verify.monte_carlo_chunk(params, spec, 0, 1, 4, base_seed=12345)
+compressor.simulate_noiseless(core.constant_spec(40), 0, 0, eps, core.RandomSource(3))
+energy.sample_with_prior(0.3, 0.2, 64, core.RandomSource(4), core.CostLedger())
+print(json.dumps({"leaf": leaf, "bits": ledger.bits_sent, "counts": dict(tracer.counts)}))
+"""
+
+
+def test_traced_library_calls():
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert len(out["leaf"]) == 20 and out["bits"] > 0
+    counts = out["counts"]
+    assert counts["compressor.table_build.classes"] > 0
+    assert counts["compressor.sample.bits"] > 0
+    assert counts["compressor.high.accepted"] + counts.get("compressor.low.accepted", 0) == 5
+    assert counts["compressor.threshold_rounds"] > 0
+    assert counts["core.replay.rounds"] > 0
+    assert counts["verify.mc.trials"] == 4

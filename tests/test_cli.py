@@ -324,6 +324,18 @@ class TestSuiteCommand:
         doc = json.loads(out.read_text())
         assert len(doc["tests"]) == 2 and all(t["passed"] for t in doc["tests"])
 
+    @pytest.mark.parametrize(
+        "criteria,unknown",
+        [("13", "[13]"), ("5,99", "[99]"), ("0,12,14", "[0, 14]")],
+        ids=["13", "5,99", "0,12,14"],
+    )
+    def test_unknown_criteria_exit_2(self, capsys, criteria, unknown):
+        code = run_cli(["suite", "--criteria", criteria])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"unknown criteria {unknown}" in captured.err
+        assert "[criterion" not in captured.out
+
     def test_suite_reports_byte_identical_modulo_clock(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -331,6 +343,32 @@ class TestSuiteCommand:
         text_a = "\n".join(l for l in a.read_text().splitlines() if "wall_clock" not in l)
         text_b = "\n".join(l for l in b.read_text().splitlines() if "wall_clock" not in l)
         assert text_a == text_b
+
+
+class TestCounts:
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ("walk --mode brw --a 3 --b 1 --trials 0".split(), "trials must be >= 1, got 0"),
+            ("walk --mode ubrw --a 3 --b 1 --trials 0".split(), "trials must be >= 1, got 0"),
+            (["compress", "--trials", "0"], "trials must be >= 1, got 0"),
+            (["sample-prior", "--samples", "0"], "samples must be >= 1, got 0"),
+            (["equiv", "--mode", "ecub", "--samples", "0"], "samples must be >= 1, got 0"),
+            (["equiv", "--mode", "eclb", "--instances", "-3"], "instances must be >= 1, got -3"),
+            (["chunk-verify", "--samples", "-5"], "samples must be >= 0, got -5"),
+        ],
+        ids=["walk-brw", "walk-ubrw", "compress", "sample-prior", "ecub", "eclb", "chunk-verify"],
+    )
+    def test_non_positive_count_exits_2(self, capsys, args, message):
+        code = run_cli(args)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_chunk_samples_check_exact_law_only(self, tmp_path):
+        out = tmp_path / "exact.json"
+        assert run_cli(["chunk-verify", "--samples", "0", "--out", str(out)]) == 0
+        names = [t["name"] for t in json.loads(out.read_text())["tests"]]
+        assert names == ["exact law matches product binomial (1e-10)"]
 
 
 class TestEmitReport:

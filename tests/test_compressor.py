@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from bsclab.core import (
     ParameterError,
     RandomSource,
     SpecError,
+    apply_flip_pattern,
     constant_spec,
     count_errors,
     enumerate_transcripts,
@@ -91,6 +93,14 @@ class TestFindXi:
         dy = CountDistribution(np.array([1.0]))
         assert find_xi(ProductCountDistribution(dx, dy), 2) == 2
 
+    def test_no_admissible_xi_names_the_node(self):
+        with pytest.raises(
+            InvariantViolation,
+            match=r"^no admissible xi for theta=-2, half=4, "
+            r"m_x support 0\.\.4, m_y support 0\.\.4; ",
+        ):
+            find_xi(ProductCountDistribution.binomial(4, 0.5), -2)
+
 
 class TestThreshold:
     def test_low_pair_one_round(self):
@@ -112,7 +122,7 @@ class TestThreshold:
         d = ProductCountDistribution.binomial(4, 0.5)
         ledger = CostLedger()
         res = threshold(2, d, 2, 0, ledger)
-        assert ledger.bits_sent == res.bits_used == 4 * res.rounds_used
+        assert ledger.bits_sent == 4 * res.rounds_used
 
     def test_point_mass_single_round(self):
         d = ProductCountDistribution(
@@ -308,9 +318,14 @@ class TestRoundMasses:
         assert C.DEFAULT_T_CAP == pytest.approx(math.e**6)
 
 
-def _class_counts(spec, x, y, leaves, half, gamma):
-    counts = np.zeros((half + 1, half + 1), dtype=int)
-    for leaf in leaves:
+def branch_class_counts(kernel, params, spec, x, y, base_seed, trials):
+    """Class counts of `trials` runs of one branch kernel, trial i at seed
+    base_seed + i, each leaf replayed through the protocol tree."""
+    counts = np.zeros((params.half + 1, params.half + 1), dtype=int)
+    for i in range(trials):
+        rng = RandomSource.for_trial(base_seed, i)
+        pattern, _ = kernel(params, rng, CostLedger(), C._Config())
+        leaf = apply_flip_pattern(spec, x, y, "", pattern)
         counts[count_errors(spec, "alice", x, leaf), count_errors(spec, "bob", y, leaf)] += 1
     return counts
 
@@ -320,13 +335,7 @@ class TestBranches:
         params = ChunkParams(6, 0.1, 6 * 0.2, C.minimal_t(6, 0.1, 1.2))
         spec = seeded_spec(6, seed=21)
         analysis = V.exact_branch_analysis(params)
-        counts = np.zeros((4, 4), dtype=int)
-        for i in range(4000):
-            rng = RandomSource.for_trial(400, i)
-            leaf = C.branch_high(spec, 0, 1, "", params, rng)
-            counts[
-                count_errors(spec, "alice", 0, leaf), count_errors(spec, "bob", 1, leaf)
-            ] += 1
+        counts = branch_class_counts(C._branch_high_pattern, params, spec, 0, 1, 400, 4000)
         assert V.chi_square_gof(counts, analysis.high_law).passed
         # restricted renormalized product law on {m > theta}
         mask = np.add.outer(np.arange(4), np.arange(4)) > params.theta_int
@@ -338,13 +347,7 @@ class TestBranches:
         params = ChunkParams(6, 0.1, 6 * 0.2, C.minimal_t(6, 0.1, 1.2))
         spec = seeded_spec(6, seed=22)
         analysis = V.exact_branch_analysis(params)
-        counts = np.zeros((4, 4), dtype=int)
-        for i in range(4000):
-            rng = RandomSource.for_trial(500, i)
-            leaf = C.branch_low(spec, 1, 0, "", params, rng)
-            counts[
-                count_errors(spec, "alice", 1, leaf), count_errors(spec, "bob", 0, leaf)
-            ] += 1
+        counts = branch_class_counts(C._branch_low_pattern, params, spec, 1, 0, 500, 4000)
         assert V.chi_square_gof(counts, analysis.low_law).passed
         mask = np.add.outer(np.arange(4), np.arange(4)) <= params.theta_int
         expected = V.class_law(3, 0.1) * mask
@@ -413,25 +416,26 @@ class TestSimulateNoiseless:
         b = C.simulate_noiseless(spec, 0, 1, 0.1, RandomSource(42))
         assert a[0] == b[0] and a[1].bits_sent == b[1].bits_sent
 
-    def test_iteration_cap_aborts_loudly(self):
+    def test_iteration_cap_aborts_loudly(self, monkeypatch):
         spec = constant_spec(2)
+        monkeypatch.setattr(C, "DEFAULT_MAX_ROUNDS", 0)
         with pytest.raises(
             IterationCapExceeded,
             match=r"-branch rejection loop exceeded 0 rounds: "
             r"eps=0\.1, gamma=2, theta=0\.4, t=",
         ):
-            C.simulate_noiseless(spec, 0, 0, 0.1, RandomSource(1), max_rounds=0)
+            C.simulate_noiseless(spec, 0, 0, 0.1, RandomSource(1))
 
     @pytest.mark.parametrize("branch", ["low", "high"])
     def test_iteration_cap_names_parameters(self, branch):
         params = ChunkParams(4, 0.1, 0.8, 5.0)
-        run = C.branch_low if branch == "low" else C.branch_high
+        kernel = C._branch_low_pattern if branch == "low" else C._branch_high_pattern
         with pytest.raises(
             IterationCapExceeded,
             match=f"^{branch}-branch rejection loop exceeded 0 rounds: "
             r"eps=0\.1, gamma=4, theta=0\.8, t=5$",
         ):
-            run(constant_spec(4), 0, 0, "", params, RandomSource(1), max_rounds=0)
+            kernel(params, RandomSource(1), CostLedger(), C._Config(max_rounds=0))
 
 
 def _reference_fair_binomial(gen, n, size):
@@ -504,16 +508,27 @@ def high_kernel_cases(draw):
     return ChunkParams(gamma, eps, theta, t), max_rounds, draw(st.integers(0, 2**32 - 1))
 
 
+def counting_high_kernel(params, rng, ledger, cfg, record):
+    """`compressor._branch_high_pattern` behind the reference kernel's
+    signature: its returned counts are written into `record`."""
+    pattern, (branch, rounds, threshold_rounds) = C._branch_high_pattern(
+        params, rng, ledger, cfg
+    )
+    record.update(branch=branch, rounds=rounds, threshold_rounds=threshold_rounds)
+    return pattern
+
+
 def run_high_kernel(kernel, params, max_rounds, seed):
-    """Everything one kernel call leaves behind: pattern, ledger, record,
-    the cap error if any, and all four streams' states."""
+    """Everything one kernel call leaves behind: pattern, ledger, the cap
+    error if any, all four streams' states, and the record of a run that
+    returned (None for one that hit the cap)."""
     rng = RandomSource(seed)
     ledger, record = CostLedger(), {}
     try:
         pattern = kernel(params, rng, ledger, C._Config(max_rounds=max_rounds), record).tobytes()
         error = None
     except IterationCapExceeded as exc:
-        pattern, error = None, str(exc)
+        pattern, error, record = None, str(exc), None
     states = [g.bit_generator.state for g in (rng.public, rng.alice, rng.bob, rng.channel)]
     return pattern, ledger.bits_sent, ledger.energy, record, states, error
 
@@ -522,7 +537,7 @@ class TestHighKernel:
     @settings(max_examples=80, deadline=None)
     @given(high_kernel_cases())
     def test_matches_reference_kernel(self, case):
-        new = run_high_kernel(C._branch_high_pattern, *case)
+        new = run_high_kernel(counting_high_kernel, *case)
         old = run_high_kernel(reference_branch_high_pattern, *case)
         assert new[:5] == old[:5]
         if old[5] is None:
@@ -538,7 +553,7 @@ class TestHighKernel:
         capped = 0
         for max_rounds in (1, 2, 9):
             for seed in range(120):
-                new = run_high_kernel(C._branch_high_pattern, params, max_rounds, seed)
+                new = run_high_kernel(counting_high_kernel, params, max_rounds, seed)
                 old = run_high_kernel(reference_branch_high_pattern, params, max_rounds, seed)
                 assert new[:5] == old[:5]
                 assert (new[5] is None) == (old[5] is None)
@@ -561,3 +576,51 @@ class TestChunkApi:
         bad = ChunkParams(4, 0.1, 9.0, 2.0)
         with pytest.raises(ParameterError):
             C.simulate_chunk(constant_spec(4), 0, 0, "", bad, RandomSource(0))
+
+
+def pinned_chunk_params():
+    """Gamma 20 at eps 0.1 with the minimal t: criterion 02's chunk."""
+    t = C.minimal_t(20, 0.1, C.default_theta(20, 0.1))
+    return ChunkParams.for_advantage(0.1, gamma=20, t=t)
+
+
+class TestChunkRecord:
+    def test_trials_pinned(self):
+        # 400 trials of the pinned chunk: 15 low-branch and 385 high-branch,
+        # so both kernels' counts are covered.  A change to any random
+        # stream moves these values; such a change re-pins them.
+        trials = V.run_chunk_trials(pinned_chunk_params(), seeded_spec(20, 41), 0, 1, 12345, 0, 400)
+        assert all(t.failure is None for t in trials)
+        columns = np.array([t[:7] for t in trials], dtype=np.int64)
+        # index, m_x, m_y, bits, branch, rounds, threshold_rounds
+        assert columns.sum(axis=0).tolist() == [79800, 1617, 1612, 21094, 385, 3179, 3279]
+        assert tuple(trials[1]) == (1, 4, 4, 196, 1, 33, 33, None)
+        low = [tuple(t) for t in trials if t.branch == 0]
+        assert len(low) == 15
+        assert low[:2] == [(137, 1, 3, 376, 0, 15, 18, None), (169, 3, 1, 78, 0, 3, 4, None)]
+        digest = hashlib.sha256(columns.astype("<i8").tobytes()).hexdigest()
+        assert digest == "09f4ffeb8fcc5ba19946ed8d1e23163db2804158e582cce3a36cb061985244f2"
+
+    def test_record_accumulates_across_chunks(self):
+        params, spec = pinned_chunk_params(), seeded_spec(20, 41)
+        shared, singles = {}, []
+        for i in (1, 137):
+            single = {}
+            C.simulate_chunk(spec, 0, 1, "", params, RandomSource.for_trial(12345, i), None, single)
+            C.simulate_chunk(spec, 0, 1, "", params, RandomSource.for_trial(12345, i), None, shared)
+            singles.append(single)
+        assert [r["branch"] for r in singles] == [1, 0]
+        assert shared == {
+            "branch": 0,
+            "rounds": sum(r["rounds"] for r in singles),
+            "threshold_rounds": sum(r["threshold_rounds"] for r in singles),
+        }
+
+    def test_capped_chunk_leaves_record_untouched(self, monkeypatch):
+        monkeypatch.setattr(C, "DEFAULT_MAX_ROUNDS", 0)
+        record = {"rounds": 5}
+        with pytest.raises(IterationCapExceeded):
+            C.simulate_chunk(
+                seeded_spec(20, 41), 0, 1, "", pinned_chunk_params(), RandomSource(3), None, record
+            )
+        assert record == {"rounds": 5}
