@@ -147,10 +147,10 @@ def cmd_chunk_verify(args: argparse.Namespace) -> ReportDocument:
     if args.t == "minimal":
         t = minimal_t(args.gamma, args.epsilon, theta)
     elif args.t == "default":
-        t = compressor.default_t(args.epsilon, args.t_cap)
+        t = compressor.default_t(args.epsilon)
     else:
         t = float(args.t)
-    params = ChunkParams(args.gamma, args.epsilon, theta, t, args.beta)
+    params = ChunkParams(args.gamma, args.epsilon, theta, t)
     res = suite.chunk_experiment(
         params,
         spec_from_dict(spec_doc),
@@ -165,7 +165,6 @@ def cmd_chunk_verify(args: argparse.Namespace) -> ReportDocument:
             "epsilon": params.epsilon,
             "theta": params.theta,
             "t": params.t,
-            "beta": params.beta,
             "samples": args.samples,
         },
         {"base": args.seed, "spec": args.spec_seed},
@@ -175,18 +174,10 @@ def cmd_chunk_verify(args: argparse.Namespace) -> ReportDocument:
 
 def cmd_compress(args: argparse.Namespace) -> ReportDocument:
     spec = load_spec(args.spec) if args.spec else constant_spec(args.rounds)
-    res = suite.compression_experiment(
-        spec, args.epsilon, args.trials, args.seed, beta=args.beta, t_cap=args.t_cap
-    )
+    res = suite.compression_experiment(spec, args.epsilon, args.trials, args.seed)
     return _report(
         "compress",
-        {
-            "rounds": spec.rounds,
-            "epsilon": args.epsilon,
-            "beta": args.beta,
-            "t_cap": args.t_cap,
-            "trials": args.trials,
-        },
+        {"rounds": spec.rounds, "epsilon": args.epsilon, "trials": args.trials},
         {"base": args.seed},
         res,
     )
@@ -205,9 +196,26 @@ def cmd_walk(args: argparse.Namespace) -> ReportDocument:
     )
 
 
+def _parse_list(flag: str, raw: str, parse, form: str) -> list:
+    """Parse a comma list entry by entry; a bad entry raises `ParameterError`
+    naming the flag and the entry."""
+    values = []
+    for entry in raw.split(","):
+        try:
+            values.append(parse(entry))
+        except ValueError:
+            raise ParameterError(f"{flag} entry {entry!r} is not {form}") from None
+    return values
+
+
+def _pair(entry: str) -> tuple[float, float]:
+    p, q = (float(v) for v in entry.split(":"))
+    return p, q
+
+
 def cmd_sample_prior(args: argparse.Namespace) -> ReportDocument:
     if args.pairs:
-        pairs = [tuple(float(v) for v in chunk.split(":")) for chunk in args.pairs.split(",")]
+        pairs = _parse_list("--pairs", args.pairs, _pair, "p:q")
     else:
         pairs = [(args.p, args.q)]
     res = suite.sample_prior_experiment(pairs, args.grid_n, args.samples, args.seed)
@@ -277,7 +285,7 @@ def cmd_equiv(args: argparse.Namespace) -> ReportDocument:
 def cmd_suite(args: argparse.Namespace) -> ReportDocument:
     numbers = None
     if args.criteria:
-        numbers = [int(v) for v in args.criteria.split(",")]
+        numbers = _parse_list("--criteria", args.criteria, int, "an integer")
     results = suite.run_suite(seed=args.seed, numbers=numbers)
     for res in results:
         print(res.line())
@@ -330,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--t", default="minimal", help='"minimal", "default" or a number')
-    p.add_argument("--t-cap", type=float, default=compressor.DEFAULT_T_CAP)
-    p.add_argument("--beta", type=float, default=compressor.DEFAULT_BETA)
     p.add_argument("--samples", type=int, default=50_000)
     p.add_argument("--spec", type=str, default=None, help="protocol spec JSON file")
     p.add_argument("--spec-seed", type=int, default=41)
@@ -342,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--rounds", type=int, default=200)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--beta", type=float, default=compressor.DEFAULT_BETA)
-    p.add_argument("--t-cap", type=float, default=compressor.DEFAULT_T_CAP)
     p.add_argument("--spec", type=str, default=None)
     common(p)
     p.set_defaults(func=cmd_compress)

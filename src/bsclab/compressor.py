@@ -1,12 +1,13 @@
 """Noiseless-channel compression of protocols run over a BSC with feedback.
 
 A T-round execution at advantage eps (crossover 1/2 - eps) is simulated by a
-public-coin protocol over the noiseless channel.  For eps >= beta each round
-is transmitted directly and flipped with a shared public coin.  Below beta
-the rounds are cut into chunks of depth gamma ~ 1/eps^2 and each chunk's
-leaf is sampled exactly via a biased public coin that picks a low-error or
-high-error regime, rejection sampling inside the regime, and a recursive
-simulation of the chunk at doubled advantage as the low-regime proposal.
+public-coin protocol over the noiseless channel.  For eps >= beta (the
+constant `DEFAULT_BETA`) each round is transmitted directly and flipped with
+a shared public coin.  Below beta `chunk_sizes` cuts the rounds into chunks of
+depth gamma ~ 1/eps^2 and each chunk's leaf is sampled exactly via a biased
+public coin that picks a low-error or high-error regime, rejection sampling
+inside the regime, and a recursive simulation of the chunk at doubled
+advantage as the low-regime proposal.
 
 Everything the sampler decides on depends on the chunk's flip pattern only,
 never on the protocol tree, so the internal engine samples flip patterns;
@@ -54,9 +55,24 @@ def default_gamma(epsilon: float) -> int:
     return g + (g % 2)
 
 
-def default_t(epsilon: float, t_cap: float = DEFAULT_T_CAP) -> float:
-    """Per-advantage rejection normalizer: (1+2eps)^(3/eps), capped."""
-    return min(t_cap, (1.0 + 2.0 * epsilon) ** (3.0 / epsilon))
+def default_t(epsilon: float) -> float:
+    """Per-advantage rejection normalizer: (1+2eps)^(3/eps), capped at e^6.
+
+    The cap never binds: ln(1+2eps) < 2eps puts (1+2eps)^(3/eps) below e^6
+    for every eps > 0.  It stays because it is the paper's setting.
+    """
+    return min(DEFAULT_T_CAP, (1.0 + 2.0 * epsilon) ** (3.0 / epsilon))
+
+
+def chunk_sizes(epsilon: float, depth: int) -> list[int]:
+    """The depths, in order, of the chunks a depth-`depth` span at advantage
+    eps is cut into: the whole span at eps >= beta (direct simulation), else
+    canonical-depth chunks followed by the shorter remainder, if any."""
+    if epsilon >= DEFAULT_BETA:
+        return [depth]
+    g = default_gamma(epsilon)
+    full, rest = divmod(depth, g)
+    return [g] * full + ([rest] if rest else [])
 
 
 def default_theta(gamma: int, epsilon: float) -> float:
@@ -83,16 +99,16 @@ class ChunkParams:
     """Knobs of one compression chunk.
 
     gamma is the chunk depth (even), theta the error threshold separating the
-    regimes, t the high-regime normalizer, beta the direct-simulation cutoff.
-    Distribution exactness holds for any admissible combination; only the
-    cost bound needs the canonical settings.
+    regimes, t the high-regime normalizer.  Distribution exactness holds for
+    any admissible combination; only the cost bound needs the canonical
+    settings.  The direct-simulation cutoff is the constant `DEFAULT_BETA`,
+    not a knob: advantages at or above it never form a chunk.
     """
 
     gamma: int
     epsilon: float
     theta: float
     t: float
-    beta: float = DEFAULT_BETA
 
     def __post_init__(self) -> None:
         if self.gamma < 1:
@@ -409,18 +425,13 @@ def validate_params(params: ChunkParams) -> list[str]:
     runs the same machinery with the same exactness, it just does not carry
     the canonical per-chunk cost bound.
     """
-    if params.epsilon >= params.beta:
+    if params.epsilon >= DEFAULT_BETA:
         return []
     violations: list[str] = []
     if params.gamma % 2 != 0:
         violations.append(f"gamma must be even, got {params.gamma}")
     if not 0.0 <= params.theta <= params.gamma:
         violations.append(f"theta must lie in [0, gamma], got {params.theta}")
-    if params.beta > 0.25:
-        violations.append(
-            f"beta={params.beta} leaves chunk levels with advantage >= 1/4, "
-            "where the doubled-noise proposal channel degenerates"
-        )
     if params.epsilon >= 0.25:
         violations.append(
             f"epsilon={params.epsilon} needs a doubled advantage > 1/2"
@@ -521,13 +532,6 @@ def chunk_tables(params: ChunkParams) -> ChunkTables:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Config:
-    beta: float = DEFAULT_BETA
-    t_cap: float = DEFAULT_T_CAP
-    max_rounds: int = DEFAULT_MAX_ROUNDS
-
-
 _PARAM_CACHE: dict[tuple, ChunkParams] = {}
 
 
@@ -539,42 +543,44 @@ def _describe(params: ChunkParams) -> str:
     )
 
 
-def _params_for(epsilon: float, gamma: int, cfg: _Config) -> ChunkParams:
-    key = (epsilon, gamma, cfg.t_cap, cfg.beta)
+def _require_valid(params: ChunkParams) -> None:
+    """Raise `ParameterError` naming the parameters and every violation."""
+    violations = validate_params(params)
+    if violations:
+        raise ParameterError(f"{_describe(params)}: " + "; ".join(violations))
+
+
+def _params_for(epsilon: float, gamma: int) -> ChunkParams:
+    key = (epsilon, gamma)
     params = _PARAM_CACHE.get(key)
     if params is None:
         theta = default_theta(gamma, epsilon)
-        t = default_t(epsilon, cfg.t_cap)
+        t = default_t(epsilon)
         if gamma < default_gamma(epsilon):
             # Short trailing chunk: the per-advantage default would inflate the
             # rejection count by (t/sup)^2 for no benefit, since the output law
             # is t-independent.  Run it at its acceptance supremum instead.
             t = min(t, minimal_t(gamma, epsilon, theta))
-        params = ChunkParams(gamma, epsilon, theta, t, cfg.beta)
-        violations = validate_params(params)
-        if violations:
-            raise ParameterError("; ".join(violations))
+        params = ChunkParams(gamma, epsilon, theta, t)
+        _require_valid(params)
         _PARAM_CACHE[key] = params
     return params
 
 
-def _validate_span(epsilon: float, depth: int, cfg: _Config) -> None:
+def _validate_span(epsilon: float, depth: int) -> None:
     """Validate every (advantage, chunk depth) pair the recursion can reach."""
     seen: set[tuple[float, int]] = set()
 
     def visit(eps: float, d: int) -> None:
-        # Doubling only follows a validated level, whose beta <= 1/4 keeps
-        # the doubled advantage below 1/2.
-        if eps >= cfg.beta:
+        # Doubling only follows a validated level, whose eps < beta <= 1/4
+        # keeps the doubled advantage below 1/2.
+        if eps >= DEFAULT_BETA:
             return
-        g = default_gamma(eps)
-        # Full chunks and the trailing remainder, or one short chunk.
-        sizes = {g, d % g} - {0} if d >= g else {d}
-        for size in sizes:
+        for size in dict.fromkeys(chunk_sizes(eps, d)):
             if (eps, size) in seen:
                 continue
             seen.add((eps, size))
-            _params_for(eps, size, cfg)
+            _params_for(eps, size)
             visit(2.0 * eps, size)
 
     visit(epsilon, depth)
@@ -594,24 +600,20 @@ def _fair_binomial(gen: np.random.Generator, n: int, size: int) -> np.ndarray:
 
 
 def _span_pattern(
-    epsilon: float, depth: int, rng: RandomSource, ledger: CostLedger, cfg: _Config
+    epsilon: float, depth: int, rng: RandomSource, ledger: CostLedger
 ) -> np.ndarray:
     if depth % 2 != 0:
         raise InvariantViolation("spans must have even depth")
     if depth == 0:
         return np.zeros(0, dtype=np.int8)
-    if epsilon >= cfg.beta:
+    if epsilon >= DEFAULT_BETA:
         # Direct simulation: one true bit per round, a shared coin flips it.
         ledger.charge(0.0, depth)
         return (rng.public.random(depth) < 0.5 - epsilon).astype(np.int8)
-    parts = []
-    remaining = depth
-    while remaining > 0:
-        g = min(default_gamma(epsilon), remaining)
-        params = _params_for(epsilon, g, cfg)
-        parts.append(_chunk_pattern(params, rng, ledger, cfg)[0])
-        remaining -= g
-    return np.concatenate(parts)
+    return np.concatenate([
+        _chunk_pattern(_params_for(epsilon, g), rng, ledger)[0]
+        for g in chunk_sizes(epsilon, depth)
+    ])
 
 
 def _materialize_counts(
@@ -632,7 +634,7 @@ _ChunkCounts = tuple[int, int, int]
 
 
 def _branch_high_pattern(
-    params: ChunkParams, rng: RandomSource, ledger: CostLedger, cfg: _Config
+    params: ChunkParams, rng: RandomSource, ledger: CostLedger
 ) -> tuple[np.ndarray, _ChunkCounts]:
     tables = chunk_tables(params)
     half = params.half
@@ -648,12 +650,12 @@ def _branch_high_pattern(
     done = 0
     threshold_rounds = 0
     while True:
-        if done >= cfg.max_rounds:
+        if done >= DEFAULT_MAX_ROUNDS:
             raise IterationCapExceeded(
-                f"high-branch rejection loop exceeded {cfg.max_rounds} rounds: "
+                f"high-branch rejection loop exceeded {DEFAULT_MAX_ROUNDS} rounds: "
                 f"{_describe(params)}"
             )
-        k = int(min(batch, cfg.max_rounds - done))
+        k = int(min(batch, DEFAULT_MAX_ROUNDS - done))
         idx = _fair_binomial(rng.public, half, k).astype(np.intp)
         idx *= half + 1
         idx += _fair_binomial(rng.public, half, k)
@@ -678,19 +680,19 @@ def _branch_high_pattern(
 
 
 def _branch_low_pattern(
-    params: ChunkParams, rng: RandomSource, ledger: CostLedger, cfg: _Config
+    params: ChunkParams, rng: RandomSource, ledger: CostLedger
 ) -> tuple[np.ndarray, _ChunkCounts]:
     tables = chunk_tables(params)
     rounds = 0
     threshold_rounds = 0
     while True:
         rounds += 1
-        if rounds > cfg.max_rounds:
+        if rounds > DEFAULT_MAX_ROUNDS:
             raise IterationCapExceeded(
-                f"low-branch rejection loop exceeded {cfg.max_rounds} rounds: "
+                f"low-branch rejection loop exceeded {DEFAULT_MAX_ROUNDS} rounds: "
                 f"{_describe(params)}"
             )
-        pattern = _span_pattern(2.0 * params.epsilon, params.gamma, rng, ledger, cfg)
+        pattern = _span_pattern(2.0 * params.epsilon, params.gamma, rng, ledger)
         mx = int(pattern[0::2].sum())
         my = int(pattern[1::2].sum())
         used = int(tables.rounds_low[mx, my])
@@ -704,13 +706,13 @@ def _branch_low_pattern(
 
 
 def _chunk_pattern(
-    params: ChunkParams, rng: RandomSource, ledger: CostLedger, cfg: _Config
+    params: ChunkParams, rng: RandomSource, ledger: CostLedger
 ) -> tuple[np.ndarray, _ChunkCounts]:
     # Public coin; b = 0 (probability p = low_mass) enters the low branch.
     go_low = rng.public.random() < params.low_mass
     if go_low:
-        return _branch_low_pattern(params, rng, ledger, cfg)
-    return _branch_high_pattern(params, rng, ledger, cfg)
+        return _branch_low_pattern(params, rng, ledger)
+    return _branch_high_pattern(params, rng, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +726,6 @@ def simulate_noiseless(
     y: Any,
     epsilon: float,
     rng: RandomSource,
-    *,
-    beta: float = DEFAULT_BETA,
-    t_cap: float = DEFAULT_T_CAP,
 ) -> tuple[Transcript, CostLedger]:
     """Sample a full transcript distributed exactly as the BSC execution.
 
@@ -740,10 +739,9 @@ def simulate_noiseless(
     if not 0.0 < epsilon <= 0.5:
         raise ParameterError(f"advantage must be in (0, 1/2], got {epsilon}")
     padded = pad_to_even(spec)
-    cfg = _Config(beta=beta, t_cap=t_cap, max_rounds=DEFAULT_MAX_ROUNDS)
-    _validate_span(epsilon, padded.rounds, cfg)
+    _validate_span(epsilon, padded.rounds)
     ledger = CostLedger()
-    pattern = _span_pattern(epsilon, padded.rounds, rng, ledger, cfg)
+    pattern = _span_pattern(epsilon, padded.rounds, rng, ledger)
     transcript = apply_flip_pattern(padded, x, y, "", pattern)
     return transcript, ledger
 
@@ -768,12 +766,9 @@ def simulate_chunk(
         raise SpecError("chunk roots sit at even depth in the padded tree")
     if len(root) + params.gamma > spec.rounds:
         raise SpecError("chunk extends past the protocol's leaf level")
-    violations = validate_params(params)
-    if violations:
-        raise ParameterError("; ".join(violations))
-    cfg = _Config(beta=params.beta, max_rounds=DEFAULT_MAX_ROUNDS)
+    _require_valid(params)
     ledger = CostLedger() if ledger is None else ledger
-    pattern, (branch, rounds, threshold_rounds) = _chunk_pattern(params, rng, ledger, cfg)
+    pattern, (branch, rounds, threshold_rounds) = _chunk_pattern(params, rng, ledger)
     if record is not None:
         record["branch"] = branch
         record["rounds"] = record.get("rounds", 0) + rounds

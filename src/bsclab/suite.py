@@ -176,9 +176,6 @@ def compression_experiment(
     epsilon: float,
     trials: int,
     seed: int,
-    *,
-    beta: float = compressor.DEFAULT_BETA,
-    t_cap: float = compressor.DEFAULT_T_CAP,
 ) -> ExperimentResult:
     """Whole-protocol compression of `spec` on its first input pair, trial i
     at seed seed + i.  Each chunk of the padded flip pattern must fit the
@@ -188,27 +185,22 @@ def compression_experiment(
     _require_count("trials", trials)
     x, y = spec.alice_inputs[0], spec.bob_inputs[0]
     padded = pad_to_even(spec)
-    width = compressor.default_gamma(epsilon) if epsilon < beta else padded.rounds
-    starts = range(0, padded.rounds, width)
-    counts = [
-        np.zeros((h + 1, h + 1), dtype=np.int64)
-        for h in (min(width, padded.rounds - s) // 2 for s in starts)
-    ]
+    sizes = compressor.chunk_sizes(epsilon, padded.rounds)
+    bounds = np.cumsum([0, *sizes])
+    counts = [np.zeros((g // 2 + 1, g // 2 + 1), dtype=np.int64) for g in sizes]
     bits = np.zeros(trials, dtype=np.int64)
     for i in range(trials):
         rng = RandomSource.for_trial(seed, i)
-        transcript, ledger = compressor.simulate_noiseless(
-            spec, x, y, epsilon, rng, beta=beta, t_cap=t_cap
-        )
+        transcript, ledger = compressor.simulate_noiseless(spec, x, y, epsilon, rng)
         bits[i] = ledger.bits_sent
         pattern = flip_pattern(padded, x, y, transcript)
-        for k, s in enumerate(starts):
-            chunk = pattern[s : s + width]
-            counts[k][int(chunk[0::2].sum()), int(chunk[1::2].sum())] += 1
+        for c, lo, hi in zip(counts, bounds, bounds[1:]):
+            chunk = pattern[lo:hi]
+            c[int(chunk[0::2].sum()), int(chunk[1::2].sum())] += 1
     gofs = [verify.chi_square_gof(c, verify.class_law(len(c) - 1, epsilon)) for c in counts]
     mean_bits = int(bits.sum()) / trials
-    t = compressor.default_t(epsilon, t_cap)
-    alpha = max(1.0 / beta**2, 50.0 * t * t + 10.0)
+    t = compressor.default_t(epsilon)
+    alpha = max(1.0 / compressor.DEFAULT_BETA**2, 50.0 * t * t + 10.0)
     ceiling = alpha * math.ceil(epsilon**2 * 2 * spec.rounds)
     checks = [
         _check(f"chunk {k} ({2 * (len(c) - 1)} rounds) class law chi-square at 0.001", g.passed)
@@ -290,6 +282,8 @@ def unbiased_walk_experiment(a: int, b: int, trials: int, seed: int) -> Experime
     """Symmetric walks on [0, a+b] from a: absorption at the top within
     3 sigma of a/(a+b), and zero energy identically."""
     _require_count("trials", trials)
+    if a + b < 1:
+        raise ParameterError(f"a + b must be >= 1, got a={a}, b={b}")
     top = a + b
     ends, energies, steps, total = _walk_batch(
         lambda rng, ledger: energy.unbiased_walk(a, top, rng, ledger), trials, seed

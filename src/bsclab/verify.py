@@ -27,7 +27,6 @@ from .core import (
     BOB,
     CostLedger,
     IterationCapExceeded,
-    ParameterError,
     ProtocolSpec,
     RandomSource,
     SpecError,
@@ -59,12 +58,7 @@ class ChunkAnalysis:
 
 
 def exact_branch_analysis(params: ChunkParams) -> ChunkAnalysis:
-    violations = compressor.validate_params(params)
-    if violations:
-        raise ParameterError(
-            f"eps={params.epsilon}, gamma={params.gamma}, theta={params.theta:.6g}: "
-            + "; ".join(violations)
-        )
+    compressor._require_valid(params)
     half = params.half
     e = params.epsilon
     tables = compressor.chunk_tables(params)

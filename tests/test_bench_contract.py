@@ -33,7 +33,13 @@ leaf = compressor.simulate_chunk(spec, 0, 1, "", params, rng, ledger, {})
 verify.monte_carlo_chunk(params, spec, 0, 1, 4, base_seed=12345)
 compressor.simulate_noiseless(core.constant_spec(40), 0, 0, eps, core.RandomSource(3))
 energy.sample_with_prior(0.3, 0.2, 64, core.RandomSource(4), core.CostLedger())
-print(json.dumps({"leaf": leaf, "bits": ledger.bits_sent, "counts": dict(tracer.counts)}))
+# The compress workload's alpha-ceiling check.
+t = compressor.default_t(eps)
+alpha = max(1.0 / compressor.DEFAULT_BETA**2, 50.0 * t * t + 10.0)
+print(json.dumps({
+    "leaf": leaf, "bits": ledger.bits_sent, "counts": dict(tracer.counts),
+    "alpha": alpha, "gamma": compressor.default_gamma(eps),
+}))
 """
 
 
@@ -47,6 +53,7 @@ def test_traced_library_calls():
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.splitlines()[-1])
     assert len(out["leaf"]) == 20 and out["bits"] > 0
+    assert out["alpha"] > 64 and out["gamma"] == 100
     counts = out["counts"]
     assert counts["compressor.table_build.classes"] > 0
     assert counts["compressor.sample.bits"] > 0

@@ -173,6 +173,11 @@ class TestWalk:
         )
         assert code == 0
 
+    def test_ubrw_empty_interval_exits_2(self, capsys):
+        code = run_cli(["walk", "--mode", "ubrw", "--a", "0", "--b", "0"])
+        assert code == 2
+        assert "a + b must be >= 1, got a=0, b=0" in capsys.readouterr().err
+
 
 class TestSamplePrior:
     def test_single_pair(self, tmp_path):
@@ -363,6 +368,22 @@ class TestCounts:
         code = run_cli(args)
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["sample-prior", "--pairs", "0.3"], "--pairs entry '0.3' is not p:q"),
+            (["sample-prior", "--pairs", "0.3:0.2,x:0.1"], "--pairs entry 'x:0.1' is not p:q"),
+            (["suite", "--criteria", "1,,2"], "--criteria entry '' is not an integer"),
+        ],
+        ids=["pairs-arity", "pairs-number", "criteria"],
+    )
+    def test_bad_list_entry_named(self, capsys, args, message):
+        code = run_cli(args)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "[criterion" not in captured.out
 
     def test_zero_chunk_samples_check_exact_law_only(self, tmp_path):
         out = tmp_path / "exact.json"

@@ -47,7 +47,11 @@ class TestParams:
         assert C.default_t(0.1) == pytest.approx(1.2**30)
         assert C.default_t(0.01) == pytest.approx(1.02**300)
         assert C.default_t(0.01) < math.e**6
-        assert C.default_t(0.1, t_cap=100.0) == 100.0
+
+    @given(st.floats(1e-4, 0.5))
+    def test_t_cap_never_binds(self, eps):
+        # ln(1 + 2 eps) < 2 eps keeps (1 + 2 eps)^(3/eps) below e^6
+        assert C.default_t(eps) == (1.0 + 2.0 * eps) ** (3.0 / eps) < C.DEFAULT_T_CAP
 
     def test_default_theta_clamped_at_zero(self):
         assert C.default_theta(100, 0.1) == pytest.approx(20.0)
@@ -62,6 +66,24 @@ class TestParams:
     def test_low_mass_cached_matches_function(self):
         params = ChunkParams.for_advantage(0.07, gamma=16)
         assert params.low_mass == low_error_mass(params)
+
+
+class TestChunkSizes:
+    @given(st.floats(0.02, 0.5), st.integers(1, 2000).map(lambda h: 2 * h))
+    def test_cuts_the_span(self, eps, depth):
+        sizes = C.chunk_sizes(eps, depth)
+        assert sum(sizes) == depth
+        assert all(g > 0 and g % 2 == 0 for g in sizes)
+        if eps >= C.DEFAULT_BETA:
+            assert sizes == [depth]
+        else:
+            assert set(sizes[:-1]) <= {C.default_gamma(eps)}
+            assert sizes[-1] <= C.default_gamma(eps)
+
+    def test_canonical_then_remainder(self):
+        assert C.chunk_sizes(0.1, 250) == [100, 100, 50]
+        assert C.chunk_sizes(0.1, 20) == [20]
+        assert C.chunk_sizes(0.125, 250) == [250]
 
 
 class TestLowErrorMass:
@@ -284,9 +306,10 @@ class TestValidateParams:
         params = ChunkParams(20, 0.1, 4.0, C.minimal_t(20, 0.1, 4.0))
         assert validate_params(params) == []
 
-    def test_beta_above_quarter(self):
-        bad = ChunkParams(4, 0.2, 0.4, 10.0, beta=0.3)
-        assert any("1/4" in v for v in validate_params(bad))
+    def test_beta_at_most_quarter(self):
+        # Chunk levels sit below beta, so their doubled advantage stays
+        # below 1/2, where the low branch's proposal channel exists.
+        assert C.DEFAULT_BETA <= 0.25
 
 
 class TestChunkTables:
@@ -324,7 +347,7 @@ def branch_class_counts(kernel, params, spec, x, y, base_seed, trials):
     counts = np.zeros((params.half + 1, params.half + 1), dtype=int)
     for i in range(trials):
         rng = RandomSource.for_trial(base_seed, i)
-        pattern, _ = kernel(params, rng, CostLedger(), C._Config())
+        pattern, _ = kernel(params, rng, CostLedger())
         leaf = apply_flip_pattern(spec, x, y, "", pattern)
         counts[count_errors(spec, "alice", x, leaf), count_errors(spec, "bob", y, leaf)] += 1
     return counts
@@ -427,15 +450,16 @@ class TestSimulateNoiseless:
             C.simulate_noiseless(spec, 0, 0, 0.1, RandomSource(1))
 
     @pytest.mark.parametrize("branch", ["low", "high"])
-    def test_iteration_cap_names_parameters(self, branch):
+    def test_iteration_cap_names_parameters(self, branch, monkeypatch):
         params = ChunkParams(4, 0.1, 0.8, 5.0)
         kernel = C._branch_low_pattern if branch == "low" else C._branch_high_pattern
+        monkeypatch.setattr(C, "DEFAULT_MAX_ROUNDS", 0)
         with pytest.raises(
             IterationCapExceeded,
             match=f"^{branch}-branch rejection loop exceeded 0 rounds: "
             r"eps=0\.1, gamma=4, theta=0\.8, t=5$",
         ):
-            kernel(params, RandomSource(1), CostLedger(), C._Config(max_rounds=0))
+            kernel(params, RandomSource(1), CostLedger())
 
 
 def _reference_fair_binomial(gen, n, size):
@@ -450,21 +474,22 @@ def _reference_fair_binomial(gen, n, size):
     return total
 
 
-def reference_branch_high_pattern(params, rng, ledger, cfg, record):
+def reference_branch_high_pattern(params, rng, ledger, record):
     """The high-branch kernel before flat class indices, kept as an oracle:
     two-array indexing into the [m_x, m_y] tables."""
     tables = C.chunk_tables(params)
     half = params.half
+    max_rounds = C.DEFAULT_MAX_ROUNDS
     if tables.mass_high <= 0.0:
         raise InvariantViolation("high branch entered with zero acceptance mass")
     batch = int(min(max(2.0 / tables.mass_high, 8), 1 << 16))
     done = 0
     while True:
-        if done >= cfg.max_rounds:
+        if done >= max_rounds:
             raise IterationCapExceeded(
-                f"high-branch rejection loop exceeded {cfg.max_rounds} rounds"
+                f"high-branch rejection loop exceeded {max_rounds} rounds"
             )
-        k = int(min(batch, cfg.max_rounds - done))
+        k = int(min(batch, max_rounds - done))
         mx = _reference_fair_binomial(rng.public, half, k)
         my = _reference_fair_binomial(rng.public, half, k)
         ans = tables.ans_high[mx, my]
@@ -508,24 +533,24 @@ def high_kernel_cases(draw):
     return ChunkParams(gamma, eps, theta, t), max_rounds, draw(st.integers(0, 2**32 - 1))
 
 
-def counting_high_kernel(params, rng, ledger, cfg, record):
+def counting_high_kernel(params, rng, ledger, record):
     """`compressor._branch_high_pattern` behind the reference kernel's
     signature: its returned counts are written into `record`."""
-    pattern, (branch, rounds, threshold_rounds) = C._branch_high_pattern(
-        params, rng, ledger, cfg
-    )
+    pattern, (branch, rounds, threshold_rounds) = C._branch_high_pattern(params, rng, ledger)
     record.update(branch=branch, rounds=rounds, threshold_rounds=threshold_rounds)
     return pattern
 
 
 def run_high_kernel(kernel, params, max_rounds, seed):
-    """Everything one kernel call leaves behind: pattern, ledger, the cap
-    error if any, all four streams' states, and the record of a run that
-    returned (None for one that hit the cap)."""
+    """Everything one kernel call under a cap of `max_rounds` leaves behind:
+    pattern, ledger, the cap error if any, all four streams' states, and the
+    record of a run that returned (None for one that hit the cap)."""
     rng = RandomSource(seed)
     ledger, record = CostLedger(), {}
     try:
-        pattern = kernel(params, rng, ledger, C._Config(max_rounds=max_rounds), record).tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(C, "DEFAULT_MAX_ROUNDS", max_rounds)
+            pattern = kernel(params, rng, ledger, record).tobytes()
         error = None
     except IterationCapExceeded as exc:
         pattern, error, record = None, str(exc), None
@@ -577,11 +602,20 @@ class TestChunkApi:
         with pytest.raises(ParameterError):
             C.simulate_chunk(constant_spec(4), 0, 0, "", bad, RandomSource(0))
 
+    def test_validation_error_names_parameters(self):
+        bad = ChunkParams(20, 0.1, 4.0, 1.0)
+        with pytest.raises(
+            ParameterError,
+            match=r"^eps=0\.1, gamma=20, theta=4, t=1: "
+            r"t=1 below the high-branch acceptance supremum 2\.75188$",
+        ):
+            C.simulate_chunk(constant_spec(20), 0, 0, "", bad, RandomSource(0))
 
-def pinned_chunk_params():
-    """Gamma 20 at eps 0.1 with the minimal t: criterion 02's chunk."""
-    t = C.minimal_t(20, 0.1, C.default_theta(20, 0.1))
-    return ChunkParams.for_advantage(0.1, gamma=20, t=t)
+
+def pinned_chunk_params(eps=0.1):
+    """Gamma 20 with the minimal t; at eps 0.1 criterion 02's chunk."""
+    t = C.minimal_t(20, eps, C.default_theta(20, eps))
+    return ChunkParams.for_advantage(eps, gamma=20, t=t)
 
 
 class TestChunkRecord:
@@ -600,6 +634,20 @@ class TestChunkRecord:
         assert low[:2] == [(137, 1, 3, 376, 0, 15, 18, None), (169, 3, 1, 78, 0, 3, 4, None)]
         digest = hashlib.sha256(columns.astype("<i8").tobytes()).hexdigest()
         assert digest == "09f4ffeb8fcc5ba19946ed8d1e23163db2804158e582cce3a36cb061985244f2"
+
+    def test_nested_span_trials_pinned(self):
+        # At eps 0.05 the low branch proposes a chunked span at eps 0.1, a
+        # nested level the eps 0.1 pin never reaches: 39 of 200 trials.
+        trials = V.run_chunk_trials(
+            pinned_chunk_params(0.05), seeded_spec(20, 41), 0, 1, 12345, 0, 200
+        )
+        assert all(t.failure is None for t in trials)
+        columns = np.array([t[:7] for t in trials], dtype=np.int64)
+        assert columns.sum(axis=0).tolist() == [19900, 906, 944, 9630, 161, 434, 545]
+        assert sum(t.branch == 0 for t in trials) == 39
+        assert tuple(trials[1]) == (1, 4, 3, 94, 0, 3, 6, None)
+        digest = hashlib.sha256(columns.astype("<i8").tobytes()).hexdigest()
+        assert digest == "5f4c168d2fcda9f984237dd1e1fe88d5c2e28170c6be9c1bb61a6fcb1358da83"
 
     def test_record_accumulates_across_chunks(self):
         params, spec = pinned_chunk_params(), seeded_spec(20, 41)
