@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -149,7 +150,12 @@ def cmd_chunk_verify(args: argparse.Namespace) -> ReportDocument:
     elif args.t == "default":
         t = compressor.default_t(args.epsilon)
     else:
-        t = float(args.t)
+        try:
+            t = float(args.t)
+        except ValueError:
+            t = math.nan
+        if not math.isfinite(t):
+            raise ParameterError(f'--t is {args.t!r}, not "minimal", "default" or a finite number')
     params = ChunkParams(args.gamma, args.epsilon, theta, t)
     res = suite.chunk_experiment(
         params,
@@ -337,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=int, default=20)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--t", default="minimal", help='"minimal", "default" or a number')
+    p.add_argument("--t", default="minimal", help='"minimal", "default" or a finite number')
     p.add_argument("--samples", type=int, default=50_000)
     p.add_argument("--spec", type=str, default=None, help="protocol spec JSON file")
     p.add_argument("--spec-seed", type=int, default=41)

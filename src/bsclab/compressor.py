@@ -115,8 +115,8 @@ class ChunkParams:
             raise ParameterError("gamma must be positive")
         if not 0.0 < self.epsilon <= 0.5:
             raise ParameterError("epsilon must be in (0, 1/2]")
-        if self.t <= 0.0:
-            raise ParameterError("t must be positive")
+        if not 0.0 < self.t < math.inf:
+            raise ParameterError(f"t must be positive and finite, got {self.t}")
 
     @classmethod
     def for_advantage(
@@ -469,7 +469,14 @@ class ChunkTables:
     acceptance probabilities, indexed [m_x, m_y].  The samplers draw from
     these arrays and the exact class DP (`verify.exact_branch_analysis`)
     reads the same ones.  A branch's acceptance probabilities are 0 on the
-    classes its threshold answer rejects, which neither reads."""
+    classes its threshold answer rejects, which neither reads.
+
+    For the high branch it also holds what its sampler draws from:
+    the per-proposal accept mass `mass_high`, the cumulative law of the
+    accepted class over the flat index m_x * (half + 1) + m_y
+    (`high_win_cdf`), and the distinct (threshold rounds, answer) categories
+    (`high_cat_rounds`, `high_cat_answer`) with the law of a rejected
+    proposal's category (`high_reject_law`)."""
 
     def __init__(self, params: ChunkParams):
         e = params.epsilon
@@ -511,7 +518,18 @@ class ChunkTables:
         d_high = ProductCountDistribution.uniform_leaves(half)
         self.ans_high, tx, ty, self.rounds_high = threshold_table(d_high, ti, half)
         self.acc_high_x, self.acc_high_y = accept("high", log_acc_high, tx, ty, self.ans_high == 0)
-        self.mass_high = round_accept_mass_high(params)
+
+        # A rejected proposal's cost depends only on its (threshold rounds,
+        # answer) category, so the sampler needs no per-class rejected law.
+        law = np.outer(d_high.dx.pmf, d_high.dy.pmf)
+        won = self.ans_high * self.acc_high_x * self.acc_high_y
+        win_cdf = np.cumsum((law * won).reshape(-1))
+        self.mass_high = float(win_cdf[-1])
+        self.high_win_cdf = win_cdf / win_cdf[-1] if win_cdf[-1] > 0 else win_cdf
+        codes, category = np.unique(2 * self.rounds_high + self.ans_high, return_inverse=True)
+        self.high_cat_rounds, self.high_cat_answer = np.divmod(codes, 2)
+        reject = np.bincount(category.reshape(-1), (law * (1.0 - won)).reshape(-1))
+        self.high_reject_law = reject / reject.sum()
 
 
 _TABLE_CACHE: dict[tuple, ChunkTables] = {}
@@ -525,6 +543,16 @@ def chunk_tables(params: ChunkParams) -> ChunkTables:
         tables = ChunkTables(params)
         _TABLE_CACHE[key] = tables
     return tables
+
+
+def expected_high_bits(params: ChunkParams) -> float:
+    """Exact mean bits of one high-branch run (Wald's identity): a proposal's
+    mean charge, 4 per threshold round plus 2 when the threshold lets it
+    through, times the mean proposal count 1 / `mass_high`."""
+    tables = chunk_tables(params)
+    margin = CountDistribution.binomial(params.half, 0.5).pmf
+    charge = BITS_PER_THRESHOLD_ROUND * tables.rounds_high + 2 * tables.ans_high
+    return float(margin @ charge @ margin) / tables.mass_high
 
 
 # ---------------------------------------------------------------------------
@@ -586,19 +614,6 @@ def _validate_span(epsilon: float, depth: int) -> None:
     visit(epsilon, depth)
 
 
-def _fair_binomial(gen: np.random.Generator, n: int, size: int) -> np.ndarray:
-    """Vector of Binomial(n, 1/2) draws via popcounts of uniform words, in
-    the smallest unsigned dtype that holds n."""
-    total = np.zeros(size, dtype=np.min_scalar_type(n))
-    remaining = n
-    while remaining > 0:
-        width = min(remaining, 64)
-        words = gen.integers(0, 1 << width, size=size, dtype=np.uint64, endpoint=False)
-        total += np.bitwise_count(words)
-        remaining -= width
-    return total
-
-
 def _span_pattern(
     epsilon: float, depth: int, rng: RandomSource, ledger: CostLedger
 ) -> np.ndarray:
@@ -636,47 +651,34 @@ _ChunkCounts = tuple[int, int, int]
 def _branch_high_pattern(
     params: ChunkParams, rng: RandomSource, ledger: CostLedger
 ) -> tuple[np.ndarray, _ChunkCounts]:
+    """The high branch's rejection loop, drawn from its exact joint law.
+
+    Proposals are i.i.d., so the accepted class is independent of the
+    rejected ones: the number of rejections N is geometric in the accept
+    mass, their (threshold rounds, answer) histogram is multinomial in the
+    rejected law's categories, and the winner follows the accepted law.  The
+    charges are those of running every proposal: 4 bits per threshold round
+    and 2 accept bits per proposal the threshold lets through.
+    """
     tables = chunk_tables(params)
     half = params.half
     if tables.mass_high <= 0.0:
         raise InvariantViolation("high branch entered with zero acceptance mass")
-    # Flat views of the [m_x, m_y] tables: a proposal's class is one index
-    # m_x * (half + 1) + m_y into each of them.
-    ans_flat = tables.ans_high.reshape(-1)
-    acc_x_flat = tables.acc_high_x.reshape(-1)
-    acc_y_flat = tables.acc_high_y.reshape(-1)
-    rounds_flat = tables.rounds_high.reshape(-1)
-    batch = int(min(max(2.0 / tables.mass_high, 8), 1 << 16))
-    done = 0
-    threshold_rounds = 0
-    while True:
-        if done >= DEFAULT_MAX_ROUNDS:
-            raise IterationCapExceeded(
-                f"high-branch rejection loop exceeded {DEFAULT_MAX_ROUNDS} rounds: "
-                f"{_describe(params)}"
-            )
-        k = int(min(batch, DEFAULT_MAX_ROUNDS - done))
-        idx = _fair_binomial(rng.public, half, k).astype(np.intp)
-        idx *= half + 1
-        idx += _fair_binomial(rng.public, half, k)
-        eligible = np.flatnonzero(ans_flat.take(idx))
-        cls = idx.take(eligible)
-        hits = rng.alice.random(eligible.size) < acc_x_flat.take(cls)
-        hits &= rng.bob.random(eligible.size) < acc_y_flat.take(cls)
-        w = int(hits.argmax()) if hits.size else 0
-        won = hits.size > 0 and bool(hits[w])
-        # Proposals this batch spent: up to its first winner, else all k;
-        # each eligible one among them cost its two accept bits.
-        spent = int(eligible[w]) + 1 if won else k
-        checked = w + 1 if won else eligible.size
-        batch_rounds = int(rounds_flat.take(idx[:spent]).sum())
-        threshold_rounds += batch_rounds
-        ledger.charge(0.0, BITS_PER_THRESHOLD_ROUND * batch_rounds + 2 * checked)
-        if won:
-            m_x, m_y = divmod(int(cls[w]), half + 1)
-            pattern = _materialize_counts(half, m_x, m_y, rng)
-            return pattern, (1, done + spent, threshold_rounds)
-        done += k
+    rejected = int(rng.public.geometric(tables.mass_high)) - 1
+    if rejected + 1 > DEFAULT_MAX_ROUNDS:
+        raise IterationCapExceeded(
+            f"high-branch rejection loop exceeded {DEFAULT_MAX_ROUNDS} rounds: "
+            f"{_describe(params)}"
+        )
+    hist = rng.public.multinomial(rejected, tables.high_reject_law)
+    won = int(tables.high_win_cdf.searchsorted(rng.public.random(), side="right"))
+    m_x, m_y = divmod(won, half + 1)
+    won_rounds = int(tables.rounds_high[m_x, m_y])
+    threshold_rounds = int(hist @ tables.high_cat_rounds) + won_rounds
+    accept_bits = 2 * (int(hist @ tables.high_cat_answer) + 1)
+    ledger.charge(0.0, BITS_PER_THRESHOLD_ROUND * threshold_rounds + accept_bits)
+    pattern = _materialize_counts(half, m_x, m_y, rng)
+    return pattern, (1, rejected + 1, threshold_rounds)
 
 
 def _branch_low_pattern(

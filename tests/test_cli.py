@@ -385,6 +385,14 @@ class TestCounts:
         assert message in captured.err
         assert "[criterion" not in captured.out
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_bad_t_named(self, capsys, value):
+        code = run_cli(["chunk-verify", "--t", value, "--samples", "10"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"--t is {value!r}, not \"minimal\", \"default\" or a finite number" in captured.err
+        assert "[PASS]" not in captured.out
+
     def test_zero_chunk_samples_check_exact_law_only(self, tmp_path):
         out = tmp_path / "exact.json"
         assert run_cli(["chunk-verify", "--samples", "0", "--out", str(out)]) == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
 from bsclab import compressor as C
 from bsclab import verify as V
@@ -62,6 +63,11 @@ class TestParams:
         params = ChunkParams.for_advantage(0.1, gamma=100)
         assert params.theta_int == 20
         assert ChunkParams.for_advantage(0.1, gamma=20).theta_int == 4
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_t_positive_and_finite(self, t):
+        with pytest.raises(ParameterError, match="t must be positive and finite"):
+            ChunkParams(20, 0.1, 4.0, t)
 
     def test_low_mass_cached_matches_function(self):
         params = ChunkParams.for_advantage(0.07, gamma=16)
@@ -463,7 +469,7 @@ class TestSimulateNoiseless:
 
 
 def _reference_fair_binomial(gen, n, size):
-    """`compressor._fair_binomial` before the flat-index kernel."""
+    """`_fair_binomial` before the flat-index kernel."""
     total = np.zeros(size, dtype=np.int64)
     remaining = n
     while remaining > 0:
@@ -521,24 +527,98 @@ def reference_branch_high_pattern(params, rng, ledger, record):
 
 
 @st.composite
-def high_kernel_cases(draw):
-    """(params, max_rounds, seed): canonical or short even depth at eps 0.1,
-    0.08 or 0.06, minimal or default t, and a cap that is either out of
-    reach or small enough to cut a batch short."""
+def high_branch_params(draw):
+    """Canonical or short even depth at eps 0.1, 0.08 or 0.06, the default
+    theta, and minimal or default t."""
     eps = draw(st.sampled_from([0.1, 0.08, 0.06]))
     gamma = draw(st.one_of(st.just(C.default_gamma(eps)), st.integers(1, 15).map(lambda h: 2 * h)))
     theta = C.default_theta(gamma, eps)
     t = C.minimal_t(gamma, eps, theta) if draw(st.booleans()) else C.default_t(eps)
+    return ChunkParams(gamma, eps, theta, t)
+
+
+@st.composite
+def high_kernel_cases(draw):
+    """(params, max_rounds, seed): `high_branch_params` and a cap that is
+    either out of reach or small enough to cut a batch short."""
+    params = draw(high_branch_params())
     max_rounds = draw(st.one_of(st.just(C.DEFAULT_MAX_ROUNDS), st.integers(1, 300)))
-    return ChunkParams(gamma, eps, theta, t), max_rounds, draw(st.integers(0, 2**32 - 1))
+    return params, max_rounds, draw(st.integers(0, 2**32 - 1))
 
 
-def counting_high_kernel(params, rng, ledger, record):
-    """`compressor._branch_high_pattern` behind the reference kernel's
-    signature: its returned counts are written into `record`."""
-    pattern, (branch, rounds, threshold_rounds) = C._branch_high_pattern(params, rng, ledger)
-    record.update(branch=branch, rounds=rounds, threshold_rounds=threshold_rounds)
-    return pattern
+def _fair_binomial(gen: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """Vector of Binomial(n, 1/2) draws via popcounts of uniform words, in
+    the smallest unsigned dtype that holds n."""
+    total = np.zeros(size, dtype=np.min_scalar_type(n))
+    remaining = n
+    while remaining > 0:
+        width = min(remaining, 64)
+        words = gen.integers(0, 1 << width, size=size, dtype=np.uint64, endpoint=False)
+        total += np.bitwise_count(words)
+        remaining -= width
+    return total
+
+
+def per_proposal_branch_high_pattern(params, rng, ledger):
+    """`compressor._branch_high_pattern` before the collapsed kernel, kept as
+    the executable reference: it runs every proposal, in batches of flat
+    class indices, and charges each one as it goes."""
+    tables = C.chunk_tables(params)
+    half = params.half
+    if tables.mass_high <= 0.0:
+        raise InvariantViolation("high branch entered with zero acceptance mass")
+    # Flat views of the [m_x, m_y] tables: a proposal's class is one index
+    # m_x * (half + 1) + m_y into each of them.
+    ans_flat = tables.ans_high.reshape(-1)
+    acc_x_flat = tables.acc_high_x.reshape(-1)
+    acc_y_flat = tables.acc_high_y.reshape(-1)
+    rounds_flat = tables.rounds_high.reshape(-1)
+    batch = int(min(max(2.0 / tables.mass_high, 8), 1 << 16))
+    done = 0
+    threshold_rounds = 0
+    while True:
+        if done >= C.DEFAULT_MAX_ROUNDS:
+            raise IterationCapExceeded(
+                f"high-branch rejection loop exceeded {C.DEFAULT_MAX_ROUNDS} rounds: "
+                f"{C._describe(params)}"
+            )
+        k = int(min(batch, C.DEFAULT_MAX_ROUNDS - done))
+        idx = _fair_binomial(rng.public, half, k).astype(np.intp)
+        idx *= half + 1
+        idx += _fair_binomial(rng.public, half, k)
+        eligible = np.flatnonzero(ans_flat.take(idx))
+        cls = idx.take(eligible)
+        hits = rng.alice.random(eligible.size) < acc_x_flat.take(cls)
+        hits &= rng.bob.random(eligible.size) < acc_y_flat.take(cls)
+        w = int(hits.argmax()) if hits.size else 0
+        won = hits.size > 0 and bool(hits[w])
+        # Proposals this batch spent: up to its first winner, else all k;
+        # each eligible one among them cost its two accept bits.
+        spent = int(eligible[w]) + 1 if won else k
+        checked = w + 1 if won else eligible.size
+        batch_rounds = int(rounds_flat.take(idx[:spent]).sum())
+        threshold_rounds += batch_rounds
+        ledger.charge(0.0, C.BITS_PER_THRESHOLD_ROUND * batch_rounds + 2 * checked)
+        if won:
+            m_x, m_y = divmod(int(cls[w]), half + 1)
+            pattern = C._materialize_counts(half, m_x, m_y, rng)
+            return pattern, (1, done + spent, threshold_rounds)
+        done += k
+
+
+def counting(kernel):
+    """`kernel` behind the older reference kernel's signature: its returned
+    counts are written into `record`."""
+
+    def run(params, rng, ledger, record):
+        pattern, (branch, rounds, threshold_rounds) = kernel(params, rng, ledger)
+        record.update(branch=branch, rounds=rounds, threshold_rounds=threshold_rounds)
+        return pattern
+
+    return run
+
+
+counting_high_kernel = counting(per_proposal_branch_high_pattern)
 
 
 def run_high_kernel(kernel, params, max_rounds, seed):
@@ -586,6 +666,177 @@ class TestHighKernel:
         assert 0 < capped < 360
 
 
+def pinned_chunk_params(eps=0.1):
+    """Gamma 20 with the minimal t; at eps 0.1 criterion 02's chunk."""
+    t = C.minimal_t(20, eps, C.default_theta(20, eps))
+    return ChunkParams.for_advantage(eps, gamma=20, t=t)
+
+
+def rejected_category_law(params):
+    """{(threshold rounds, answer): share of the rejected mass}, summed class
+    by class over the class DP's uniform proposal law."""
+    tables = C.chunk_tables(params)
+    accept = tables.ans_high * tables.acc_high_x * tables.acc_high_y
+    reject = V.class_law(params.half, 0.0) * (1.0 - accept)
+    masses = {}
+    for (m_x, m_y), mass in np.ndenumerate(reject):
+        key = (int(tables.rounds_high[m_x, m_y]), int(tables.ans_high[m_x, m_y]))
+        masses[key] = masses.get(key, 0.0) + mass
+    total = sum(masses.values())
+    return {key: mass / total for key, mass in masses.items()}
+
+
+def high_branch_outcomes(kernel, params, base_seed, runs):
+    """(flat class index, threshold rounds, bits) of `runs` high-branch runs,
+    run i at seed base_seed + i."""
+    out = np.zeros((runs, 3), dtype=np.int64)
+    for i in range(runs):
+        ledger = CostLedger()
+        pattern, (_, _, threshold_rounds) = kernel(
+            params, RandomSource.for_trial(base_seed, i), ledger
+        )
+        m_x, m_y = int(pattern[0::2].sum()), int(pattern[1::2].sum())
+        out[i] = (m_x * (params.half + 1) + m_y, threshold_rounds, ledger.bits_sent)
+    return out
+
+
+def homogeneity_p_value(a, b):
+    """Chi-square p-value that two samples of cell labels share one law.
+    Cells are pooled, smallest first, until each holds at least 10 draws."""
+    labels, cells = np.unique(np.concatenate([a, b]), return_inverse=True)
+    counts = np.zeros((2, labels.size))
+    np.add.at(counts[0], cells[: a.size], 1)
+    np.add.at(counts[1], cells[a.size :], 1)
+    groups, acc = [], np.zeros(2)
+    for j in np.argsort(counts.sum(axis=0), kind="stable"):
+        acc = acc + counts[:, j]
+        if acc.sum() >= 10:
+            groups.append(acc)
+            acc = np.zeros(2)
+    if acc.sum():
+        groups[-1] = groups[-1] + acc
+    return chi2_contingency(np.array(groups).T, correction=False).pvalue
+
+
+class TestCollapsedHighKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(high_branch_params())
+    def test_winner_law_is_the_class_dp(self, params):
+        increments = np.diff(C.chunk_tables(params).high_win_cdf, prepend=0.0)
+        high_law = V.exact_branch_analysis(params).high_law.reshape(-1)
+        np.testing.assert_allclose(increments, high_law, rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(high_branch_params())
+    def test_accept_mass_is_the_closed_form(self, params):
+        mass = C.chunk_tables(params).mass_high
+        assert mass == pytest.approx(C.round_accept_mass_high(params), rel=1e-12, abs=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(high_branch_params())
+    def test_reject_law_sums_the_rejected_classes(self, params):
+        tables = C.chunk_tables(params)
+        built = {
+            (int(r), int(a)): q
+            for r, a, q in zip(
+                tables.high_cat_rounds, tables.high_cat_answer, tables.high_reject_law
+            )
+        }
+        expected = rejected_category_law(params)
+        assert built.keys() == expected.keys()
+        for key, q in expected.items():
+            assert built[key] == pytest.approx(q, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("eps,categories", [(0.1, 10), (0.08, 24), (0.06, 54)])
+    def test_canonical_category_counts(self, eps, categories):
+        tables = C.chunk_tables(ChunkParams.for_advantage(eps))
+        assert tables.high_reject_law.size == categories
+
+    def test_cap_is_the_winners_proposal_index(self):
+        # The collapsed kernel stops at the cap exactly when the per-proposal
+        # loop would: when the winner is proposal cap + 1 or later.
+        params = pinned_chunk_params()
+        kernel = counting(C._branch_high_pattern)
+        for seed in range(30):
+            free = run_high_kernel(kernel, params, C.DEFAULT_MAX_ROUNDS, seed)
+            rounds = free[3]["rounds"]
+            assert run_high_kernel(kernel, params, rounds, seed) == free
+            capped = run_high_kernel(kernel, params, rounds - 1, seed)
+            assert capped[5] == (
+                f"high-branch rejection loop exceeded {rounds - 1} rounds: "
+                f"{C._describe(params)}"
+            )
+            assert capped[1] == 0
+
+    def test_charges_match_the_counts(self):
+        # 4 bits per threshold round, and 2 accept bits for the winner and
+        # for each rejected proposal the threshold let through.
+        params = pinned_chunk_params()
+        first_wins = 0
+        for seed in range(200):
+            ledger = CostLedger()
+            _, (branch, rounds, threshold_rounds) = C._branch_high_pattern(
+                params, RandomSource(seed), ledger
+            )
+            accept_bits = ledger.bits_sent - C.BITS_PER_THRESHOLD_ROUND * threshold_rounds
+            assert branch == 1
+            assert threshold_rounds >= rounds
+            assert accept_bits % 2 == 0 and 2 <= accept_bits <= 2 * rounds
+            if rounds == 1:
+                first_wins += 1
+                assert accept_bits == 2
+        assert first_wins > 0
+
+    def test_joint_law_matches_the_per_proposal_reference(self):
+        # (class, threshold-rounds tercile, bits tercile) of 20,000 runs per
+        # kernel at criterion 02's chunk, disjoint seed ranges.
+        params = pinned_chunk_params()
+        runs = 20_000
+        new = high_branch_outcomes(C._branch_high_pattern, params, 150_000, runs)
+        old = high_branch_outcomes(per_proposal_branch_high_pattern, params, 150_000 + runs, runs)
+        both = np.concatenate([new, old])
+        labels = both[:, 0] * 9
+        for column, weight in ((1, 3), (2, 1)):
+            edges = np.quantile(both[:, column], [1 / 3, 2 / 3])
+            labels += weight * np.searchsorted(edges, both[:, column], side="right")
+        assert homogeneity_p_value(labels[:runs], labels[runs:]) >= 0.001
+
+
+class TestWaldOracle:
+    @pytest.mark.parametrize(
+        "params,bits",
+        [
+            (ChunkParams.for_advantage(0.1), 338_092),
+            (ChunkParams.for_advantage(0.08), 409_743),
+            (ChunkParams.for_advantage(0.06), 501_145),
+        ],
+        ids=["eps0.1", "eps0.08", "eps0.06"],
+    )
+    def test_canonical_values(self, params, bits):
+        assert C.expected_high_bits(params) == pytest.approx(bits, abs=0.5)
+
+    def test_minimal_t_value(self):
+        assert C.expected_high_bits(pinned_chunk_params()) == pytest.approx(48.48, abs=0.005)
+
+    @pytest.mark.parametrize(
+        "kernel,params,runs,base_seed",
+        [
+            (C._branch_high_pattern, ChunkParams.for_advantage(0.1), 2000, 210_000),
+            (per_proposal_branch_high_pattern, ChunkParams.for_advantage(0.1), 400, 220_000),
+            (C._branch_high_pattern, pinned_chunk_params(), 5000, 230_000),
+            (per_proposal_branch_high_pattern, pinned_chunk_params(), 5000, 240_000),
+        ],
+        ids=["collapsed-canonical", "reference-canonical", "collapsed-gamma20", "reference-gamma20"],
+    )
+    def test_sampled_mean_within_4_se(self, kernel, params, runs, base_seed):
+        bits = high_branch_outcomes(kernel, params, base_seed, runs)[:, 2]
+        expected = C.expected_high_bits(params)
+        assert abs(bits.mean() - expected) <= 4 * bits.std(ddof=1) / math.sqrt(runs)
+        # Criterion 03's loose per-chunk ceiling stays beside the exact mean.
+        alpha = max(1.0 / C.DEFAULT_BETA**2, 50.0 * C.default_t(params.epsilon) ** 2 + 10.0)
+        assert bits.mean() <= alpha
+
+
 class TestChunkApi:
     def test_root_parity_checked(self):
         params = ChunkParams(2, 0.1, 0.4, 2.0)
@@ -612,28 +863,24 @@ class TestChunkApi:
             C.simulate_chunk(constant_spec(20), 0, 0, "", bad, RandomSource(0))
 
 
-def pinned_chunk_params(eps=0.1):
-    """Gamma 20 with the minimal t; at eps 0.1 criterion 02's chunk."""
-    t = C.minimal_t(20, eps, C.default_theta(20, eps))
-    return ChunkParams.for_advantage(eps, gamma=20, t=t)
-
-
 class TestChunkRecord:
     def test_trials_pinned(self):
         # 400 trials of the pinned chunk: 15 low-branch and 385 high-branch,
         # so both kernels' counts are covered.  A change to any random
-        # stream moves these values; such a change re-pins them.
+        # stream moves these values; such a change re-pins them.  The go-low
+        # coin is each trial's first public draw, so a change inside one
+        # branch keeps the branch column.
         trials = V.run_chunk_trials(pinned_chunk_params(), seeded_spec(20, 41), 0, 1, 12345, 0, 400)
         assert all(t.failure is None for t in trials)
         columns = np.array([t[:7] for t in trials], dtype=np.int64)
         # index, m_x, m_y, bits, branch, rounds, threshold_rounds
-        assert columns.sum(axis=0).tolist() == [79800, 1617, 1612, 21094, 385, 3179, 3279]
-        assert tuple(trials[1]) == (1, 4, 4, 196, 1, 33, 33, None)
+        assert columns.sum(axis=0).tolist() == [79800, 1600, 1622, 20376, 385, 3071, 3153]
+        assert tuple(trials[1]) == (1, 5, 5, 34, 1, 5, 6, None)
         low = [tuple(t) for t in trials if t.branch == 0]
         assert len(low) == 15
         assert low[:2] == [(137, 1, 3, 376, 0, 15, 18, None), (169, 3, 1, 78, 0, 3, 4, None)]
         digest = hashlib.sha256(columns.astype("<i8").tobytes()).hexdigest()
-        assert digest == "09f4ffeb8fcc5ba19946ed8d1e23163db2804158e582cce3a36cb061985244f2"
+        assert digest == "9ae5008bfeb4a8e3787e518326b1b1156df7628204fd632da2a2a0a9a43693ed"
 
     def test_nested_span_trials_pinned(self):
         # At eps 0.05 the low branch proposes a chunked span at eps 0.1, a
@@ -643,11 +890,11 @@ class TestChunkRecord:
         )
         assert all(t.failure is None for t in trials)
         columns = np.array([t[:7] for t in trials], dtype=np.int64)
-        assert columns.sum(axis=0).tolist() == [19900, 906, 944, 9630, 161, 434, 545]
+        assert columns.sum(axis=0).tolist() == [19900, 896, 924, 8290, 161, 444, 554]
         assert sum(t.branch == 0 for t in trials) == 39
-        assert tuple(trials[1]) == (1, 4, 3, 94, 0, 3, 6, None)
+        assert tuple(trials[1]) == (1, 2, 3, 46, 0, 1, 1, None)
         digest = hashlib.sha256(columns.astype("<i8").tobytes()).hexdigest()
-        assert digest == "5f4c168d2fcda9f984237dd1e1fe88d5c2e28170c6be9c1bb61a6fcb1358da83"
+        assert digest == "d10ee1d630ecc6eb6addabc68499fbdd707e9c03500c97b9700c7dca2919e704"
 
     def test_record_accumulates_across_chunks(self):
         params, spec = pinned_chunk_params(), seeded_spec(20, 41)
