@@ -3,11 +3,13 @@
 A T-round execution at advantage eps (crossover 1/2 - eps) is simulated by a
 public-coin protocol over the noiseless channel.  For eps >= beta (the
 constant `DEFAULT_BETA`) each round is transmitted directly and flipped with
-a shared public coin.  Below beta `chunk_sizes` cuts the rounds into chunks of
-depth gamma ~ 1/eps^2 and each chunk's leaf is sampled exactly via a biased
-public coin that picks a low-error or high-error regime, rejection sampling
-inside the regime, and a recursive simulation of the chunk at doubled
-advantage as the low-regime proposal.
+a shared public coin.  Below beta the rounds are cut into chunks of depth
+gamma ~ 1/eps^2 and each chunk's leaf is sampled exactly via a biased public
+coin that picks a low-error or high-error regime, rejection sampling inside
+the regime, and a recursive simulation of the chunk at doubled advantage as
+the low-regime proposal.  `chunk_plan` is the one place that cuts a span and
+picks each chunk's theta and t; it validates every level the recursion can
+reach before the first draw.
 
 Everything the sampler decides on depends on the chunk's flip pattern only,
 never on the protocol tree, so the internal engine samples flip patterns;
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Iterator
 
 import numpy as np
@@ -62,17 +64,6 @@ def default_t(epsilon: float) -> float:
     for every eps > 0.  It stays because it is the paper's setting.
     """
     return min(DEFAULT_T_CAP, (1.0 + 2.0 * epsilon) ** (3.0 / epsilon))
-
-
-def chunk_sizes(epsilon: float, depth: int) -> list[int]:
-    """The depths, in order, of the chunks a depth-`depth` span at advantage
-    eps is cut into: the whole span at eps >= beta (direct simulation), else
-    canonical-depth chunks followed by the shorter remainder, if any."""
-    if epsilon >= DEFAULT_BETA:
-        return [depth]
-    g = default_gamma(epsilon)
-    full, rest = divmod(depth, g)
-    return [g] * full + ([rest] if rest else [])
 
 
 def default_theta(gamma: int, epsilon: float) -> float:
@@ -453,6 +444,57 @@ def validate_params(params: ChunkParams) -> list[str]:
     return violations
 
 
+def _describe(params: ChunkParams) -> str:
+    """The chunk parameters an error message names."""
+    return (
+        f"eps={params.epsilon}, gamma={params.gamma}, "
+        f"theta={params.theta:.6g}, t={params.t:.6g}"
+    )
+
+
+def _require_valid(params: ChunkParams) -> None:
+    """Raise `ParameterError` naming the parameters and every violation."""
+    violations = validate_params(params)
+    if violations:
+        raise ParameterError(f"{_describe(params)}: " + "; ".join(violations))
+
+
+@cache
+def chunk_plan(epsilon: float, depth: int) -> tuple[ChunkParams, ...]:
+    """The chunks, in order, a depth-`depth` span at advantage eps is cut into.
+
+    `()` means direct simulation: always at eps >= beta, and for an empty
+    span.  Otherwise depth-`default_gamma(eps)` chunks follow one another,
+    then the shorter remainder, if any, all at the paper's theta.  A
+    canonical chunk runs at t = max(`default_t`, sup) and the remainder at
+    t = sup, where sup = `minimal_t` is the high branch's acceptance
+    supremum; rounding gamma up and flooring theta can put `default_t` below
+    it.  The output law does not depend on t.
+
+    Every chunk is validated, and so is the plan of each distinct chunk's
+    doubled-advantage span, so a span whose plan builds never meets an
+    invalid level while sampling.  Each distinct chunk is one `ChunkParams`.
+    """
+    if epsilon >= DEFAULT_BETA:
+        return ()
+    canonical = default_gamma(epsilon)
+
+    def chunk(gamma: int) -> ChunkParams:
+        theta = default_theta(gamma, epsilon)
+        sup = minimal_t(gamma, epsilon, theta)
+        t = max(default_t(epsilon), sup) if gamma == canonical else sup
+        params = ChunkParams(gamma, epsilon, theta, t)
+        _require_valid(params)
+        # Doubling only follows a validated level, whose eps < beta <= 1/4
+        # keeps the doubled advantage below 1/2.
+        chunk_plan(2.0 * epsilon, gamma)
+        return params
+
+    full, rest = divmod(depth, canonical)
+    plan = (chunk(canonical),) * full if full else ()
+    return plan + ((chunk(rest),) if rest else ())
+
+
 # ---------------------------------------------------------------------------
 # Precomputed per-parameter tables for the samplers
 # ---------------------------------------------------------------------------
@@ -485,6 +527,13 @@ class ChunkTables:
                 f"eps={e}, gamma={params.gamma}: 2*eps >= 1/2, so the low "
                 "branch's doubled-advantage proposal channel does not exist"
             )
+        try:
+            self._build(params)
+        except InvariantViolation as err:
+            raise InvariantViolation(f"{_describe(params)}: {err}") from err
+
+    def _build(self, params: ChunkParams) -> None:
+        e = params.epsilon
         half = params.half
         ti = params.theta_int
         l1m, l1p = math.log(0.5 - e), math.log(0.5 + e)
@@ -560,75 +609,17 @@ def expected_high_bits(params: ChunkParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-_PARAM_CACHE: dict[tuple, ChunkParams] = {}
-
-
-def _describe(params: ChunkParams) -> str:
-    """The chunk parameters an error message names."""
-    return (
-        f"eps={params.epsilon}, gamma={params.gamma}, "
-        f"theta={params.theta:.6g}, t={params.t:.6g}"
-    )
-
-
-def _require_valid(params: ChunkParams) -> None:
-    """Raise `ParameterError` naming the parameters and every violation."""
-    violations = validate_params(params)
-    if violations:
-        raise ParameterError(f"{_describe(params)}: " + "; ".join(violations))
-
-
-def _params_for(epsilon: float, gamma: int) -> ChunkParams:
-    key = (epsilon, gamma)
-    params = _PARAM_CACHE.get(key)
-    if params is None:
-        theta = default_theta(gamma, epsilon)
-        t = default_t(epsilon)
-        if gamma < default_gamma(epsilon):
-            # Short trailing chunk: the per-advantage default would inflate the
-            # rejection count by (t/sup)^2 for no benefit, since the output law
-            # is t-independent.  Run it at its acceptance supremum instead.
-            t = min(t, minimal_t(gamma, epsilon, theta))
-        params = ChunkParams(gamma, epsilon, theta, t)
-        _require_valid(params)
-        _PARAM_CACHE[key] = params
-    return params
-
-
-def _validate_span(epsilon: float, depth: int) -> None:
-    """Validate every (advantage, chunk depth) pair the recursion can reach."""
-    seen: set[tuple[float, int]] = set()
-
-    def visit(eps: float, d: int) -> None:
-        # Doubling only follows a validated level, whose eps < beta <= 1/4
-        # keeps the doubled advantage below 1/2.
-        if eps >= DEFAULT_BETA:
-            return
-        for size in dict.fromkeys(chunk_sizes(eps, d)):
-            if (eps, size) in seen:
-                continue
-            seen.add((eps, size))
-            _params_for(eps, size)
-            visit(2.0 * eps, size)
-
-    visit(epsilon, depth)
-
-
 def _span_pattern(
     epsilon: float, depth: int, rng: RandomSource, ledger: CostLedger
 ) -> np.ndarray:
     if depth % 2 != 0:
         raise InvariantViolation("spans must have even depth")
-    if depth == 0:
-        return np.zeros(0, dtype=np.int8)
-    if epsilon >= DEFAULT_BETA:
+    plan = chunk_plan(epsilon, depth)
+    if not plan:
         # Direct simulation: one true bit per round, a shared coin flips it.
         ledger.charge(0.0, depth)
         return (rng.public.random(depth) < 0.5 - epsilon).astype(np.int8)
-    return np.concatenate([
-        _chunk_pattern(_params_for(epsilon, g), rng, ledger)[0]
-        for g in chunk_sizes(epsilon, depth)
-    ])
+    return np.concatenate([_chunk_pattern(params, rng, ledger)[0] for params in plan])
 
 
 def _materialize_counts(
@@ -734,14 +725,14 @@ def simulate_noiseless(
     The spec is padded to even length first; the returned transcript covers
     the padded protocol and its prefix of the raw length follows the raw
     protocol's channel law.  The ledger counts only noiseless bits actually
-    exchanged (each charged unit energy).
+    exchanged (each charged unit energy).  A span whose `chunk_plan` does not
+    build raises `ParameterError` before the first draw.
     """
     if not spec.deterministic:
         raise SpecError("only deterministic protocols can be compressed")
     if not 0.0 < epsilon <= 0.5:
         raise ParameterError(f"advantage must be in (0, 1/2], got {epsilon}")
     padded = pad_to_even(spec)
-    _validate_span(epsilon, padded.rounds)
     ledger = CostLedger()
     pattern = _span_pattern(epsilon, padded.rounds, rng, ledger)
     transcript = apply_flip_pattern(padded, x, y, "", pattern)

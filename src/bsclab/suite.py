@@ -185,7 +185,7 @@ def compression_experiment(
     _require_count("trials", trials)
     x, y = spec.alice_inputs[0], spec.bob_inputs[0]
     padded = pad_to_even(spec)
-    sizes = compressor.chunk_sizes(epsilon, padded.rounds)
+    sizes = [p.gamma for p in compressor.chunk_plan(epsilon, padded.rounds)] or [padded.rounds]
     bounds = np.cumsum([0, *sizes])
     counts = [np.zeros((g // 2 + 1, g // 2 + 1), dtype=np.int64) for g in sizes]
     bits = np.zeros(trials, dtype=np.int64)

@@ -1,5 +1,7 @@
 import hashlib
 import math
+from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
@@ -74,22 +76,85 @@ class TestParams:
         assert params.low_mass == low_error_mass(params)
 
 
-class TestChunkSizes:
+def plan_sizes(eps, depth):
+    return [params.gamma for params in C.chunk_plan(eps, depth)]
+
+
+def plan_levels(eps, depth):
+    """Every chunk the recursion from a depth-`depth` span at eps can reach."""
+    for params in dict.fromkeys(C.chunk_plan(eps, depth)):
+        yield params
+        yield from plan_levels(2.0 * eps, params.gamma)
+
+
+@pytest.fixture
+def cold_plans():
+    """A cached plan skips validation, so start and end with an empty cache."""
+    C.chunk_plan.cache_clear()
+    yield
+    C.chunk_plan.cache_clear()
+
+
+def stream_states(rng):
+    return [g.bit_generator.state for g in (rng.public, rng.alice, rng.bob, rng.channel)]
+
+
+class TestChunkPlan:
     @given(st.floats(0.02, 0.5), st.integers(1, 2000).map(lambda h: 2 * h))
     def test_cuts_the_span(self, eps, depth):
-        sizes = C.chunk_sizes(eps, depth)
-        assert sum(sizes) == depth
-        assert all(g > 0 and g % 2 == 0 for g in sizes)
+        sizes = plan_sizes(eps, depth)
         if eps >= C.DEFAULT_BETA:
-            assert sizes == [depth]
+            assert sizes == []
         else:
+            assert sum(sizes) == depth
+            assert all(g > 0 and g % 2 == 0 for g in sizes)
             assert set(sizes[:-1]) <= {C.default_gamma(eps)}
             assert sizes[-1] <= C.default_gamma(eps)
 
+    @given(st.floats(0.02, 0.5), st.integers(1, 2000).map(lambda h: 2 * h))
+    def test_every_level_valid_with_the_paper_t_rule(self, eps, depth):
+        for params in plan_levels(eps, depth):
+            assert validate_params(params) == []
+            assert params.theta == C.default_theta(params.gamma, params.epsilon)
+            sup = C.minimal_t(params.gamma, params.epsilon, params.theta)
+            if params.gamma == C.default_gamma(params.epsilon):
+                assert params.t == max(C.default_t(params.epsilon), sup)
+            else:
+                assert params.t == sup
+
     def test_canonical_then_remainder(self):
-        assert C.chunk_sizes(0.1, 250) == [100, 100, 50]
-        assert C.chunk_sizes(0.1, 20) == [20]
-        assert C.chunk_sizes(0.125, 250) == [250]
+        assert plan_sizes(0.1, 250) == [100, 100, 50]
+        assert plan_sizes(0.1, 20) == [20]
+        assert C.chunk_plan(0.125, 250) == ()
+        assert C.chunk_plan(0.1, 0) == ()
+        plan = C.chunk_plan(0.1, 250)
+        assert plan[0] is plan[1] and plan[0].t == C.default_t(0.1)
+        assert plan[2].t == C.minimal_t(50, 0.1, plan[2].theta) < C.default_t(0.1)
+
+    @pytest.mark.parametrize(
+        "eps,level", [(0.0587, 0.1174), (0.0614, 0.1228), (0.1175, 0.1175), (0.1226, 0.1226)]
+    )
+    def test_default_t_below_the_supremum(self, eps, level):
+        # Rounding gamma up to even and flooring theta put default_t below
+        # the high-branch acceptance supremum at these canonical levels, so
+        # their chunks run at the supremum.
+        params = next(p for p in plan_levels(eps, C.default_gamma(eps))
+                      if p.gamma == C.default_gamma(p.epsilon) and p.epsilon == level)
+        sup = C.minimal_t(params.gamma, params.epsilon, params.theta)
+        assert C.default_t(params.epsilon) < sup == params.t
+        assert validate_params(params) == []
+        C.simulate_noiseless(constant_spec(148), 0, 0, eps, RandomSource(1))
+
+    def test_nested_level_validated_before_the_first_draw(self, cold_plans, monkeypatch):
+        real = C.validate_params
+        monkeypatch.setattr(
+            C, "validate_params", lambda p: ["rejected"] if p.epsilon == 0.1 else real(p)
+        )
+        rng = RandomSource(5)
+        before = stream_states(rng)
+        with pytest.raises(ParameterError, match=r"^eps=0\.1, gamma=10, .*: rejected$"):
+            C.simulate_noiseless(seeded_spec(10, 3), 0, 1, 0.05, rng)
+        assert stream_states(rng) == before
 
 
 class TestLowErrorMass:
@@ -324,6 +389,16 @@ class TestChunkTables:
         with pytest.raises(ParameterError, match=rf"eps={eps}, gamma=20: 2\*eps >= 1/2"):
             C.chunk_tables(ChunkParams(20, eps, 0.0, 1.0))
 
+    def test_build_failure_names_the_level(self):
+        # Bin(1250, 1/2)'s float64 tails underflow at eps 0.02's canonical depth.
+        with pytest.raises(
+            InvariantViolation,
+            match=r"^eps=0\.02, gamma=2500, theta=1100, t=\S+: conditioning emptied the support$",
+        ) as caught:
+            C.simulate_noiseless(constant_spec(2500), 0, 0, 0.02, RandomSource(0))
+        assert isinstance(caught.value.__cause__, InvariantViolation)
+        assert str(caught.value.__cause__) == "conditioning emptied the support"
+
 
 class TestRoundMasses:
     @pytest.mark.parametrize("gamma,eps", [(20, 0.1), (8, 0.05)])
@@ -466,6 +541,52 @@ class TestSimulateNoiseless:
             r"eps=0\.1, gamma=4, theta=0\.8, t=5$",
         ):
             kernel(params, RandomSource(1), CostLedger())
+
+
+@cache
+def four_round_plan(eps, depth):
+    """A test plan: 4-round chunks and a shorter remainder at every level
+    below beta, each at the paper's theta and minimal t.  Cached like
+    `chunk_plan`, so each chunk keeps its `low_mass`."""
+    if eps >= C.DEFAULT_BETA:
+        return ()
+    return tuple(four_round_chunk(eps, min(4, depth - lo)) for lo in range(0, depth, 4))
+
+
+@cache
+def four_round_chunk(eps, gamma):
+    theta = C.default_theta(gamma, eps)
+    return ChunkParams(gamma, eps, theta, C.minimal_t(gamma, eps, theta))
+
+
+class TestWholeTranscriptLaw:
+    def test_leaf_law_across_chunks_and_levels(self, monkeypatch):
+        # 10 rounds at eps 0.05 under 4-round chunks: chunks [4, 4, 2], whose
+        # low branches propose nested eps 0.1 spans, whose low branches
+        # propose direct eps 0.2 spans.  The sampler never reads the tree, so
+        # a second input pair on these seeds would replay the same flip
+        # patterns: one pair is checked, on seeds fixed before the first run.
+        monkeypatch.setattr(C, "chunk_plan", four_round_plan)
+        low_levels = Counter()
+        branch_low = C._branch_low_pattern
+
+        def counted_low(params, rng, ledger):
+            low_levels[params.epsilon] += 1
+            return branch_low(params, rng, ledger)
+
+        monkeypatch.setattr(C, "_branch_low_pattern", counted_low)
+        spec, x, y = seeded_spec(10, seed=44), 0, 1
+        assert [p.gamma for p in four_round_plan(0.05, 10)] == [4, 4, 2]
+        law = dict(enumerate_transcripts(spec, x, y, Noise(0.05)))
+        leaves = sorted(law)
+        assert len(leaves) == 1024
+        counts = Counter(
+            C.simulate_noiseless(spec, x, y, 0.05, RandomSource.for_trial(2_000_000, i))[0]
+            for i in range(30_000)
+        )
+        assert low_levels[0.05] > 0 and low_levels[0.1] > 0
+        gof = V.chi_square_gof([counts[leaf] for leaf in leaves], [law[leaf] for leaf in leaves])
+        assert gof.passed, gof.p_value
 
 
 def _reference_fair_binomial(gen, n, size):
@@ -634,8 +755,7 @@ def run_high_kernel(kernel, params, max_rounds, seed):
         error = None
     except IterationCapExceeded as exc:
         pattern, error, record = None, str(exc), None
-    states = [g.bit_generator.state for g in (rng.public, rng.alice, rng.bob, rng.channel)]
-    return pattern, ledger.bits_sent, ledger.energy, record, states, error
+    return pattern, ledger.bits_sent, ledger.energy, record, stream_states(rng), error
 
 
 class TestHighKernel:
