@@ -5,8 +5,7 @@ Each subcommand parses its arguments, calls one experiment function of
 parameters), prints a short summary, optionally writes a canonical JSON
 report and a per-trial CSV, and exits 0 exactly when every check in the
 report passed.  Every subcommand takes an explicit seed; there is no
-wall-clock entropy anywhere.  `chunk-verify` honors BSCLAB_WORKERS by
-running slices of its trials in worker processes.
+wall-clock entropy anywhere.
 """
 
 from __future__ import annotations
@@ -15,17 +14,15 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import compressor, suite, verify
+from . import compressor, suite
 from .compressor import ChunkParams, default_theta, minimal_t
-from .core import ParameterError, SpecError, constant_spec, load_spec, spec_from_dict
+from .core import ParameterError, SpecError, constant_spec, load_spec, seeded_spec
 from .infotheory import uniform_inputs
 
 
@@ -86,17 +83,6 @@ def emit_report(doc: ReportDocument, path: str | None, fmt: str = "json") -> Non
         raise ValueError(f"unknown report format {fmt!r}")
 
 
-def _workers() -> int:
-    raw = os.environ.get("BSCLAB_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ParameterError(f"BSCLAB_WORKERS must be a positive integer, got {raw!r}")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # Experiment subcommands: parse, call one suite experiment, wrap the report
 # ---------------------------------------------------------------------------
@@ -108,43 +94,16 @@ def _report(
     return ReportDocument(experiment, parameters, seeds, res.metrics, res.checks, res.trials)
 
 
-def _trial_slice(job: tuple) -> list[verify.ChunkTrial]:
-    spec_doc, params, x, y, seed, start, stop = job
-    return verify.run_chunk_trials(params, spec_from_dict(spec_doc), x, y, seed, start, stop)
-
-
-def _trial_runner(spec_doc: dict, workers: int):
-    """verify.run_chunk_trials, or an equivalent that splits the trials over
-    `workers` processes; each trial keeps its seed and index either way."""
-    if workers == 1:
-        return verify.run_chunk_trials
-
-    def run(params, spec, x, y, seed, start, stop):
-        bounds = np.linspace(start, stop, workers + 1, dtype=int)
-        jobs = [
-            (spec_doc, params, x, y, seed, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return [t for part in pool.map(_trial_slice, jobs) for t in part]
-
-    return run
-
-
 def cmd_chunk_verify(args: argparse.Namespace) -> ReportDocument:
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec_doc = json.load(fh)
+    spec = load_spec(args.spec) if args.spec else seeded_spec(args.gamma, args.spec_seed)
+    if args.theta is None:
+        theta = default_theta(args.gamma, args.epsilon)
+    elif 0.0 <= args.theta <= args.gamma:
+        theta = args.theta
     else:
-        spec_doc = {
-            "rounds": args.gamma,
-            "alice_inputs": [0, 1],
-            "bob_inputs": [0, 1],
-            "kind": "seeded",
-            "seed": args.spec_seed,
-        }
-    theta = args.theta if args.theta is not None else default_theta(args.gamma, args.epsilon)
+        raise ParameterError(
+            f"--theta is {args.theta!r}, not a finite number in [0, gamma={args.gamma}]"
+        )
     if args.t == "minimal":
         t = minimal_t(args.gamma, args.epsilon, theta)
     elif args.t == "default":
@@ -157,13 +116,7 @@ def cmd_chunk_verify(args: argparse.Namespace) -> ReportDocument:
         if not math.isfinite(t):
             raise ParameterError(f'--t is {args.t!r}, not "minimal", "default" or a finite number')
     params = ChunkParams(args.gamma, args.epsilon, theta, t)
-    res = suite.chunk_experiment(
-        params,
-        spec_from_dict(spec_doc),
-        args.samples,
-        args.seed,
-        _trial_runner(spec_doc, _workers()),
-    )
+    res = suite.chunk_experiment(params, spec, args.samples, args.seed)
     return _report(
         "chunk-verify",
         {

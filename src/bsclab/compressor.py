@@ -106,6 +106,8 @@ class ChunkParams:
             raise ParameterError("gamma must be positive")
         if not 0.0 < self.epsilon <= 0.5:
             raise ParameterError("epsilon must be in (0, 1/2]")
+        if not math.isfinite(self.theta):
+            raise ParameterError(f"theta must be finite, got {self.theta}")
         if not 0.0 < self.t < math.inf:
             raise ParameterError(f"t must be positive and finite, got {self.t}")
 
@@ -581,17 +583,10 @@ class ChunkTables:
         self.high_reject_law = reject / reject.sum()
 
 
-_TABLE_CACHE: dict[tuple, ChunkTables] = {}
-
-
+@cache
 def chunk_tables(params: ChunkParams) -> ChunkTables:
     """The cached `ChunkTables` of one parameter set."""
-    key = (params.gamma, params.epsilon, params.theta_int, params.t)
-    tables = _TABLE_CACHE.get(key)
-    if tables is None:
-        tables = ChunkTables(params)
-        _TABLE_CACHE[key] = tables
-    return tables
+    return ChunkTables(params)
 
 
 def expected_high_bits(params: ChunkParams) -> float:

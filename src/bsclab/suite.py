@@ -134,14 +134,11 @@ def chunk_experiment(
     spec: ProtocolSpec | None = None,
     samples: int = 0,
     seed: int = 0,
-    run_trials: Callable[..., list[verify.ChunkTrial]] = verify.run_chunk_trials,
 ) -> ExperimentResult:
     """One chunk's exact class law against the product binomial, then
-    `samples` runs of `spec` on inputs (0, 1), trial i at seed seed + i,
-    against the exact law.  Bad parameters raise `ParameterError` from the
-    class DP before any trial runs.  `run_trials` has the signature of
-    verify.run_chunk_trials; the CLI passes one that spreads the trials over
-    processes."""
+    `samples` runs of `spec` on inputs (0, 1) by `verify.monte_carlo_chunk`
+    at base seed `seed`, against the exact law.  Bad parameters raise
+    `ParameterError` from the class DP before any trial runs."""
     _require_count("samples", samples, least=0)
     exact = verify.exact_chunk_distribution(params)
     max_diff = float(np.max(np.abs(exact - verify.class_law(params.half, params.epsilon))))
@@ -149,8 +146,7 @@ def chunk_experiment(
     checks = [_check("exact law matches product binomial (1e-10)", max_diff <= 1e-10)]
     if not samples:
         return ExperimentResult(metrics, checks)
-    trials = run_trials(params, spec, 0, 1, seed, 0, samples)
-    mc = verify.summarize_chunk_trials(params.half, trials)
+    mc = verify.monte_carlo_chunk(params, spec, 0, 1, samples, seed)
     gof = verify.chi_square_gof(mc.counts, exact)
     metrics.update(
         chi2_statistic=gof.statistic,
@@ -167,8 +163,8 @@ def chunk_experiment(
         _check("chi-square fit at 0.001", gof.passed),
         _check("no aborted trials", not mc.failures),
     ]
-    done = [t.index for t in trials if t.failure is None]
-    return ExperimentResult(metrics, checks, {"trial": done, "bits": mc.bits})
+    trials = {"trial": [t.index for t in mc.trials], "bits": mc.bits}
+    return ExperimentResult(metrics, checks, trials)
 
 
 def compression_experiment(
@@ -180,12 +176,14 @@ def compression_experiment(
     """Whole-protocol compression of `spec` on its first input pair, trial i
     at seed seed + i.  Each chunk of the padded flip pattern must fit the
     channel class law at its own half-size, and the mean cost must stay under
-    the (loose) ceiling alpha * ceil(eps^2 * 2T), alpha = max(1/beta^2, 50 t^2 + 10).
+    the (loose) ceiling alpha * ceil(eps^2 * 2T), alpha = max(1/beta^2, 50 t^2 + 10),
+    with t the largest of `default_t(eps)` and the plan's chunk normalizers.
     """
     _require_count("trials", trials)
     x, y = spec.alice_inputs[0], spec.bob_inputs[0]
     padded = pad_to_even(spec)
-    sizes = [p.gamma for p in compressor.chunk_plan(epsilon, padded.rounds)] or [padded.rounds]
+    plan = compressor.chunk_plan(epsilon, padded.rounds)
+    sizes = [p.gamma for p in plan] or [padded.rounds]
     bounds = np.cumsum([0, *sizes])
     counts = [np.zeros((g // 2 + 1, g // 2 + 1), dtype=np.int64) for g in sizes]
     bits = np.zeros(trials, dtype=np.int64)
@@ -199,7 +197,7 @@ def compression_experiment(
             c[int(chunk[0::2].sum()), int(chunk[1::2].sum())] += 1
     gofs = [verify.chi_square_gof(c, verify.class_law(len(c) - 1, epsilon)) for c in counts]
     mean_bits = int(bits.sum()) / trials
-    t = compressor.default_t(epsilon)
+    t = max([compressor.default_t(epsilon), *(p.t for p in plan)])
     alpha = max(1.0 / compressor.DEFAULT_BETA**2, 50.0 * t * t + 10.0)
     ceiling = alpha * math.ceil(epsilon**2 * 2 * spec.rounds)
     checks = [
@@ -316,6 +314,7 @@ def sample_prior_experiment(
     (divergence + 1/(2 grid_n)) must stay at most 200.
     """
     _require_count("samples", samples)
+    _require_count("grid_n", grid_n)
     eps_i = 1.0 / (2 * grid_n)
     rows = []
     checks = []

@@ -7,14 +7,15 @@ tables (`compressor.chunk_tables`: threshold answers and each party's
 acceptance probabilities) and weights them by the exact proposal laws
 (`class_law`), giving each branch's output law and per-round acceptance
 mass.  The mixture must reproduce the product-binomial channel law
-exactly; Monte Carlo runs of the real sampler are then compared against it
-with a chi-square test.
+exactly.  `monte_carlo_chunk` runs every seeded batch of real chunk trials;
+its class counts are compared against the exact law with a chi-square
+test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -143,54 +144,94 @@ def chi_square_gof(
     )
 
 
-@dataclass
-class MonteCarloChunkResult:
-    counts: np.ndarray
-    n_trials: int
-    mean_bits: float
-    p95_bits: float
-    branch_trials: dict[int, int]
-    branch_mean_rounds: dict[int, float]
-    mean_threshold_rounds: float
-    bits: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    failures: list[str] = field(default_factory=list)
-
-
 class ChunkTrial(NamedTuple):
-    """Outcome of one chunk run: its class and cost, or why it aborted."""
+    """One completed chunk run: its class and cost."""
 
     index: int
-    m_x: int = 0
-    m_y: int = 0
-    bits: int = 0
-    branch: int = 0
-    rounds: int = 0
-    threshold_rounds: int = 0
-    failure: str | None = None
+    m_x: int
+    m_y: int
+    bits: int
+    branch: int
+    rounds: int
+    threshold_rounds: int
 
 
-def run_chunk_trials(
+@dataclass
+class MonteCarloChunkResult:
+    """A batch of chunk runs: the completed trials in index order and one
+    "trial {i}: ..." line per trial aborted at an iteration cap.  Every
+    statistic is derived from the trials."""
+
+    half: int
+    trials: list[ChunkTrial]
+    failures: list[str]
+
+    @property
+    def n_trials(self) -> int:
+        return len(self.trials)
+
+    @property
+    def counts(self) -> np.ndarray:
+        counts = np.zeros((self.half + 1, self.half + 1), dtype=np.int64)
+        for t in self.trials:
+            counts[t.m_x, t.m_y] += 1
+        return counts
+
+    @property
+    def bits(self) -> np.ndarray:
+        return np.array([t.bits for t in self.trials], dtype=np.int64)
+
+    @property
+    def mean_bits(self) -> float:
+        return float(self.bits.mean()) if self.trials else 0.0
+
+    @property
+    def p95_bits(self) -> float:
+        return float(np.percentile(self.bits, 95)) if self.trials else 0.0
+
+    def _rounds_by_branch(self) -> dict[int, list[int]]:
+        return {b: [t.rounds for t in self.trials if t.branch == b] for b in (0, 1)}
+
+    @property
+    def branch_trials(self) -> dict[int, int]:
+        return {b: len(r) for b, r in self._rounds_by_branch().items()}
+
+    @property
+    def branch_mean_rounds(self) -> dict[int, float]:
+        return {
+            b: float(np.mean(r)) if r else 0.0 for b, r in self._rounds_by_branch().items()
+        }
+
+    @property
+    def mean_threshold_rounds(self) -> float:
+        if not self.trials:
+            return 0.0
+        return sum(t.threshold_rounds for t in self.trials) / self.n_trials
+
+
+def monte_carlo_chunk(
     params: ChunkParams,
     spec: ProtocolSpec,
     x: Any,
     y: Any,
+    n_trials: int,
     base_seed: int,
-    start: int,
-    stop: int,
-) -> list[ChunkTrial]:
-    """Real chunk runs for trials start..stop-1, trial i at seed base_seed + i.
+) -> MonteCarloChunkResult:
+    """Seeded batch of real chunk runs, trial i at
+    `RandomSource.for_trial(base_seed, i)`.
 
     Each leaf's class is recovered by independent replay (count_errors).  A
-    trial that hits an iteration cap is recorded as aborted under its index;
-    any other error propagates.
+    trial that hits an iteration cap is recorded in `failures` as
+    "trial {i}: ...", not fatal; any other error propagates.
     """
     if spec.rounds != params.gamma:
         raise SpecError(
             f"chunk trials want a spec of exactly one chunk depth: "
             f"spec.rounds={spec.rounds}, params.gamma={params.gamma}"
         )
-    trials = []
-    for i in range(start, stop):
+    trials: list[ChunkTrial] = []
+    failures: list[str] = []
+    for i in range(n_trials):
         rng = RandomSource.for_trial(base_seed, i)
         ledger = CostLedger()
         record: dict = {}
@@ -199,7 +240,7 @@ def run_chunk_trials(
                 spec, x, y, "", params, rng, ledger, record
             )
         except IterationCapExceeded as exc:
-            trials.append(ChunkTrial(i, failure=f"trial {i}: {exc}"))
+            failures.append(f"trial {i}: {exc}")
             continue
         trials.append(
             ChunkTrial(
@@ -212,49 +253,4 @@ def run_chunk_trials(
                 record["threshold_rounds"],
             )
         )
-    return trials
-
-
-def summarize_chunk_trials(half: int, trials: list[ChunkTrial]) -> MonteCarloChunkResult:
-    """Class counts and cost statistics of a batch of chunk trials."""
-    counts = np.zeros((half + 1, half + 1), dtype=np.int64)
-    done = [t for t in trials if t.failure is None]
-    rounds_by_branch: dict[int, list[int]] = {0: [], 1: []}
-    for t in done:
-        counts[t.m_x, t.m_y] += 1
-        rounds_by_branch[t.branch].append(t.rounds)
-    used = len(done)
-    bits = np.array([t.bits for t in done], dtype=np.int64)
-    return MonteCarloChunkResult(
-        counts=counts,
-        n_trials=used,
-        mean_bits=float(bits.mean()) if used else 0.0,
-        p95_bits=float(np.percentile(bits, 95)) if used else 0.0,
-        branch_trials={b: len(r) for b, r in rounds_by_branch.items()},
-        branch_mean_rounds={
-            b: (float(np.mean(r)) if r else 0.0) for b, r in rounds_by_branch.items()
-        },
-        mean_threshold_rounds=(
-            sum(t.threshold_rounds for t in done) / used if used else 0.0
-        ),
-        bits=bits,
-        failures=[t.failure for t in trials if t.failure is not None],
-    )
-
-
-def monte_carlo_chunk(
-    params: ChunkParams,
-    spec: ProtocolSpec,
-    x: Any,
-    y: Any,
-    n_trials: int,
-    base_seed: int,
-) -> MonteCarloChunkResult:
-    """Seeded batch of real chunk runs; class counts plus cost diagnostics.
-
-    Trial i uses seed base_seed + i.  Trials aborted at an iteration cap are
-    recorded in `failures` as "trial {i}: ...", not fatal.
-    """
-    return summarize_chunk_trials(
-        params.half, run_chunk_trials(params, spec, x, y, base_seed, 0, n_trials)
-    )
+    return MonteCarloChunkResult(params.half, trials, failures)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bsclab import cli
+from bsclab import cli, compressor
 
 
 def run_cli(args):
@@ -51,29 +51,6 @@ class TestChunkVerify:
         )
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 251  # header + one row per trial
-
-    def test_worker_fanout_matches_sequential(self, tmp_path, monkeypatch):
-        seq, par = tmp_path / "seq.json", tmp_path / "par.json"
-        args = ["chunk-verify", "--gamma", "6", "--epsilon", "0.1",
-                "--samples", "300", "--seed", "5"]
-        monkeypatch.setenv("BSCLAB_WORKERS", "1")
-        run_cli(args + ["--out", str(seq)])
-        monkeypatch.setenv("BSCLAB_WORKERS", "3")
-        run_cli(args + ["--out", str(par)])
-        a, b = load_without_clock(seq), load_without_clock(par)
-        assert a["metrics"] == b["metrics"]
-        assert a["tests"] == b["tests"]
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_worker_count_exits_2(self, monkeypatch, capsys, value):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("process pool started")
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setenv("BSCLAB_WORKERS", value)
-        code = run_cli(["chunk-verify", "--gamma", "6", "--epsilon", "0.1", "--samples", "10"])
-        assert code == 2
-        assert f"BSCLAB_WORKERS must be a positive integer, got {value!r}" in capsys.readouterr().err
 
     def test_default_theta_clamped_at_zero(self, tmp_path):
         # gamma * (1/2 - 3 eps) is negative at eps 0.2; the default clamps it.
@@ -145,6 +122,20 @@ class TestCompress:
             "mean bits within alpha ceiling",
         ]
         assert all(t["passed"] for t in doc["tests"])
+
+    def test_alpha_ceiling_reads_t_from_the_plan(self, tmp_path):
+        # At eps 0.1175 the 74-round chunks run at their acceptance supremum,
+        # above default_t; the ceiling takes the larger t.
+        out = tmp_path / "c.json"
+        code = run_cli(
+            ["compress", "--epsilon", "0.1175", "--rounds", "148", "--trials", "3",
+             "--seed", "5", "--out", str(out)]
+        )
+        assert code == 0
+        sup = compressor.minimal_t(74, 0.1175, compressor.default_theta(74, 0.1175))
+        assert sup > compressor.default_t(0.1175)
+        ceiling = json.loads(out.read_text())["metrics"]["alpha_ceiling"]
+        assert ceiling == pytest.approx((50.0 * sup**2 + 10.0) * 5)  # ceil(eps^2 * 296) = 5
 
     def test_chunked_regime_runs(self, tmp_path):
         code = run_cli(
@@ -361,8 +352,12 @@ class TestCounts:
             (["equiv", "--mode", "ecub", "--samples", "0"], "samples must be >= 1, got 0"),
             (["equiv", "--mode", "eclb", "--instances", "-3"], "instances must be >= 1, got -3"),
             (["chunk-verify", "--samples", "-5"], "samples must be >= 0, got -5"),
+            (["sample-prior", "--grid-n", "0"], "grid_n must be >= 1, got 0"),
         ],
-        ids=["walk-brw", "walk-ubrw", "compress", "sample-prior", "ecub", "eclb", "chunk-verify"],
+        ids=[
+            "walk-brw", "walk-ubrw", "compress", "sample-prior", "ecub", "eclb", "chunk-verify",
+            "grid-n",
+        ],
     )
     def test_non_positive_count_exits_2(self, capsys, args, message):
         code = run_cli(args)
@@ -391,6 +386,14 @@ class TestCounts:
         assert code == 2
         captured = capsys.readouterr()
         assert f"--t is {value!r}, not \"minimal\", \"default\" or a finite number" in captured.err
+        assert "[PASS]" not in captured.out
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308", "-0.5"])
+    def test_bad_theta_named(self, capsys, value):
+        code = run_cli(["chunk-verify", "--theta", value, "--samples", "10"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"--theta is {float(value)!r}, not a finite number in [0, gamma=20]" in captured.err
         assert "[PASS]" not in captured.out
 
     def test_zero_chunk_samples_check_exact_law_only(self, tmp_path):

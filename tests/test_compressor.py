@@ -71,6 +71,11 @@ class TestParams:
         with pytest.raises(ParameterError, match="t must be positive and finite"):
             ChunkParams(20, 0.1, 4.0, t)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_theta_finite(self, theta):
+        with pytest.raises(ParameterError, match="theta must be finite"):
+            ChunkParams(20, 0.1, theta, 3.0)
+
     def test_low_mass_cached_matches_function(self):
         params = ChunkParams.for_advantage(0.07, gamma=16)
         assert params.low_mass == low_error_mass(params)
@@ -990,29 +995,31 @@ class TestChunkRecord:
         # stream moves these values; such a change re-pins them.  The go-low
         # coin is each trial's first public draw, so a change inside one
         # branch keeps the branch column.
-        trials = V.run_chunk_trials(pinned_chunk_params(), seeded_spec(20, 41), 0, 1, 12345, 0, 400)
-        assert all(t.failure is None for t in trials)
-        columns = np.array([t[:7] for t in trials], dtype=np.int64)
+        result = V.monte_carlo_chunk(pinned_chunk_params(), seeded_spec(20, 41), 0, 1, 400, 12345)
+        trials = result.trials
+        assert not result.failures and len(trials) == 400
+        columns = np.array(trials, dtype=np.int64)
         # index, m_x, m_y, bits, branch, rounds, threshold_rounds
         assert columns.sum(axis=0).tolist() == [79800, 1600, 1622, 20376, 385, 3071, 3153]
-        assert tuple(trials[1]) == (1, 5, 5, 34, 1, 5, 6, None)
+        assert tuple(trials[1]) == (1, 5, 5, 34, 1, 5, 6)
         low = [tuple(t) for t in trials if t.branch == 0]
         assert len(low) == 15
-        assert low[:2] == [(137, 1, 3, 376, 0, 15, 18, None), (169, 3, 1, 78, 0, 3, 4, None)]
+        assert low[:2] == [(137, 1, 3, 376, 0, 15, 18), (169, 3, 1, 78, 0, 3, 4)]
         digest = hashlib.sha256(columns.astype("<i8").tobytes()).hexdigest()
         assert digest == "9ae5008bfeb4a8e3787e518326b1b1156df7628204fd632da2a2a0a9a43693ed"
 
     def test_nested_span_trials_pinned(self):
         # At eps 0.05 the low branch proposes a chunked span at eps 0.1, a
         # nested level the eps 0.1 pin never reaches: 39 of 200 trials.
-        trials = V.run_chunk_trials(
-            pinned_chunk_params(0.05), seeded_spec(20, 41), 0, 1, 12345, 0, 200
+        result = V.monte_carlo_chunk(
+            pinned_chunk_params(0.05), seeded_spec(20, 41), 0, 1, 200, 12345
         )
-        assert all(t.failure is None for t in trials)
-        columns = np.array([t[:7] for t in trials], dtype=np.int64)
+        trials = result.trials
+        assert not result.failures and len(trials) == 200
+        columns = np.array(trials, dtype=np.int64)
         assert columns.sum(axis=0).tolist() == [19900, 896, 924, 8290, 161, 444, 554]
         assert sum(t.branch == 0 for t in trials) == 39
-        assert tuple(trials[1]) == (1, 2, 3, 46, 0, 1, 1, None)
+        assert tuple(trials[1]) == (1, 2, 3, 46, 0, 1, 1)
         digest = hashlib.sha256(columns.astype("<i8").tobytes()).hexdigest()
         assert digest == "d10ee1d630ecc6eb6addabc68499fbdd707e9c03500c97b9700c7dca2919e704"
 
