@@ -2,10 +2,13 @@
 
 Each subcommand parses its arguments, calls one experiment function of
 `bsclab.suite` (the one its acceptance criterion calls at pinned
-parameters), prints a short summary, optionally writes a canonical JSON
-report and a per-trial CSV, and exits 0 exactly when every check in the
-report passed.  Every subcommand takes an explicit seed; there is no
-wall-clock entropy anywhere.
+parameters; `suite` runs the criteria themselves and folds their verdicts
+into one `ExperimentResult`) and returns a `Report`: the experiment's name,
+its parameters, its seeds and that result.  `main` then does the same for
+every subcommand: it prints a short summary, writes the canonical JSON
+report (`--out`) and the CSV (`--csv`), and exits 0 exactly when every
+check passed (2 on a bad parameter, before any trial runs).  Every
+subcommand takes an explicit seed; there is no wall-clock entropy anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,76 +28,45 @@ from .core import ParameterError, SpecError, constant_spec, load_spec, seeded_sp
 from .infotheory import uniform_inputs
 
 
-@dataclass
-class ReportDocument:
-    """Experiment record: parameters, seeds, metrics and verdicts.
-
-    Rerunning with the same seeds reproduces every field except the wall
-    clock.  `trials` (column name -> one value per trial) feeds the CSV
-    writer only and never enters the JSON.
-    """
-
-    experiment: str
-    parameters: dict
-    seeds: dict
-    metrics: dict = field(default_factory=dict)
-    tests: list = field(default_factory=list)
-    trials: dict = field(default_factory=dict)
-    wall_clock_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "parameters": self.parameters,
-            "seeds": self.seeds,
-            "metrics": self.metrics,
-            "tests": self.tests,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
-
-    @property
-    def all_passed(self) -> bool:
-        return all(t.get("passed", False) for t in self.tests)
+Report = tuple[str, dict, dict, suite.ExperimentResult]
+"""What every subcommand returns: (experiment, parameters, seeds, result)."""
 
 
-def emit_report(doc: ReportDocument, path: str | None, fmt: str = "json") -> None:
-    """Write the report; JSON uses canonical key order, CSV one row per trial."""
-    if path is None:
-        return
-    if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    elif fmt == "csv":
-        columns = [np.asarray(c).tolist() for c in doc.trials.values()]
-        rows = [dict(zip(doc.trials, row)) for row in zip(*columns)] or [
-            {"metric": k, "value": v}
-            for k, v in doc.metrics.items()
-            if isinstance(v, (int, float, str, bool))
-        ]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            if not rows:
-                return
+def write_json(doc: dict, path: str) -> None:
+    """Write `doc` as canonical JSON: sorted keys, indent 2, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_csv(trials: dict, metrics: dict, path: str) -> None:
+    """One row per trial; without per-trial columns, one `metric,value` row
+    per scalar metric (an empty file when there is none)."""
+    columns = [np.asarray(c).tolist() for c in trials.values()]
+    rows = [dict(zip(trials, row)) for row in zip(*columns)] or [
+        {"metric": k, "value": v}
+        for k, v in metrics.items()
+        if isinstance(v, (int, float, str, bool))
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if rows:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
+
+
+# ---------------------------------------------------------------------------
+# Experiment subcommands: parse, call one suite experiment, name the run
+# ---------------------------------------------------------------------------
+
+
+def cmd_chunk_verify(args: argparse.Namespace) -> Report:
+    seeds = {"base": args.seed}
+    if args.spec:
+        spec = load_spec(args.spec)
     else:
-        raise ValueError(f"unknown report format {fmt!r}")
-
-
-# ---------------------------------------------------------------------------
-# Experiment subcommands: parse, call one suite experiment, wrap the report
-# ---------------------------------------------------------------------------
-
-
-def _report(
-    experiment: str, parameters: dict, seeds: dict, res: suite.ExperimentResult
-) -> ReportDocument:
-    return ReportDocument(experiment, parameters, seeds, res.metrics, res.checks, res.trials)
-
-
-def cmd_chunk_verify(args: argparse.Namespace) -> ReportDocument:
-    spec = load_spec(args.spec) if args.spec else seeded_spec(args.gamma, args.spec_seed)
+        spec = seeded_spec(args.gamma, args.spec_seed)
+        seeds["spec"] = args.spec_seed
     if args.theta is None:
         theta = default_theta(args.gamma, args.epsilon)
     elif 0.0 <= args.theta <= args.gamma:
@@ -117,42 +88,32 @@ def cmd_chunk_verify(args: argparse.Namespace) -> ReportDocument:
             raise ParameterError(f'--t is {args.t!r}, not "minimal", "default" or a finite number')
     params = ChunkParams(args.gamma, args.epsilon, theta, t)
     res = suite.chunk_experiment(params, spec, args.samples, args.seed)
-    return _report(
-        "chunk-verify",
-        {
-            "gamma": params.gamma,
-            "epsilon": params.epsilon,
-            "theta": params.theta,
-            "t": params.t,
-            "samples": args.samples,
-        },
-        {"base": args.seed, "spec": args.spec_seed},
-        res,
-    )
+    parameters = {
+        "gamma": params.gamma,
+        "epsilon": params.epsilon,
+        "theta": params.theta,
+        "t": params.t,
+        "samples": args.samples,
+    }
+    if args.spec:
+        parameters["spec"] = args.spec
+    return "chunk-verify", parameters, seeds, res
 
 
-def cmd_compress(args: argparse.Namespace) -> ReportDocument:
+def cmd_compress(args: argparse.Namespace) -> Report:
     spec = load_spec(args.spec) if args.spec else constant_spec(args.rounds)
     res = suite.compression_experiment(spec, args.epsilon, args.trials, args.seed)
-    return _report(
-        "compress",
-        {"rounds": spec.rounds, "epsilon": args.epsilon, "trials": args.trials},
-        {"base": args.seed},
-        res,
-    )
+    parameters = {"rounds": spec.rounds, "epsilon": args.epsilon, "trials": args.trials}
+    return "compress", parameters, {"base": args.seed}, res
 
 
-def cmd_walk(args: argparse.Namespace) -> ReportDocument:
+def cmd_walk(args: argparse.Namespace) -> Report:
     if args.mode == "brw":
         res = suite.biased_walk_experiment([(args.a, args.b, args.seed)], args.trials)
     else:
         res = suite.unbiased_walk_experiment(args.a, args.b, args.trials, args.seed)
-    return _report(
-        f"walk-{args.mode}",
-        {"a": args.a, "b": args.b, "trials": args.trials},
-        {"base": args.seed},
-        res,
-    )
+    parameters = {"a": args.a, "b": args.b, "trials": args.trials}
+    return f"walk-{args.mode}", parameters, {"base": args.seed}, res
 
 
 def _parse_list(flag: str, raw: str, parse, form: str) -> list:
@@ -172,18 +133,14 @@ def _pair(entry: str) -> tuple[float, float]:
     return p, q
 
 
-def cmd_sample_prior(args: argparse.Namespace) -> ReportDocument:
+def cmd_sample_prior(args: argparse.Namespace) -> Report:
     if args.pairs:
         pairs = _parse_list("--pairs", args.pairs, _pair, "p:q")
     else:
         pairs = [(args.p, args.q)]
     res = suite.sample_prior_experiment(pairs, args.grid_n, args.samples, args.seed)
-    return _report(
-        "sample-prior",
-        {"grid_n": args.grid_n, "samples": args.samples},
-        {"base": args.seed},
-        res,
-    )
+    parameters = {"grid_n": args.grid_n, "samples": args.samples}
+    return "sample-prior", parameters, {"base": args.seed}, res
 
 
 def _load_mu(arg: str, spec) -> dict:
@@ -205,15 +162,13 @@ def _load_mu(arg: str, spec) -> dict:
     return mu
 
 
-def cmd_icost(args: argparse.Namespace) -> ReportDocument:
+def cmd_icost(args: argparse.Namespace) -> Report:
     spec = load_spec(args.spec)
     res = suite.icost_experiment(spec, _load_mu(args.mu, spec))
-    return _report(
-        "icost", {"spec": args.spec, "mu": args.mu, "rounds": spec.rounds}, {}, res
-    )
+    return "icost", {"spec": args.spec, "mu": args.mu, "rounds": spec.rounds}, {}, res
 
 
-def cmd_equiv(args: argparse.Namespace) -> ReportDocument:
+def cmd_equiv(args: argparse.Namespace) -> Report:
     runs = []
     if args.mode in ("eclb", "both"):
         runs.append(("eclb", suite.eclb_experiment(args.instances, args.seed)))
@@ -223,17 +178,13 @@ def cmd_equiv(args: argparse.Namespace) -> ReportDocument:
         {f"{mode}_{k}": v for mode, r in runs for k, v in r.metrics.items()},
         [c for _, r in runs for c in r.checks],
     )
-    return _report(
-        "equiv",
-        {
-            "mode": args.mode,
-            "instances": args.instances,
-            "samples": args.samples,
-            "grid_n": args.grid_n,
-        },
-        {"base": args.seed},
-        res,
-    )
+    parameters = {
+        "mode": args.mode,
+        "instances": args.instances,
+        "samples": args.samples,
+        "grid_n": args.grid_n,
+    }
+    return "equiv", parameters, {"base": args.seed}, res
 
 
 # ---------------------------------------------------------------------------
@@ -241,26 +192,22 @@ def cmd_equiv(args: argparse.Namespace) -> ReportDocument:
 # ---------------------------------------------------------------------------
 
 
-def cmd_suite(args: argparse.Namespace) -> ReportDocument:
+def cmd_suite(args: argparse.Namespace) -> Report:
     numbers = None
     if args.criteria:
         numbers = _parse_list("--criteria", args.criteria, int, "an integer")
     results = suite.run_suite(seed=args.seed, numbers=numbers)
     for res in results:
         print(res.line())
-    return ReportDocument(
-        experiment="suite",
-        parameters={"criteria": numbers or [n for n, _ in suite.CRITERIA]},
-        seeds={"base": args.seed},
-        metrics={
-            f"criterion_{res.number:02d}": {"name": res.name, **_jsonable(res.metrics)}
-            for res in results
-        },
-        tests=[
+    verdicts = suite.ExperimentResult(
+        {f"criterion_{res.number:02d}": {"name": res.name, **res.metrics} for res in results},
+        [
             {"name": f"criterion {res.number:02d}: {res.name}", "passed": res.passed}
             for res in results
         ],
     )
+    parameters = {"criteria": numbers or [n for n, _ in suite.CRITERIA]}
+    return "suite", parameters, {"base": args.seed}, verdicts
 
 
 def _jsonable(obj):
@@ -354,27 +301,35 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        doc: ReportDocument = args.func(args)
+        experiment, parameters, seeds, res = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc.wall_clock_seconds = time.perf_counter() - start
-    doc.metrics = _jsonable(doc.metrics)
+    wall_clock = time.perf_counter() - start
+    metrics = _jsonable(res.metrics)
 
-    print(f"experiment: {doc.experiment}")
-    for key, value in doc.metrics.items():
+    print(f"experiment: {experiment}")
+    for key, value in metrics.items():
         if isinstance(value, float):
             print(f"  {key} = {value:.6g}")
         elif isinstance(value, (int, str, bool)):
             print(f"  {key} = {value}")
-    for t in doc.tests:
-        print(f"  [{'PASS' if t['passed'] else 'FAIL'}] {t['name']}")
-    emit_report(doc, args.out, "json")
-    if args.csv:
-        emit_report(doc, args.csv, "csv")
+    for check in res.checks:
+        print(f"  [{'PASS' if check['passed'] else 'FAIL'}] {check['name']}")
     if args.out:
+        doc = {
+            "experiment": experiment,
+            "parameters": parameters,
+            "seeds": seeds,
+            "metrics": metrics,
+            "tests": res.checks,
+            "wall_clock_seconds": wall_clock,
+        }
+        write_json(doc, args.out)
         print(f"report written to {args.out}")
-    return 0 if doc.all_passed else 1
+    if args.csv:
+        write_csv(res.trials, metrics, args.csv)
+    return 0 if res.passed else 1
 
 
 if __name__ == "__main__":

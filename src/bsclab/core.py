@@ -169,7 +169,6 @@ class ProtocolSpec:
     next_bit: Callable[[str, Any, str], float]
     crossover: Callable[[str, Any, str], float] | None = None
     deterministic: bool = True
-    padding: int = 0
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -210,10 +209,7 @@ class ProtocolSpec:
 
 
 def pad_to_even(spec: ProtocolSpec) -> ProtocolSpec:
-    """Append a constant-0 dummy round if the round count is odd.
-
-    Padding is recorded in `padding` so reports can quote raw and padded T.
-    """
+    """Append a constant-0 dummy round if the round count is odd."""
     if spec.rounds % 2 == 0:
         return spec
     base_rounds = spec.rounds
@@ -237,7 +233,6 @@ def pad_to_even(spec: ProtocolSpec) -> ProtocolSpec:
         rounds=base_rounds + 1,
         next_bit=padded_next,
         crossover=padded_cross,
-        padding=spec.padding + 1,
     )
 
 

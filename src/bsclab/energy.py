@@ -68,10 +68,11 @@ _WORD_DISP, _WORD_LO, _WORD_HI = _word_tables()
 
 @dataclass(frozen=True)
 class WalkOutcome:
+    """Where a walk ended and how many steps it took; its bits and energy
+    are charged to the caller's ledger."""
+
     end_index: int
     steps: int
-    bits: int
-    energy: float
 
 
 def _walk_phase(
@@ -151,12 +152,11 @@ def brw_to_top(
             f"biased-walk recursion exceeded its depth cap: a={a}, b={b}, "
             f"depth {_depth} > BRW_MAX_DEPTH={BRW_MAX_DEPTH}"
         )
-    bits0, energy0 = ledger.bits_sent, ledger.energy
     if b == 0:
-        return WalkOutcome(a, 0, 0, 0.0)
+        return WalkOutcome(a, 0)
     if b <= BRW_BASE_CASE:
         ledger.charge(0.0, b)
-        return WalkOutcome(a + b, b, b, float(b))
+        return WalkOutcome(a + b, b)
     c = a // 2
     crossover = 0.5 - 3.0 / c
     steps = 0
@@ -179,9 +179,7 @@ def brw_to_top(
             steps += sub.steps
             break
         # d == a: just run the phase again.
-    return WalkOutcome(
-        a + b, steps, ledger.bits_sent - bits0, ledger.energy - energy0
-    )
+    return WalkOutcome(a + b, steps)
 
 
 def unbiased_walk(a: int, top: int, rng: RandomSource, ledger: CostLedger) -> WalkOutcome:
@@ -195,15 +193,14 @@ def unbiased_walk(a: int, top: int, rng: RandomSource, ledger: CostLedger) -> Wa
     if not 0 <= a <= top:
         raise ParameterError(f"start {a} outside [0, {top}]")
     if a in (0, top):
-        return WalkOutcome(a, 0, 0, 0.0)
+        return WalkOutcome(a, 0)
     cap = 100 * top * top
-    bits0, energy0 = ledger.bits_sent, ledger.energy
     pos, taken = _walk_phase(a, 0, top, 0.5, 0.5, cap, rng, ledger)
     if pos not in (0, top):
         raise IterationCapExceeded(
             f"unbiased walk on [0, {top}] unabsorbed after {cap} steps"
         )
-    return WalkOutcome(pos, taken, ledger.bits_sent - bits0, ledger.energy - energy0)
+    return WalkOutcome(pos, taken)
 
 
 def _final_bit(lam: float, rng: RandomSource, ledger: CostLedger) -> int:
@@ -339,7 +336,6 @@ def noiseless_from_noisy(pi: ProtocolSpec, mu: dict | None = None) -> ProtocolSp
         ReceivedBit(pi),
         crossover=None,
         deterministic=False,
-        padding=pi.padding,
     )
 
 

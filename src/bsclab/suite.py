@@ -229,9 +229,10 @@ def _walk_batch(walk: Callable, trials: int, seed: int) -> tuple[np.ndarray, ...
     steps = np.zeros(trials, dtype=np.int64)
     total = 0.0
     for i in range(trials):
-        out = walk(rng, CostLedger())
-        ends[i], energies[i], steps[i] = out.end_index, out.energy, out.steps
-        total += out.energy
+        ledger = CostLedger()
+        out = walk(rng, ledger)
+        ends[i], energies[i], steps[i] = out.end_index, ledger.energy, out.steps
+        total += ledger.energy
     return ends, energies, steps, total
 
 

@@ -35,6 +35,9 @@ from .core import (
 )
 from .compressor import ChunkParams
 
+# Every chi-square check in bsclab runs at this significance.
+SIGNIFICANCE = 0.001
+
 
 def class_law(half: int, epsilon: float) -> np.ndarray:
     """Exact product law of (m_x, m_y) for a depth-2*half run at advantage eps."""
@@ -102,13 +105,12 @@ class GofResult:
     p_value: float
     passed: bool
     sample_size: int
-    significance: float = 0.001
+    significance: float = SIGNIFICANCE
 
 
-def chi_square_gof(
-    counts: np.ndarray, expected_probs: np.ndarray, significance: float = 0.001
-) -> GofResult:
-    """Chi-square goodness of fit with cells below expected count 5 pooled.
+def chi_square_gof(counts: np.ndarray, expected_probs: np.ndarray) -> GofResult:
+    """Chi-square goodness of fit at `SIGNIFICANCE`, with cells below
+    expected count 5 pooled.
 
     A degenerate expectation (fewer than two pooled cells) passes trivially
     with p = 1.
@@ -135,13 +137,11 @@ def chi_square_gof(
         else:
             groups.append((obs_acc, exp_acc))
     if len(groups) < 2:
-        return GofResult(0.0, 0, 1.0, True, int(n), significance)
+        return GofResult(0.0, 0, 1.0, True, int(n))
     stat = sum((o - e) ** 2 / e for o, e in groups)
     dof = len(groups) - 1
     p_value = float(chi2.sf(stat, dof))
-    return GofResult(
-        float(stat), dof, p_value, p_value >= significance, int(n), significance
-    )
+    return GofResult(float(stat), dof, p_value, p_value >= SIGNIFICANCE, int(n))
 
 
 class ChunkTrial(NamedTuple):

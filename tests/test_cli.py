@@ -405,25 +405,95 @@ class TestCounts:
 
 class TestEmitReport:
     def test_serialize_twice_identical(self, tmp_path):
-        doc = cli.ReportDocument(
-            experiment="demo",
-            parameters={"b": 2, "a": 1},
-            seeds={"base": 0},
-            metrics={"zeta": 1.0, "alpha": 2.0},
-            tests=[{"name": "ok", "passed": True}],
-        )
-        other = cli.ReportDocument(
-            experiment="demo",
-            parameters={"a": 1, "b": 2},
-            seeds={"base": 0},
-            metrics={"alpha": 2.0, "zeta": 1.0},
-            tests=[{"name": "ok", "passed": True}],
-        )
+        doc = {
+            "experiment": "demo",
+            "parameters": {"b": 2, "a": 1},
+            "metrics": {"zeta": 1.0, "alpha": 2.0},
+        }
+        other = {
+            "metrics": {"alpha": 2.0, "zeta": 1.0},
+            "parameters": {"a": 1, "b": 2},
+            "experiment": "demo",
+        }
         p1, p2 = tmp_path / "1.json", tmp_path / "2.json"
-        cli.emit_report(doc, str(p1))
-        cli.emit_report(other, str(p2))
+        cli.write_json(doc, str(p1))
+        cli.write_json(other, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         assert json.loads(p1.read_text())["experiment"] == "demo"
+
+
+def _seeded_spec_file(tmp_path, rounds=6):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        json.dumps(
+            {"rounds": rounds, "alice_inputs": [0, 1], "bob_inputs": [0, 1],
+             "kind": "seeded", "seed": 5}
+        )
+    )
+    return path
+
+
+# Every subcommand at a small size, with the CSV shape its report implies:
+# one row per trial where the experiment has trials, else one
+# `metric,value` row per scalar metric.
+SUBCOMMANDS = {
+    "chunk-verify": (["chunk-verify", "--gamma", "6", "--samples", "200"], 200),
+    "compress": (["compress", "--rounds", "8", "--trials", "20"], 20),
+    "walk-brw": (["walk", "--mode", "brw", "--a", "13", "--b", "13", "--trials", "30"], 30),
+    "walk-ubrw": (["walk", "--mode", "ubrw", "--a", "3", "--b", "1", "--trials", "40"], 40),
+    "sample-prior": (["sample-prior", "--pairs", "0.3:0.2,0.25:0.25", "--grid-n", "32",
+                      "--samples", "2000"], 2),
+    "icost": (["icost", "--spec", "SPEC"], None),
+    "equiv": (["equiv", "--instances", "5", "--samples", "600", "--grid-n", "16"], None),
+    "suite": (["suite", "--criteria", "1"], None),
+}
+
+
+class TestOneReportPath:
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_json_keys_csv_shape_and_exit(self, tmp_path, name):
+        args, trial_rows = SUBCOMMANDS[name]
+        args = [str(_seeded_spec_file(tmp_path)) if a == "SPEC" else a for a in args]
+        out, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+        code = run_cli([*args, "--seed", "3", "--out", str(out), "--csv", str(csv_path)])
+        doc = json.loads(out.read_text())
+        assert set(doc) == {
+            "experiment", "parameters", "seeds", "metrics", "tests", "wall_clock_seconds"
+        }
+        assert code == 0 and all(t["passed"] for t in doc["tests"])
+        lines = csv_path.read_text().splitlines()
+        if trial_rows is not None:
+            assert len(lines) == 1 + trial_rows
+            return
+        scalars = [
+            k for k, v in doc["metrics"].items() if isinstance(v, (int, float, str, bool))
+        ]
+        if scalars:
+            assert lines[0] == "metric,value"
+            assert sorted(lines[1:]) == sorted(f"{k},{doc['metrics'][k]}" for k in scalars)
+        else:  # the suite's metrics are one record per criterion
+            assert lines == []
+
+
+class TestSpecFile:
+    def test_spec_file_named_in_parameters(self, tmp_path):
+        spec = _seeded_spec_file(tmp_path, rounds=8)
+        out = tmp_path / "r.json"
+        code = run_cli(["chunk-verify", "--gamma", "8", "--samples", "200",
+                        "--spec", str(spec), "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["parameters"]["spec"] == str(spec)
+        assert doc["seeds"] == {"base": 7}
+
+    def test_seeded_default_spec_records_its_seed(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = run_cli(["chunk-verify", "--gamma", "8", "--samples", "200",
+                        "--spec-seed", "5", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert "spec" not in doc["parameters"]
+        assert doc["seeds"] == {"base": 7, "spec": 5}
 
 
 class TestParser:

@@ -225,7 +225,7 @@ class TestPadding:
     def test_odd_spec_padded(self):
         spec = xor_spec(3)
         padded = pad_to_even(spec)
-        assert padded.rounds == 4 and padded.padding == 1
+        assert padded.rounds == 4
         # dummy round intends 0 regardless of state
         assert padded.intent(BOB, 1, "101") == 0.0
 
