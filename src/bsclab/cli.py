@@ -2,12 +2,12 @@
 
 Each subcommand parses its arguments, calls one experiment function of
 `bsclab.suite` (the one its acceptance criterion calls at pinned
-parameters; `suite` runs the criteria themselves and folds their verdicts
-into one `ExperimentResult`) and returns a `Report`: the experiment's name,
-its parameters, its seeds and that result.  `main` then does the same for
-every subcommand: it prints a short summary, writes the canonical JSON
-report (`--out`) and the CSV (`--csv`), and exits 0 exactly when every
-check passed (2 on a bad parameter, before any trial runs).  Every
+parameters; `equiv` runs two and `suite` runs the criteria themselves,
+each folding their results by `suite.combine`) and returns a `Report`: the
+experiment's name, its parameters, its seeds and that result.  `main` then
+does the same for every subcommand: it prints a short summary, writes the
+canonical JSON report (`--out`) and the CSV (`--csv`), and exits 0 exactly
+when every check passed (2 on a bad parameter, before any trial runs).  Every
 subcommand takes an explicit seed; there is no wall-clock entropy anywhere.
 """
 
@@ -41,7 +41,7 @@ def write_json(doc: dict, path: str) -> None:
 
 def write_csv(trials: dict, metrics: dict, path: str) -> None:
     """One row per trial; without per-trial columns, one `metric,value` row
-    per scalar metric (an empty file when there is none)."""
+    per scalar metric."""
     columns = [np.asarray(c).tolist() for c in trials.values()]
     rows = [dict(zip(trials, row)) for row in zip(*columns)] or [
         {"metric": k, "value": v}
@@ -104,6 +104,8 @@ def cmd_compress(args: argparse.Namespace) -> Report:
     spec = load_spec(args.spec) if args.spec else constant_spec(args.rounds)
     res = suite.compression_experiment(spec, args.epsilon, args.trials, args.seed)
     parameters = {"rounds": spec.rounds, "epsilon": args.epsilon, "trials": args.trials}
+    if args.spec:
+        parameters["spec"] = args.spec
     return "compress", parameters, {"base": args.seed}, res
 
 
@@ -169,15 +171,18 @@ def cmd_icost(args: argparse.Namespace) -> Report:
 
 
 def cmd_equiv(args: argparse.Namespace) -> Report:
-    runs = []
-    if args.mode in ("eclb", "both"):
-        runs.append(("eclb", suite.eclb_experiment(args.instances, args.seed)))
-    if args.mode in ("ecub", "both"):
-        runs.append(("ecub", suite.ecub_experiment(args.grid_n, args.samples, args.seed)))
-    res = suite.ExperimentResult(
-        {f"{mode}_{k}": v for mode, r in runs for k, v in r.metrics.items()},
-        [c for _, r in runs for c in r.checks],
-    )
+    eclb, ecub = args.mode in ("eclb", "both"), args.mode in ("ecub", "both")
+    # Repeats ecub_experiment's own count checks on purpose: a bad ecub
+    # count must exit 2 before eclb's run, which checks its own count first.
+    if ecub:
+        suite.require_count("samples", args.samples)
+        suite.require_count("grid_n", args.grid_n)
+    runs = {}
+    if eclb:
+        runs["eclb"] = suite.eclb_experiment(args.instances, args.seed)
+    if ecub:
+        runs["ecub"] = suite.ecub_experiment(args.grid_n, args.samples, args.seed)
+    res = suite.combine(runs)
     parameters = {
         "mode": args.mode,
         "instances": args.instances,
@@ -196,18 +201,9 @@ def cmd_suite(args: argparse.Namespace) -> Report:
     numbers = None
     if args.criteria:
         numbers = _parse_list("--criteria", args.criteria, int, "an integer")
-    results = suite.run_suite(seed=args.seed, numbers=numbers)
-    for res in results:
-        print(res.line())
-    verdicts = suite.ExperimentResult(
-        {f"criterion_{res.number:02d}": {"name": res.name, **res.metrics} for res in results},
-        [
-            {"name": f"criterion {res.number:02d}: {res.name}", "passed": res.passed}
-            for res in results
-        ],
-    )
-    parameters = {"criteria": numbers or [n for n, _ in suite.CRITERIA]}
-    return "suite", parameters, {"base": args.seed}, verdicts
+    res = suite.run_suite(seed=args.seed, numbers=numbers)
+    parameters = {"criteria": numbers or list(suite.CRITERIA)}
+    return "suite", parameters, {"base": args.seed}, res
 
 
 def _jsonable(obj):

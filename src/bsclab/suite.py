@@ -4,10 +4,11 @@ Each experiment is one function from parameters and seed(s) to an
 ExperimentResult: it runs the sampling loop, computes the statistics and
 applies the pass/fail checks, and returns them with per-trial columns.  The
 CLI subcommands call these functions at user-chosen parameters; each
-acceptance criterion calls one at pinned parameters and seeds and returns a
-CriterionResult, so a CLI report carries exactly the checks of the criterion
-it generalises.  Statistical checks run at significance 0.001; exact checks
-carry explicit numeric tolerances.
+acceptance criterion in `CRITERIA` is a name and one call of them at pinned
+parameters and seeds, so a CLI report carries exactly the checks of the
+criterion it generalises.  `combine` folds several named results into one;
+`run_suite` folds the chosen criteria with it.  Statistical checks run at
+significance 0.001; exact checks carry explicit numeric tolerances.
 """
 
 from __future__ import annotations
@@ -40,22 +41,6 @@ DEFAULT_SUITE_SEED = 20250809
 
 
 @dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    metrics: dict = field(default_factory=dict)
-
-    def line(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        keys = ", ".join(
-            f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-            for k, v in list(self.metrics.items())[:4]
-        )
-        return f"[criterion {self.number:02d}] {self.name}: {verdict} ({keys})"
-
-
-@dataclass
 class ExperimentResult:
     """Metrics, named pass/fail checks and per-trial columns of one run;
     `trials` maps each column name to one value per trial."""
@@ -73,10 +58,24 @@ def _check(name: str, passed) -> dict:
     return {"name": name, "passed": bool(passed)}
 
 
-def _require_count(name: str, value: int, least: int = 1) -> None:
+def require_count(name: str, value: int, least: int = 1) -> None:
     """Reject a trial, sample or instance count below `least` before any run."""
     if value < least:
         raise ParameterError(f"{name} must be >= {least}, got {value}")
+
+
+def combine(results: dict[str, ExperimentResult]) -> ExperimentResult:
+    """Fold named results into one: metric `{key}_{name}` and check
+    `{key}: {name}` for each metric and check of the result under `key`.
+    Per-trial columns are not carried over."""
+    return ExperimentResult(
+        {f"{key}_{k}": v for key, r in results.items() for k, v in r.metrics.items()},
+        [
+            _check(f"{key}: {c['name']}", c["passed"])
+            for key, r in results.items()
+            for c in r.checks
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +123,15 @@ def random_mu(gen: np.random.Generator, spec: ProtocolSpec) -> dict:
     return {pair: float(w) for pair, w in zip(pairs, weights)}
 
 
+def _random_instances(instances: int, seed: int, draw_spec: Callable):
+    """Yield (spec, mu) per instance k: 1-3 rounds, the spec drawn by
+    draw_spec(gen, rounds) and a random input law, from default_rng(seed + k)."""
+    for k in range(instances):
+        gen = np.random.default_rng(seed + k)
+        spec = draw_spec(gen, int(gen.integers(1, 4)))
+        yield spec, random_mu(gen, spec)
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -139,7 +147,7 @@ def chunk_experiment(
     `samples` runs of `spec` on inputs (0, 1) by `verify.monte_carlo_chunk`
     at base seed `seed`, against the exact law.  Bad parameters raise
     `ParameterError` from the class DP before any trial runs."""
-    _require_count("samples", samples, least=0)
+    require_count("samples", samples, least=0)
     exact = verify.exact_chunk_distribution(params)
     max_diff = float(np.max(np.abs(exact - verify.class_law(params.half, params.epsilon))))
     metrics = {"exact_max_abs_diff": max_diff}
@@ -179,7 +187,7 @@ def compression_experiment(
     the (loose) ceiling alpha * ceil(eps^2 * 2T), alpha = max(1/beta^2, 50 t^2 + 10),
     with t the largest of `default_t(eps)` and the plan's chunk normalizers.
     """
-    _require_count("trials", trials)
+    require_count("trials", trials)
     x, y = spec.alice_inputs[0], spec.bob_inputs[0]
     padded = pad_to_even(spec)
     plan = compressor.chunk_plan(epsilon, padded.rounds)
@@ -244,7 +252,7 @@ def biased_walk_experiment(
     Every run must end at a+b, and the mean energy pooled over the battery
     must stay at most 48.
     """
-    _require_count("trials", trials)
+    require_count("trials", trials)
     batches = []
     tops = 0
     total_energy = 0.0
@@ -280,7 +288,7 @@ def biased_walk_experiment(
 def unbiased_walk_experiment(a: int, b: int, trials: int, seed: int) -> ExperimentResult:
     """Symmetric walks on [0, a+b] from a: absorption at the top within
     3 sigma of a/(a+b), and zero energy identically."""
-    _require_count("trials", trials)
+    require_count("trials", trials)
     if a + b < 1:
         raise ParameterError(f"a + b must be >= 1, got a={a}, b={b}")
     top = a + b
@@ -314,8 +322,8 @@ def sample_prior_experiment(
     Each pair's mean must lie within 3 sigma of p, and its mean energy over
     (divergence + 1/(2 grid_n)) must stay at most 200.
     """
-    _require_count("samples", samples)
-    _require_count("grid_n", grid_n)
+    require_count("samples", samples)
+    require_count("grid_n", grid_n)
     eps_i = 1.0 / (2 * grid_n)
     rows = []
     checks = []
@@ -357,14 +365,10 @@ def eclb_experiment(instances: int, seed: int) -> ExperimentResult:
 
     Instance k is drawn from default_rng(seed + k).
     """
-    _require_count("instances", instances)
+    require_count("instances", instances)
     worst_slack = -math.inf
     holds = True
-    for k in range(instances):
-        gen = np.random.default_rng(seed + k)
-        rounds = int(gen.integers(1, 4))
-        pi = random_variable_noise_spec(gen, rounds)
-        mu = random_mu(gen, pi)
+    for pi, mu in _random_instances(instances, seed, random_variable_noise_spec):
         phi = energy.noiseless_from_noisy(pi, mu)
         slack = external_info_cost(phi, mu).bits - energy.expected_energy_cost(pi, mu) / LN2
         worst_slack = max(worst_slack, slack)
@@ -412,7 +416,8 @@ def ecub_experiment(grid_n: int, samples: int, seed: int) -> ExperimentResult:
     the noiseless protocol's, and its mean energy over
     (IC_ext + 1/(2 grid_n)) must stay at most 1e4.
     """
-    _require_count("samples", samples)
+    require_count("samples", samples)
+    require_count("grid_n", grid_n)
     rows = []
     checks = []
     for idx, (name, phi) in enumerate(ecub_battery()):
@@ -477,74 +482,27 @@ def icost_experiment(spec: ProtocolSpec, mu: dict) -> ExperimentResult:
     )
 
 
-# ---------------------------------------------------------------------------
-# Criteria: experiments at pinned parameters and seeds
-# ---------------------------------------------------------------------------
-
-
-def criterion_01_chunk_exact_analytic(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
-    """Exact chunk law equals the product-binomial channel law, analytically."""
-    start = time.perf_counter()
-    res = chunk_experiment(ChunkParams.for_advantage(0.1, gamma=20))
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        1,
-        "chunk exactness (analytic)",
-        res.passed and elapsed < 1.0,
-        {"max_abs_diff": res.metrics["exact_max_abs_diff"], "wall_clock_seconds": elapsed},
-    )
-
-
-def criterion_02_chunk_exact_statistical(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
-    """Sampled chunk classes fit the exact law at significance 0.001."""
-    params = ChunkParams.for_advantage(
-        0.1, gamma=20, t=minimal_t(20, 0.1, default_theta(20, 0.1))
-    )
-    res = chunk_experiment(params, seeded_spec(20, seed=41), 50_000, seed)
-    m = res.metrics
-    return CriterionResult(
-        2,
-        "chunk exactness (statistical)",
-        res.passed,
+def icost_battery_experiment(seed: int) -> ExperimentResult:
+    """`icost_experiment` on 50 random noiseless protocols under random input
+    laws; instance k is drawn from default_rng(seed + k)."""
+    runs = [
+        icost_experiment(phi, mu)
+        for phi, mu in _random_instances(50, seed, random_noiseless_spec)
+    ]
+    return ExperimentResult(
         {
-            "p_value": m["chi2_p_value"],
-            "chi2": m["chi2_statistic"],
-            "mean_bits": m["mean_bits"],
-            "trials": m["trials"],
+            "instances": 50,
+            "worst_spread_bits": max(r.metrics["route_spread_bits"] for r in runs),
         },
+        [_check("three routes agree (1e-9) on all instances", all(r.passed for r in runs))],
     )
 
 
-def criterion_03_end_to_end(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
-    """Whole-protocol compression: per-chunk law fits and cost scales linearly."""
-    r200 = compression_experiment(constant_spec(200), 0.1, 200, seed)
-    r400 = compression_experiment(constant_spec(400), 0.1, 200, seed + 10_000)
-    m200, m400 = r200.metrics, r400.metrics
-    ratio = m400["mean_bits"] / m200["mean_bits"]
-    passed = (
-        r200.passed
-        and r400.passed
-        and 1.6 <= ratio <= 2.4
-        and math.isfinite(m200["mean_bits_per_chunk"])
-    )
-    return CriterionResult(
-        3,
-        "end-to-end compression",
-        passed,
-        {
-            "mean_bits_T200": m200["mean_bits"],
-            "mean_bits_T400": m400["mean_bits"],
-            "ratio": ratio,
-            "mean_bits_per_chunk": m200["mean_bits_per_chunk"],
-            "min_gof_p": min(m200["min_gof_p"], m400["min_gof_p"]),
-            "alpha_ceiling_T200": m200["alpha_ceiling"],
-            "within_alpha_ceiling": m200["within_alpha_ceiling"] and m400["within_alpha_ceiling"],
-        },
-    )
-
-
-def criterion_04_threshold(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
-    """Witness soundness on all classes; expected cost two rounds of four bits."""
+def threshold_experiment(seed: int) -> ExperimentResult:
+    """The threshold protocol at theta 4 on uniform leaves of half-size 10:
+    its witnesses must be sound on every class (m_x, m_y), and over 10,000
+    Binomial(10, 1/2) class pairs drawn from default_rng(seed) it must charge
+    4 bits per round and average at most two rounds."""
     half, theta = 10, 4
     dist = ProductCountDistribution.uniform_leaves(half)
     sound = True
@@ -573,17 +531,19 @@ def criterion_04_threshold(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
         rounds[i] = res.rounds_used
         bits_exact = bits_exact and 4 * res.rounds_used == ledger.bits_sent
     mean_rounds = float(rounds.mean())
-    passed = sound and bits_exact and mean_rounds <= 2.0
-    return CriterionResult(
-        4,
-        "threshold witnesses and cost",
-        passed,
+    return ExperimentResult(
         {"witnesses_sound": sound, "mean_rounds": mean_rounds, "bits_per_round": 4},
+        [
+            _check("witnesses sound on every class", sound),
+            _check("4 bits per threshold round", bits_exact),
+            _check("mean rounds <= 2", mean_rounds <= 2.0),
+        ],
     )
 
 
-def criterion_05_round_masses(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
-    """Closed-form per-round acceptance masses match brute-force class sums."""
+def round_mass_experiment() -> ExperimentResult:
+    """Closed-form per-round acceptance masses of both branches against the
+    brute-force class sums, at (gamma, epsilon) = (20, 0.1) and (8, 0.05)."""
     worst = 0.0
     for gamma, eps in ((20, 0.1), (8, 0.05)):
         params = ChunkParams.for_advantage(eps, gamma=gamma)
@@ -593,76 +553,23 @@ def criterion_05_round_masses(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult
             abs(analysis.mass_low - compressor.round_accept_mass_low(params)),
             abs(analysis.mass_high - compressor.round_accept_mass_high(params)),
         )
-    return CriterionResult(
-        5, "per-round acceptance masses", worst <= 1e-12, {"max_abs_diff": worst}
+    return ExperimentResult(
+        {"max_abs_diff": worst},
+        [_check("closed-form masses match class sums (1e-12)", worst <= 1e-12)],
     )
 
 
-def criterion_06_biased_walk(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
-    """Guaranteed ascent for every pair b <= a <= 40, bounded pooled energy."""
-    battery = [(a, b, seed + 1000 * a + b) for a in range(1, 41) for b in range(1, a + 1)]
-    res = biased_walk_experiment(battery, 500)
-    m = res.metrics
-    return CriterionResult(
-        6,
-        "biased walk absorption and energy",
-        res.passed,
-        {
-            "always_absorbed_at_top": m["top_fraction"] == 1.0,
-            "pooled_mean_energy": m["mean_energy"],
-            "max_pair_mean_energy": m["max_pair_mean_energy"],
-            "pairs": m["pairs"],
-            "per_pair_mean_energy": m["per_pair_mean_energy"],
-        },
-    )
-
-
-def criterion_07_unbiased_walk(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
-    """Absorption law a/(a+b) at (3, 1); zero energy identically."""
-    res = unbiased_walk_experiment(3, 1, 100_000, seed + 7)
-    m = res.metrics
-    return CriterionResult(
-        7,
-        "unbiased walk law",
-        res.passed,
-        {
-            "top_frequency": m["top_fraction"],
-            "three_sigma": m["three_sigma"],
-            "total_energy": m["total_energy"],
-        },
-    )
-
-
-def criterion_08_sample_with_prior(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
-    """Prior-guided sampling is exactly Bernoulli(p) with divergence-scale energy."""
-    pairs = [(0.3, 0.2), (0.25, 0.25), (0.01, 0.002), (0.6, 0.25), (0.05, 0.005)]
-    res = sample_prior_experiment(pairs, 512, 50_000, seed + 100)
-    return CriterionResult(8, "prior-guided bit sampling", res.passed, res.metrics)
-
-
-def criterion_09_energy_to_info(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
-    """Noiseless replay of noisy protocols: IC_ext <= EC / ln 2, exactly."""
-    res = eclb_experiment(100, seed + 300)
-    return CriterionResult(9, "energy dominates external information", res.passed, res.metrics)
-
-
-def criterion_10_info_to_energy(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
-    """Variable-noise replay of noiseless protocols: exact law, bounded energy."""
-    res = ecub_experiment(256, 50_000, seed + 500)
-    return CriterionResult(10, "noisy replay of noiseless protocols", res.passed, res.metrics)
-
-
-def criterion_11_divergence_bounds(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
-    """Quadratic divergence sandwich and the four-region lower bounds."""
+def divergence_bounds_experiment() -> ExperimentResult:
+    """The quadratic sandwich of ln 2 * D(p || q) on the 0.01-grid of (0, 1)^2,
+    and the four-region lower bounds of `infotheory.table1_bound` on a
+    100 x 100 grid per region."""
     sandwich_ok = True
-    worst_gap = 0.0
     grid = np.arange(0.01, 1.0, 0.01)
     for p in grid:
         for q in grid:
             lower, upper = infotheory.ine_bounds(p, q)
             mid = LN2 * kl_bernoulli(float(p), float(q))
             sandwich_ok = sandwich_ok and lower <= mid + 1e-12 and mid <= upper + 1e-12
-            worst_gap = max(worst_gap, lower - mid, mid - upper)
 
     def region_grid():
         qs1 = np.linspace(0.005, 0.49, 100)
@@ -683,71 +590,102 @@ def criterion_11_divergence_bounds(seed: int = DEFAULT_SUITE_SEED) -> CriterionR
     table_ok = True
     worst_margin = math.inf
     for p, q in region_grid():
-        if p > 1.0:
-            continue
         _, bound = infotheory.table1_bound(p, q)
         d = kl_bernoulli(p, q)
         table_ok = table_ok and bound <= d + 1e-15
         worst_margin = min(worst_margin, d - bound)
-    passed = sandwich_ok and table_ok
-    return CriterionResult(
-        11,
-        "divergence sandwich and region bounds",
-        passed,
+    return ExperimentResult(
+        {"sandwich_ok": sandwich_ok, "table_ok": table_ok, "worst_table_margin": worst_margin},
+        [
+            _check("ln 2 * D(p || q) within the quadratic sandwich (1e-12)", sandwich_ok),
+            _check("region bounds <= D(p || q) (1e-15)", table_ok),
+        ],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Criteria: experiments at pinned parameters and seeds
+# ---------------------------------------------------------------------------
+
+
+def _exact_chunk_law_within_a_second(seed: int) -> ExperimentResult:
+    start = time.perf_counter()
+    res = chunk_experiment(ChunkParams.for_advantage(0.1, gamma=20))
+    elapsed = time.perf_counter() - start
+    res.metrics["wall_clock_seconds"] = elapsed
+    res.checks.append(_check("exact law within 1 s wall clock", elapsed < 1.0))
+    return res
+
+
+def _compression_scales_linearly(seed: int) -> ExperimentResult:
+    res = combine(
         {
-            "sandwich_ok": sandwich_ok,
-            "table_ok": table_ok,
-            "worst_table_margin": worst_margin,
-        },
+            "T200": compression_experiment(constant_spec(200), 0.1, 200, seed),
+            "T400": compression_experiment(constant_spec(400), 0.1, 200, seed + 10_000),
+        }
     )
+    ratio = res.metrics["T400_mean_bits"] / res.metrics["T200_mean_bits"]
+    res.metrics["ratio"] = ratio
+    res.checks += [
+        _check("T400/T200 mean bits ratio in [1.6, 2.4]", 1.6 <= ratio <= 2.4),
+        _check(
+            "finite T200 bits per chunk", math.isfinite(res.metrics["T200_mean_bits_per_chunk"])
+        ),
+    ]
+    return res
 
 
-def criterion_12_chain_rule(seed: int = DEFAULT_SUITE_SEED) -> CriterionResult:
-    """Direct, chain-rule and divergence forms of IC_ext agree to 1e-9."""
-    worst = 0.0
-    passed = True
-    for k in range(50):
-        gen = np.random.default_rng(seed + 900 + k)
-        rounds = int(gen.integers(1, 4))
-        phi = random_noiseless_spec(gen, rounds)
-        res = icost_experiment(phi, random_mu(gen, phi))
-        worst = max(worst, res.metrics["route_spread_bits"])
-        passed = passed and res.passed
-    return CriterionResult(
-        12,
-        "information-cost route agreement",
-        passed,
-        {"instances": 50, "worst_spread_bits": worst},
-    )
+CRITERIA: dict[int, tuple[str, Callable[[int], ExperimentResult]]] = {
+    1: ("chunk exactness (analytic)", _exact_chunk_law_within_a_second),
+    2: (
+        "chunk exactness (statistical)",
+        lambda seed: chunk_experiment(
+            ChunkParams.for_advantage(0.1, gamma=20, t=minimal_t(20, 0.1, default_theta(20, 0.1))),
+            seeded_spec(20, seed=41),
+            50_000,
+            seed,
+        ),
+    ),
+    3: ("end-to-end compression", _compression_scales_linearly),
+    4: ("threshold witnesses and cost", threshold_experiment),
+    5: ("per-round acceptance masses", lambda seed: round_mass_experiment()),
+    6: (
+        "biased walk absorption and energy",
+        lambda seed: biased_walk_experiment(
+            [(a, b, seed + 1000 * a + b) for a in range(1, 41) for b in range(1, a + 1)], 500
+        ),
+    ),
+    7: ("unbiased walk law", lambda seed: unbiased_walk_experiment(3, 1, 100_000, seed + 7)),
+    8: (
+        "prior-guided bit sampling",
+        lambda seed: sample_prior_experiment(
+            [(0.3, 0.2), (0.25, 0.25), (0.01, 0.002), (0.6, 0.25), (0.05, 0.005)],
+            512,
+            50_000,
+            seed + 100,
+        ),
+    ),
+    9: ("energy dominates external information", lambda seed: eclb_experiment(100, seed + 300)),
+    10: (
+        "noisy replay of noiseless protocols",
+        lambda seed: ecub_experiment(256, 50_000, seed + 500),
+    ),
+    11: ("divergence sandwich and region bounds", lambda seed: divergence_bounds_experiment()),
+    12: ("information-cost route agreement", lambda seed: icost_battery_experiment(seed + 900)),
+}
+"""Criterion number -> (name, seed -> ExperimentResult)."""
 
 
-CRITERIA: list[tuple[int, Callable[[int], CriterionResult]]] = [
-    (1, criterion_01_chunk_exact_analytic),
-    (2, criterion_02_chunk_exact_statistical),
-    (3, criterion_03_end_to_end),
-    (4, criterion_04_threshold),
-    (5, criterion_05_round_masses),
-    (6, criterion_06_biased_walk),
-    (7, criterion_07_unbiased_walk),
-    (8, criterion_08_sample_with_prior),
-    (9, criterion_09_energy_to_info),
-    (10, criterion_10_info_to_energy),
-    (11, criterion_11_divergence_bounds),
-    (12, criterion_12_chain_rule),
-]
-
-
-def run_suite(
-    seed: int = DEFAULT_SUITE_SEED, numbers: list[int] | None = None
-) -> list[CriterionResult]:
-    """Run the criteria in `numbers` (all when None or empty), in order."""
-    wanted = set(numbers) if numbers else None
-    unknown = sorted((wanted or set()) - {number for number, _ in CRITERIA})
+def run_suite(seed: int = DEFAULT_SUITE_SEED, numbers: list[int] | None = None) -> ExperimentResult:
+    """Run the criteria in `numbers` (all when None or empty), in order, and
+    `combine` them under keys `criterion_NN`, each with its name as metric `name`."""
+    unknown = sorted(set(numbers or ()) - CRITERIA.keys())
     if unknown:
         raise SpecError(f"unknown criteria {unknown}; the suite has criteria 1 to {len(CRITERIA)}")
-    results = []
-    for number, func in CRITERIA:
-        if wanted is not None and number not in wanted:
-            continue
-        results.append(func(seed))
-    return results
+    results = {}
+    for number, (name, call) in CRITERIA.items():
+        if not numbers or number in numbers:
+            res = call(seed)
+            key = f"criterion_{number:02d}"
+            results[key] = ExperimentResult({"name": name, **res.metrics}, res.checks)
+    return combine(results)

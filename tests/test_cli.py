@@ -316,9 +316,12 @@ class TestSuiteCommand:
         code = run_cli(["suite", "--criteria", "1,5", "--seed", "1", "--out", str(out)])
         assert code == 0
         captured = capsys.readouterr().out
-        assert "[criterion 01]" in captured and "PASS" in captured
+        assert "criterion_01_name = chunk exactness (analytic)" in captured
+        assert "[PASS] criterion_05: closed-form masses match class sums (1e-12)" in captured
         doc = json.loads(out.read_text())
-        assert len(doc["tests"]) == 2 and all(t["passed"] for t in doc["tests"])
+        assert doc["metrics"]["criterion_05_name"] == "per-round acceptance masses"
+        assert {t["name"].split(":")[0] for t in doc["tests"]} == {"criterion_01", "criterion_05"}
+        assert all(t["passed"] for t in doc["tests"])
 
     @pytest.mark.parametrize(
         "criteria,unknown",
@@ -330,7 +333,7 @@ class TestSuiteCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert f"unknown criteria {unknown}" in captured.err
-        assert "[criterion" not in captured.out
+        assert captured.out == ""
 
     def test_suite_reports_byte_identical_modulo_clock(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -378,7 +381,7 @@ class TestCounts:
         assert code == 2
         captured = capsys.readouterr()
         assert message in captured.err
-        assert "[criterion" not in captured.out
+        assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
     def test_bad_t_named(self, capsys, value):
@@ -395,6 +398,22 @@ class TestCounts:
         captured = capsys.readouterr()
         assert f"--theta is {float(value)!r}, not a finite number in [0, gamma=20]" in captured.err
         assert "[PASS]" not in captured.out
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--samples", "0", "samples must be >= 1, got 0"),
+         ("--grid-n", "0", "grid_n must be >= 1, got 0")],
+        ids=["samples", "grid-n"],
+    )
+    def test_equiv_both_checks_ecub_counts_before_eclb_runs(
+        self, capsys, monkeypatch, flag, value, message
+    ):
+        def no_run(*args):
+            raise AssertionError("eclb ran before the ecub counts were checked")
+
+        monkeypatch.setattr(cli.suite, "eclb_experiment", no_run)
+        assert run_cli(["equiv", "--mode", "both", flag, value]) == 2
+        assert message in capsys.readouterr().err
 
     def test_zero_chunk_samples_check_exact_law_only(self, tmp_path):
         out = tmp_path / "exact.json"
@@ -468,11 +487,8 @@ class TestOneReportPath:
         scalars = [
             k for k, v in doc["metrics"].items() if isinstance(v, (int, float, str, bool))
         ]
-        if scalars:
-            assert lines[0] == "metric,value"
-            assert sorted(lines[1:]) == sorted(f"{k},{doc['metrics'][k]}" for k in scalars)
-        else:  # the suite's metrics are one record per criterion
-            assert lines == []
+        assert scalars and lines[0] == "metric,value"
+        assert sorted(lines[1:]) == sorted(f"{k},{doc['metrics'][k]}" for k in scalars)
 
 
 class TestSpecFile:
@@ -485,6 +501,21 @@ class TestSpecFile:
         doc = json.loads(out.read_text())
         assert doc["parameters"]["spec"] == str(spec)
         assert doc["seeds"] == {"base": 7}
+
+    def test_compress_spec_file_named_in_parameters(self, tmp_path):
+        out = tmp_path / "r.json"
+        for seed in (5, 9):
+            spec = tmp_path / f"spec{seed}.json"
+            spec.write_text(
+                json.dumps({"rounds": 12, "alice_inputs": [0, 1], "bob_inputs": [0, 1],
+                            "kind": "seeded", "seed": seed})
+            )
+            code = run_cli(["compress", "--trials", "5", "--spec", str(spec), "--out", str(out)])
+            assert code == 0
+            doc = json.loads(out.read_text())
+            assert doc["parameters"] == {
+                "epsilon": 0.1, "rounds": 12, "trials": 5, "spec": str(spec)
+            }
 
     def test_seeded_default_spec_records_its_seed(self, tmp_path):
         out = tmp_path / "r.json"
