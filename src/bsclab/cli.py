@@ -201,6 +201,9 @@ def cmd_suite(args: argparse.Namespace) -> Report:
     numbers = None
     if args.criteria:
         numbers = _parse_list("--criteria", args.criteria, int, "an integer")
+        repeated = sorted({n for n in numbers if numbers.count(n) > 1})
+        if repeated:
+            raise ParameterError(f"--criteria repeats {repeated}; name each criterion once")
     res = suite.run_suite(seed=args.seed, numbers=numbers)
     parameters = {"criteria": numbers or list(suite.CRITERIA)}
     return "suite", parameters, {"base": args.seed}, res

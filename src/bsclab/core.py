@@ -27,7 +27,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from itertools import chain, compress
+from functools import cached_property
+from itertools import chain, compress, cycle, repeat
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -124,17 +125,38 @@ class CostLedger:
 class RandomSource:
     """Four independent deterministic streams: public, alice, bob, channel.
 
-    Identical seeds reproduce identical executions bit-for-bit.  Trial i of a
-    batch uses seed base+i, so batches are embarrassingly parallel.
+    Stream k (public, alice, bob, channel in that order) is the generator of
+    `SeedSequence(seed).spawn(4)[k]`, built on first read, so a caller that
+    reads only `public` never pays for the other three.  Identical seeds
+    reproduce identical executions bit-for-bit, whatever order the streams
+    are first read in.  Trial i of a batch uses seed base+i, so batches are
+    embarrassingly parallel.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        pub, alice, bob, chan = np.random.SeedSequence(self.seed).spawn(4)
-        self.public = np.random.default_rng(pub)
-        self.alice = np.random.default_rng(alice)
-        self.bob = np.random.default_rng(bob)
-        self.channel = np.random.default_rng(chan)
+        if self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+
+    def _stream(self, k: int) -> np.random.Generator:
+        # SeedSequence(seed).spawn(4)[k] is SeedSequence(seed, spawn_key=(k,)).
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(k,)))
+
+    @cached_property
+    def public(self) -> np.random.Generator:
+        return self._stream(0)
+
+    @cached_property
+    def alice(self) -> np.random.Generator:
+        return self._stream(1)
+
+    @cached_property
+    def bob(self) -> np.random.Generator:
+        return self._stream(2)
+
+    @cached_property
+    def channel(self) -> np.random.Generator:
+        return self._stream(3)
 
     @classmethod
     def for_trial(cls, base_seed: int, index: int) -> "RandomSource":
@@ -186,18 +208,12 @@ class ProtocolSpec:
         try:
             value = self.next_bit(party, own_input, prefix)
         except KeyError as exc:
-            raise SpecError(f"next_bit undefined at ({party}, {own_input!r}, {prefix!r})") from exc
-        value = float(value)
-        if not 0.0 <= value <= 1.0:
-            raise SpecError(f"next_bit value {value} at {prefix!r} is not a probability")
-        return value
+            raise _undefined(party, own_input, prefix) from exc
+        return _probability(value, prefix)
 
     def intent_bit(self, party: str, own_input: Any, prefix: Transcript) -> int:
         """Intent of a deterministic protocol; rejects Bernoulli nodes."""
-        value = self.intent(party, own_input, prefix)
-        if value not in (0.0, 1.0):
-            raise SpecError("protocol is not deterministic at this node")
-        return int(value)
+        return _deterministic(self.intent(party, own_input, prefix), party, own_input, prefix)
 
     def crossover_at(self, party: str, own_input: Any, prefix: Transcript) -> float:
         if self.crossover is None:
@@ -206,6 +222,26 @@ class ProtocolSpec:
         if not 0.0 <= c <= 0.5:
             raise ParameterError(f"per-bit crossover {c} outside [0, 1/2]")
         return c
+
+
+def _undefined(party: str, own_input: Any, prefix: Transcript) -> SpecError:
+    return SpecError(f"next_bit undefined at ({party}, {own_input!r}, {prefix!r})")
+
+
+def _probability(value: Any, prefix: Transcript) -> float:
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise SpecError(f"next_bit value {value} at {prefix!r} is not a probability")
+    return value
+
+
+def _deterministic(value: float, party: str, own_input: Any, prefix: Transcript) -> int:
+    if value not in (0.0, 1.0):
+        raise SpecError(
+            f"protocol is not deterministic at this node: next_bit value {value} "
+            f"at ({party}, {own_input!r}, {prefix!r})"
+        )
+    return int(value)
 
 
 def pad_to_even(spec: ProtocolSpec) -> ProtocolSpec:
@@ -275,36 +311,91 @@ def run_over_bsc(
     return transcript, ErrorCounts(m_x, m_y), ledger
 
 
+# A deterministic intent as a bit; 0, 0.0 and False (1, 1.0, True) share a key.
+_BIT = {0: "0", 1: "1"}
+# How a replay step grows the node, indexed [step][intended bit].  Under a
+# flip pattern the step is the round's flip.  Along a known leaf it is the
+# stretch of the leaf from the round up to the speaker's next round, kept
+# whatever was intended.
+_FLIPPED = {0: {"0": "0", "1": "1"}, 1: {"0": "1", "1": "0"}}
+_GIVEN = {s: {"0": s, "1": s} for s in ("0", "1", "00", "01", "10", "11")}
+
+
+def _replay(
+    turns: Iterator, root: Transcript, steps: Any, grow: dict, intended: list | None = None
+) -> Transcript:
+    """The one replay loop of a deterministic protocol: apply_flip_pattern,
+    flip_pattern and count_errors run it, and their callers check lengths.
+
+    Step k replays the node reached so far for the k-th (party, own input,
+    rule) of `turns`: it asks the rule once and checks the value in the order
+    of `ProtocolSpec.intent_bit`, so a KeyError is "next_bit undefined", a
+    value outside [0, 1] (or NaN) is "not a probability", and any other value
+    but 0 and 1 is "not deterministic".  The intended bit goes to `intended`
+    when given, and the node grows by `grow[step][bit]`.  Returns the node
+    reached.
+    """
+    prefix = root
+    for step, (party, own_input, rule) in zip(steps, turns):
+        try:
+            value = rule(party, own_input, prefix)
+        except KeyError as exc:
+            raise _undefined(party, own_input, prefix) from exc
+        try:
+            bit = _BIT[value]
+        except (KeyError, TypeError):
+            bit = "01"[_deterministic(_probability(value, prefix), party, own_input, prefix)]
+        if intended is not None:
+            intended.append(bit)
+        prefix += grow[step][bit]
+    return prefix
+
+
+def _turns(spec: ProtocolSpec, x: Any, y: Any, root: Transcript) -> Iterator:
+    """(party, own input, rule) of each round below `root`, speakers alternating."""
+    speakers = ((ALICE, x, spec.next_bit), (BOB, y, spec.next_bit))
+    return cycle(speakers if len(root) % 2 == 0 else speakers[::-1])
+
+
+def _leaf_intents(turns: Iterator, transcript: Transcript, first: int, steps: Any) -> str:
+    """Intended bits of the rounds a replay of a full leaf visits, from round
+    `first` on, one per step."""
+    if transcript.strip("01"):
+        raise SpecError(f"transcript {transcript!r} is not a string of 0/1 bits")
+    intended: list = []
+    _replay(turns, transcript[:first], steps, _GIVEN, intended)
+    return "".join(intended)
+
+
 def count_errors(spec: ProtocolSpec, party: str, own_input: Any, transcript: Transcript) -> int:
     """Replay one party's intended bits along a leaf and count corrupted rounds.
 
     Only meaningful for deterministic protocols: the intent at each node is
     pinned by the received prefix, so received != intended exactly at flips.
+    Only `party`'s rounds ask the spec.
     """
     if len(transcript) != spec.rounds:
         raise SpecError(
             f"transcript length {len(transcript)} != protocol rounds {spec.rounds}"
         )
-    errors = 0
-    for i in range(spec.rounds):
-        if speaker(i) != party:
-            continue
-        intended = spec.intent_bit(party, own_input, transcript[:i])
-        if intended != int(transcript[i]):
-            errors += 1
-    return errors
+    if party not in (ALICE, BOB):
+        raise SpecError(f"unknown party {party!r}")
+    first = 0 if party == ALICE else 1
+    stretches = [transcript[i : i + 2] for i in range(first, spec.rounds, 2)]
+    turns = repeat((party, own_input, spec.next_bit))
+    intended = _leaf_intents(turns, transcript, first, stretches)
+    return sum(map(str.__ne__, intended, transcript[first::2]))
 
 
 def flip_pattern(spec: ProtocolSpec, x: Any, y: Any, transcript: Transcript) -> np.ndarray:
     """Per-round flip indicators of a leaf of a deterministic protocol."""
     if len(transcript) != spec.rounds:
         raise SpecError("transcript is not a full leaf")
-    pattern = np.zeros(spec.rounds, dtype=np.int8)
-    for i in range(spec.rounds):
-        party = speaker(i)
-        intended = spec.intent_bit(party, spec.input_for(party, x, y), transcript[:i])
-        pattern[i] = intended ^ int(transcript[i])
-    return pattern
+    intended = _leaf_intents(_turns(spec, x, y, ""), transcript, 0, transcript)
+    return (
+        np.frombuffer(intended.encode(), dtype=np.uint8)
+        != np.frombuffer(transcript.encode(), dtype=np.uint8)
+    ).astype(np.int8)
 
 
 def apply_flip_pattern(
@@ -314,14 +405,18 @@ def apply_flip_pattern(
 
     Inverse of `flip_pattern` restricted to the subtree below `root`; the
     pattern bit of round i flips the speaker's intended bit at that node.
+    Each round asks `spec.next_bit` once and checks the value in this order:
+    a KeyError raises "next_bit undefined", a value outside [0, 1] "is not a
+    probability", any other value but 0 and 1 "not deterministic".  A
+    pattern longer than the rounds below `root` replays the rounds there are
+    and then raises "is not interior", naming the leaf it reached.
     """
-    transcript = root
-    for e in np.asarray(pattern, dtype=np.int8):
-        i = len(transcript)
-        party = speaker(i)
-        intended = spec.intent_bit(party, spec.input_for(party, x, y), transcript)
-        transcript += str(intended ^ int(e))
-    return transcript
+    steps = np.asarray(pattern, dtype=np.int8).tolist()
+    free = max(spec.rounds - len(root), 0)
+    leaf = _replay(_turns(spec, x, y, root), root, steps[:free], _FLIPPED)
+    if len(steps) > free:
+        raise SpecError(f"prefix {leaf!r} is not interior to a {spec.rounds}-round tree")
+    return leaf
 
 
 def check_mu(spec: ProtocolSpec, mu: dict) -> None:

@@ -335,6 +335,16 @@ class TestSuiteCommand:
         assert f"unknown criteria {unknown}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "criteria,repeated", [("5,5", "[5]"), ("1,4,1,4,1", "[1, 4]")], ids=["5,5", "1,4,1,4,1"]
+    )
+    def test_repeated_criteria_exit_2(self, capsys, criteria, repeated):
+        code = run_cli(["suite", "--criteria", criteria])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"--criteria repeats {repeated}" in captured.err
+        assert captured.out == ""
+
     def test_suite_reports_byte_identical_modulo_clock(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

@@ -163,6 +163,173 @@ class TestCountErrors:
         assert core.apply_flip_pattern(spec, 0, 1, "", pattern) == tr
 
 
+def _reference_intent_bit(spec, party, own_input, prefix):
+    """The per-node check the replay loop must reproduce: `intent` then the
+    0/1 test, each with its message."""
+    if len(prefix) >= spec.rounds:
+        raise SpecError(f"prefix {prefix!r} is not interior to a {spec.rounds}-round tree")
+    try:
+        value = spec.next_bit(party, own_input, prefix)
+    except KeyError as exc:
+        raise SpecError(f"next_bit undefined at ({party}, {own_input!r}, {prefix!r})") from exc
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise SpecError(f"next_bit value {value} at {prefix!r} is not a probability")
+    if value not in (0.0, 1.0):
+        raise SpecError("protocol is not deterministic at this node")
+    return int(value)
+
+
+def _reference_apply(spec, x, y, root, pattern):
+    """Per-round replay, one full intent check per round."""
+    transcript = root
+    for e in np.asarray(pattern, dtype=np.int8):
+        i = len(transcript)
+        party = speaker(i)
+        intended = _reference_intent_bit(spec, party, spec.input_for(party, x, y), transcript)
+        transcript += str(intended ^ int(e))
+    return transcript
+
+
+def _reference_flips(spec, x, y, transcript):
+    return [
+        _reference_intent_bit(spec, speaker(i), (x, y)[i % 2], transcript[:i]) ^ int(bit)
+        for i, bit in enumerate(transcript)
+    ]
+
+
+def _raised(call):
+    try:
+        return "returned", call()
+    except SpecError as exc:
+        return "raised", str(exc)
+
+
+@st.composite
+def replay_cases(draw):
+    """A random deterministic table protocol of 1-10 rounds on inputs {0, 1}
+    with every node defined, inputs, a root at even depth and a flip pattern
+    for the rounds below it."""
+    rounds = draw(st.integers(1, 10))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prefixes = _prefixes(rounds)
+    table = {
+        party: {
+            inp: dict(zip(prefixes, gen.integers(0, 2, len(prefixes)).tolist()))
+            for inp in ("0", "1")
+        }
+        for party in ("alice", "bob")
+    }
+    x, y = draw(st.sampled_from([0, 1])), draw(st.sampled_from([0, 1]))
+    depth = draw(st.integers(0, rounds // 2)) * 2
+    root = "".join(draw(st.lists(st.sampled_from("01"), min_size=depth, max_size=depth)))
+    pattern = np.array(
+        draw(st.lists(st.integers(0, 1), min_size=rounds - depth, max_size=rounds - depth)),
+        dtype=np.int8,
+    )
+    return table_spec(rounds, table, (0, 1), (0, 1)), x, y, root, pattern
+
+
+class TestReplay:
+    """apply_flip_pattern, flip_pattern and count_errors against the per-round
+    reference loop, on their results and on their errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(replay_cases())
+    def test_matches_reference(self, case):
+        spec, x, y, root, pattern = case
+        leaf = core.apply_flip_pattern(spec, x, y, root, pattern)
+        assert leaf == _reference_apply(spec, x, y, root, pattern)
+        flips = flip_pattern(spec, x, y, leaf)
+        assert flips.dtype == np.int8
+        assert flips.tolist() == _reference_flips(spec, x, y, leaf)
+        assert flips[len(root):].tolist() == pattern.tolist()
+        assert count_errors(spec, ALICE, x, leaf) == int(flips[0::2].sum())
+        assert count_errors(spec, BOB, y, leaf) == int(flips[1::2].sum())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        replay_cases(),
+        st.sampled_from(["missing", 1.5, math.nan, 0.5, "long"]),
+        st.integers(0, 9),
+    )
+    def test_errors_match_reference(self, case, fault, at):
+        spec, x, y, root, pattern = case
+        leaf = _reference_apply(spec, x, y, root, pattern)
+        if fault == "long":
+            pattern = np.append(pattern, np.int8(at % 2))
+        else:
+            # Break the node the replay reaches at round `at` (mod the rounds
+            # below the root), for the input its speaker holds.
+            i = len(root) + at % max(spec.rounds - len(root), 1)
+            if i >= spec.rounds:
+                return
+            party = speaker(i)
+            row = spec.next_bit.table[party][str((x, y)[i % 2])]
+            if fault == "missing":
+                del row[leaf[:i]]
+            else:
+                row[leaf[:i]] = fault
+        got = _raised(lambda: core.apply_flip_pattern(spec, x, y, root, pattern))
+        want = _raised(lambda: _reference_apply(spec, x, y, root, pattern))
+        assert got[0] == want[0] == "raised"
+        assert got[1].startswith(want[1])
+        if fault == 0.5:
+            assert got[1] == (
+                f"{want[1]}: next_bit value 0.5 at ({speaker(i)}, {(x, y)[i % 2]!r}, {leaf[:i]!r})"
+            )
+        else:
+            assert got[1] == want[1]
+        if fault != "long":
+            for call, reference in (
+                (lambda: flip_pattern(spec, x, y, leaf), lambda: _reference_flips(spec, x, y, leaf)),
+                (
+                    lambda: count_errors(spec, party, (x, y)[i % 2], leaf),
+                    lambda: _reference_flips(spec, x, y, leaf),
+                ),
+            ):
+                got, want = _raised(call), _raised(reference)
+                assert got[0] == want[0] == "raised"
+                assert got[1].startswith(want[1])
+
+    def test_not_deterministic_names_the_node(self):
+        spec = table_spec(
+            2, {"alice": {"1": {"": 1}}, "bob": {"0": {"1": 0.25}}}, (1,), (0,)
+        )
+        named = "protocol is not deterministic at this node: next_bit value 0.25 at (bob, 0, '1')"
+        with pytest.raises(SpecError) as replayed:
+            core.apply_flip_pattern(spec, 1, 0, "", np.zeros(2, dtype=np.int8))
+        assert str(replayed.value) == named
+        with pytest.raises(SpecError) as asked:
+            spec.intent_bit(BOB, 0, "1")
+        assert str(asked.value) == named
+
+    def test_odd_root_starts_with_bob(self):
+        spec = xor_spec(4)
+        assert core.apply_flip_pattern(spec, 0b10, 0b01, "1", [0, 0, 1]) == "1111"
+        assert _reference_apply(spec, 0b10, 0b01, "1", [0, 0, 1]) == "1111"
+
+    @pytest.mark.parametrize("root", ["", "01", "0110", "01101"])
+    def test_pattern_past_the_leaves(self, root):
+        spec = constant_spec(4)
+        pattern = np.zeros(6, dtype=np.int8)
+        with pytest.raises(SpecError) as exc:
+            core.apply_flip_pattern(spec, 0, 0, root, pattern)
+        with pytest.raises(SpecError) as ref:
+            _reference_apply(spec, 0, 0, root, pattern)
+        assert str(exc.value) == str(ref.value)
+
+    def test_root_past_the_leaves_with_empty_pattern(self):
+        spec = constant_spec(2)
+        assert core.apply_flip_pattern(spec, 0, 0, "0110", np.zeros(0, dtype=np.int8)) == "0110"
+
+    def test_leaf_must_be_bits(self):
+        with pytest.raises(SpecError, match="not a string of 0/1 bits"):
+            flip_pattern(constant_spec(2), 0, 0, "0a")
+        with pytest.raises(SpecError, match="unknown party 'carol'"):
+            count_errors(constant_spec(2), "carol", 0, "01")
+
+
 class TestFlipIndependence:
     def test_positionwise_and_pairwise(self):
         # Empirical flip patterns over 1e5 runs behave as iid Bernoulli(0.3):
@@ -768,6 +935,29 @@ class TestRandomSource:
         rng = RandomSource(0)
         draws = {rng.public.random(), rng.alice.random(), rng.bob.random(), rng.channel.random()}
         assert len(draws) == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.permutations(["public", "alice", "bob", "channel"]),
+    )
+    def test_lazy_streams_are_the_spawned_ones(self, seed, order):
+        rng = RandomSource(seed)
+        children = np.random.SeedSequence(seed).spawn(4)
+        for name in order:
+            k = ["public", "alice", "bob", "channel"].index(name)
+            want = np.random.default_rng(children[k])
+            got = getattr(rng, name)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.random(3).tolist() == want.random(3).tolist()
+            assert got.integers(0, 2**63, 2).tolist() == want.integers(0, 2**63, 2).tolist()
+            assert getattr(rng, name) is got
+
+    def test_bad_seed_raises_at_construction(self):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
+            RandomSource(-1)
+        with pytest.raises(ValueError):
+            RandomSource.for_trial(0, -5)
 
     def test_prefix_probability_consistency(self):
         spec = seeded_spec(4, seed=8)
