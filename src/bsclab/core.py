@@ -14,12 +14,19 @@ input law, applies ENUMERATION_GUARD and yields one level at a time as
 arrays, the joint reach of every reachable node and input pair together with
 the node's intent and crossover.  The leaf law, the joint (x, y, transcript)
 table, expected energy and information cost are reductions over those
-arrays.  A node's law has two forms with the same values: `node_law` asks
-the spec's rules at one node (the executor and the per-prefix callers use
-it), and `level_law` asks them over a whole level for one own input value,
-through a rule's `level` method when it has one.  The walker queries each
-level once per speaker's own input value, so every rule is still asked once
-per (node, own value); `received_one` is the one received-bit formula.
+arrays.  The walk names nodes by integer id: id j at depth d is the prefix
+`format(j, f"0{d}b")` (`node_prefixes`), so id order is lexicographic order
+and the children of j are 2j and 2j+1.  Prefix strings are built only where
+something needs them: leaf names, and rules without a level form.
+
+A node's law has two forms with the same values: `node_law` asks the spec's
+rules at one node (the executor and the per-prefix callers use it), and
+`level_law` asks them over the ids of one depth for one own input value,
+through a rule's `level(party, own_input, depth, ids)` method when it has
+one.  The walker queries each level once per speaker's own input value, so
+every rule is still asked once per (node, own value); `received_one` is the
+one received-bit formula.  `TableRule`, the rule of `table_spec`, answers a
+level from dense per-row arrays it reads once per table.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import chain, compress, cycle, repeat
+from functools import cache, cached_property
+from itertools import chain, cycle, repeat
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -445,8 +452,8 @@ def node_law(
 
     The crossover is the spec's per-bit table when present, else `noise`,
     else 0 (the noiseless sent-bit law).  This is the reference form of a
-    node's law: `level_law` gives the same values for a list of nodes and
-    falls back to this function to raise its errors.
+    node's law: `level_law` gives the same values for the ids of one depth
+    and falls back to this function to raise its errors.
     """
     r = spec.intent(party, own_input, prefix)
     if spec.crossover is not None:
@@ -458,87 +465,101 @@ def node_law(
     return r, c, received_one(r, c)
 
 
-def _rule_values(rule: Callable, party: str, asks: list[tuple[Any, list]]) -> np.ndarray:
-    """A rule's values over `asks`, a list of (own input, prefixes) segments,
-    concatenated in order.  A rule with a `level(party, own_input, prefixes)`
-    method answers a segment at once; any other rule is called per node."""
-    level = getattr(rule, "level", None)
-    parts = []
-    for own_input, prefixes in asks:
-        got = (
-            level(party, own_input, prefixes)
-            if level is not None
-            else [rule(party, own_input, p) for p in prefixes]
-        )
-        part = np.asarray(got, dtype=np.float64)
-        if part.shape != (len(prefixes),):
-            raise SpecError(f"rule gave shape {part.shape} for {len(prefixes)} nodes")
-        parts.append(part)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _in_range(values: np.ndarray, top: float) -> bool:
-    """Every value lies in [0, top]; a NaN fails, as min and max propagate it."""
-    return values.size == 0 or (
-        np.minimum.reduce(values) >= 0.0 and np.maximum.reduce(values) <= top
-    )
+def node_prefixes(depth: int, ids: Any) -> list[Transcript]:
+    """Prefix strings of node ids at `depth`: id j is `format(j, f"0{depth}b")`."""
+    ids = np.asarray(ids, dtype=np.int64).tolist()
+    if depth == 0:
+        return [""] * len(ids)
+    return list(map(format, ids, repeat(f"0{depth}b")))
 
 
 def _level_laws(
-    spec: ProtocolSpec, party: str, asks: list[tuple[Any, list]], noise: Noise | None
-) -> tuple[np.ndarray, np.ndarray | float] | None:
-    """Intents and crossovers of the nodes of `asks`, in order, or None on a
-    fault: a rule raises, or a value is not a probability or a crossover in
-    [0, 1/2].  The crossover is one float when the spec has no per-bit rule.
-    The caller replays a fault through `node_law`, which raises it again at
-    the first bad node; that is why any exception is caught here."""
+    spec: ProtocolSpec,
+    party: str,
+    depth: int,
+    ids: np.ndarray,
+    asks: list[tuple[Any, Any]],
+    noise: Noise | None,
+) -> np.ndarray | None:
+    """Intents `[0]` and crossovers `[1]` of the nodes `ids` of one depth,
+    an array of shape (2, len(ids), len(asks)), or None on a fault.
+
+    Column g holds own value asks[g][0] at the rows asks[g][1] selects of
+    `ids`, and 0 elsewhere.  A rule with a `level(party, own_input, depth,
+    ids)` method answers a column at once; any other rule is called per
+    node, on the node's prefix string.  A fault is a rule that raises or
+    gives other than one number per node, an intent that is not a
+    probability or a crossover outside [0, 1/2].  The caller replays a fault
+    through `node_law`, which raises it again at the first bad node; that is
+    why any exception is caught here.
+    """
+    laws = np.zeros((2, len(ids), len(asks)))
+    asked = [ids[rows] for _, rows in asks]
     try:
-        intent = _rule_values(spec.next_bit, party, asks)
-        if spec.crossover is None:
-            crossover = noise.crossover if noise is not None else 0.0
-        else:
-            crossover = _rule_values(spec.crossover, party, asks)
-            if not _in_range(crossover, 0.5):
-                return None
+        for rule, out in zip((spec.next_bit, spec.crossover), laws):
+            if rule is None:
+                out.fill(noise.crossover if noise is not None else 0.0)
+                continue
+            level = getattr(rule, "level", None)
+            for g, ((own_input, rows), nodes) in enumerate(zip(asks, asked)):
+                if not nodes.size:
+                    continue
+                got = np.asarray(
+                    level(party, own_input, depth, nodes)
+                    if level is not None
+                    else [rule(party, own_input, p) for p in node_prefixes(depth, nodes)],
+                    np.float64,
+                )
+                if got.shape != nodes.shape:
+                    return None
+                out[rows, g] = got
     except Exception:
         return None
-    if not _in_range(intent, 1.0):
-        return None
-    return intent, crossover
+    # Unasked entries are 0, which is in range.  A NaN fails, as min and max
+    # propagate it.  The axis is positional: a keyword costs numpy about a
+    # microsecond per call.
+    in_range = laws.size == 0 or (
+        np.minimum.reduce(laws, None) >= 0.0
+        and np.maximum.reduce(laws[0], None) <= 1.0
+        and (spec.crossover is None or np.maximum.reduce(laws[1], None) <= 0.5)
+    )
+    return laws if in_range else None
 
 
 def level_law(
     spec: ProtocolSpec,
     party: str,
     own_input: Any,
-    prefixes: list[Transcript],
+    depth: int,
+    ids: Any,
     noise: Noise | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Intent and crossover float64 arrays of one own input value over a list of nodes.
+    """Intent and crossover float64 arrays of one own input value over the
+    node ids `ids` of one depth, each in [0, 2**depth) (not checked).
 
-    Entry k equals `node_law(spec, party, own_input, prefixes[k], noise)[:2]`,
-    and each rule is asked once per node.  On any fault (a rule raises, a
-    value is not a probability or a crossover is outside [0, 1/2]) the nodes
-    are replayed through `node_law` in order, which raises its own error at
-    the first bad node.
+    Entry k equals `node_law(spec, party, own_input, prefix, noise)[:2]` at
+    the prefix of `ids[k]` (`node_prefixes`), and each rule is asked once per
+    node, through its `level` method when it has one.  On any fault (a rule
+    raises, a value is not a probability or a crossover is outside [0, 1/2])
+    the nodes are replayed through `node_law` in order, which raises its own
+    error at the first bad node.  A depth at or below the leaves raises
+    `node_law`'s "is not interior".
     """
-    prefixes = list(prefixes)
-    if max(map(len, prefixes), default=0) < spec.rounds:
-        laws = _level_laws(spec, party, [(own_input, prefixes)], noise)
+    ids = np.asarray(ids, np.int64)
+    if depth < spec.rounds:
+        laws = _level_laws(spec, party, depth, ids, [(own_input, slice(None))], noise)
         if laws is not None:
-            intent, crossover = laws
-            if spec.crossover is None:
-                crossover = np.full(intent.shape, crossover)
-            return intent, crossover
+            return laws[0, :, 0], laws[1, :, 0]
     laws = np.array(
-        [node_law(spec, party, own_input, p, noise)[:2] for p in prefixes], dtype=np.float64
+        [node_law(spec, party, own_input, p, noise)[:2] for p in node_prefixes(depth, ids)],
+        dtype=np.float64,
     ).reshape(-1, 2)
     return laws[:, 0], laws[:, 1]
 
 
 def _own_values(pairs: list[tuple], own: int) -> tuple[list, np.ndarray, np.ndarray]:
     """Distinct values of coordinate `own` over `pairs`, each pair's index into
-    them, and the (pair x value) indicator of who holds what.
+    them, and the (pair x value) 0/1 float matrix of who holds what.
 
     The type is part of a value's identity, so 0, 0.0 and False stay distinct
     inputs, as they are to a spec keyed on str(own_input).
@@ -548,15 +569,22 @@ def _own_values(pairs: list[tuple], own: int) -> tuple[list, np.ndarray, np.ndar
         [index.setdefault((type(p[own]), p[own]), len(index)) for p in pairs], dtype=np.intp
     )
     values = [key[1] for key in index]
-    return values, column_value, column_value[:, None] == np.arange(len(values))
+    holds = (column_value[:, None] == np.arange(len(values))).astype(np.float64)
+    return values, column_value, holds
+
+
+# Added to twice a node's id, the ids of its two children.
+_CHILD_BIT = np.array([0, 1], dtype=np.int64)
 
 
 def protocol_tree(
     spec: ProtocolSpec, mu: dict, noise: Noise | None = None
-) -> Iterator[tuple[list[Transcript], np.ndarray, np.ndarray | None, np.ndarray | None]]:
-    """Walk the tree one level at a time, yielding (prefixes, reach, intent, crossover).
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]]:
+    """Walk the tree one level at a time, yielding (ids, reach, intent, crossover).
 
-    `prefixes` lists the level's reachable nodes in lexicographic order.
+    The k-th level yielded is depth k, the leaves (depth `spec.rounds`)
+    last.  `ids` is an int64 array of the level's reachable node ids in
+    increasing, that is lexicographic, order (`node_prefixes` names them).
     `reach` is a float64 array with one row per node and one column per
     input pair of positive weight, in the order of `mu`: the joint
     probability of the pair and the received prefix (crossover rule as in
@@ -567,7 +595,7 @@ def protocol_tree(
 
     Intent and crossover depend only on the speaker's own input, so each
     level asks the rules once per own input value held by some pair of
-    positive reach, over the nodes where such a pair is (the `level_law`
+    positive reach, over the ids where such a pair is (the `level_law`
     query), and broadcasts the answers to that value's columns: one query
     per (node, own value).  The level's laws are validated at once; on any
     fault the level is replayed through `node_law` node by node, then own
@@ -584,43 +612,46 @@ def protocol_tree(
         )
     pairs = [pair for pair, w in mu.items() if w > 0.0]
     own_values = {ALICE: _own_values(pairs, 0), BOB: _own_values(pairs, 1)}
-    prefixes = [""]
+    ones = np.ones(len(pairs))
+    ids = np.zeros(1, dtype=np.int64)
     reach = np.array([[mu[pair] for pair in pairs]], dtype=np.float64)
-    for i in range(spec.rounds):
-        party = speaker(i)
+    # Reaches are never negative, so a sum of them is positive exactly when
+    # one of them is.  `full` says every reach of the level is positive.
+    full = True
+    for depth in range(spec.rounds):
+        party = speaker(depth)
         values, column_value, holds = own_values[party]
-        # (node, value) pairs where some pair of positive reach holds the value,
-        # value by value for the level queries.
-        live = (reach > 0.0) @ holds
-        groups, rows = np.nonzero(live.T)
-        asked = list(map(prefixes.__getitem__, rows.tolist()))
-        asks, start = [], 0
-        for g, count in enumerate(np.bincount(groups, minlength=len(values)).tolist()):
-            if count:
-                asks.append((values[g], asked[start : start + count]))
-                start += count
-        laws = np.zeros((len(prefixes), len(values), 2))
-        found = _level_laws(spec, party, asks, noise)
-        if found is not None:
-            laws[rows, groups, 0], laws[rows, groups, 1] = found
+        # Ask the rules value by value where some pair holding the value
+        # reaches the node: on a full level, at every node.
+        if full:
+            asks = [(own_input, slice(None)) for own_input in values]
         else:
-            rows, groups = np.nonzero(live)
-            laws[rows, groups] = [
-                node_law(spec, party, values[g], prefixes[k], noise)[:2]
-                for k, g in zip(rows.tolist(), groups.tolist())
-            ]
-        intent = laws[:, column_value, 0]
-        crossover = laws[:, column_value, 1]
-        yield prefixes, reach, intent, crossover
+            live = reach @ holds > 0.0
+            asks = [(own_input, np.flatnonzero(live[:, g])) for g, own_input in enumerate(values)]
+        laws = _level_laws(spec, party, depth, ids, asks, noise)
+        if laws is None:
+            rows, groups = np.nonzero(reach @ holds > 0.0)
+            laws = np.zeros((2, len(ids), len(values)))
+            laws[:, rows, groups] = np.array(
+                [
+                    node_law(spec, party, values[g], prefix, noise)[:2]
+                    for prefix, g in zip(node_prefixes(depth, ids[rows]), groups.tolist())
+                ]
+            ).reshape(-1, 2).T
+        laws = laws[:, :, column_value]
+        intent, crossover = laws[0], laws[1]
+        yield ids, reach, intent, crossover
         pr_one = received_one(intent, crossover)
-        children = np.empty((len(prefixes), 2, len(pairs)))
+        children = np.empty((len(ids), 2, len(pairs)))
         np.multiply(reach, 1.0 - pr_one, out=children[:, 0])
         np.multiply(reach, pr_one, out=children[:, 1])
-        children = children.reshape(2 * len(prefixes), len(pairs))
-        keep = (children > 0.0).any(axis=1)
-        prefixes = list(compress([p + b for p in prefixes for b in "01"], keep.tolist()))
-        reach = children[keep]
-    yield prefixes, reach, None, None
+        reach = children.reshape(2 * len(ids), len(pairs))
+        ids = (2 * ids[:, None] + _CHILD_BIT).ravel()
+        full = np.minimum.reduce(reach, None) > 0.0
+        if not full:
+            keep = reach @ ones > 0.0
+            ids, reach = ids[keep], reach[keep]
+    yield ids, reach, None, None
 
 
 def enumerate_transcripts(
@@ -631,9 +662,9 @@ def enumerate_transcripts(
     With `noise` (or a per-bit crossover table) the law is the received-bit
     law over the channel; with neither, the noiseless sent-bit law.
     """
-    for prefixes, reach, intent, _ in protocol_tree(spec, {(x, y): 1.0}, noise):
+    for ids, reach, intent, _ in protocol_tree(spec, {(x, y): 1.0}, noise):
         if intent is None:
-            yield from zip(prefixes, reach[:, 0].tolist())
+            yield from zip(node_prefixes(spec.rounds, ids), reach[:, 0].tolist())
 
 
 def prefix_probability(
@@ -717,23 +748,77 @@ def seeded_spec(
     return ProtocolSpec(rounds, tuple(alice_inputs), tuple(bob_inputs), next_bit)
 
 
+# Rows of tables up to this many rounds are checked against a cached tuple of
+# heap-ordered prefixes (all tuples together at most 2**17 strings, about
+# 10 MB); a deeper row is read key by key.
+_HEAP_CHECK_ROUNDS = 16
+
+
+@cache
+def _heap_prefixes(rounds: int) -> tuple[Transcript, ...]:
+    """Every interior node of a `rounds`-round tree, in heap order."""
+    return tuple(p for depth in range(rounds) for p in node_prefixes(depth, range(1 << depth)))
+
+
+def _dense_row(row: dict, rounds: int) -> np.ndarray:
+    """A table row as a float64 array in heap order: node p sits at
+    2**len(p) - 1 + int(p, 2), over the 2**rounds - 1 interior nodes.
+
+    A row whose keys are all the interior nodes in heap order is read by one
+    `np.fromiter`.  Any other row is filled key by key.  Absent nodes,
+    keys that are not binary strings shorter than `rounds` and entries that
+    float() rejects read NaN.
+    """
+    size = (1 << rounds) - 1
+    if rounds <= _HEAP_CHECK_ROUNDS and len(row) == size and tuple(row) == _heap_prefixes(rounds):
+        try:
+            return np.fromiter(row.values(), np.float64, size)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    dense = np.full(size, np.nan)
+    for prefix, value in row.items():
+        if isinstance(prefix, str) and len(prefix) < rounds and not prefix.strip("01"):
+            try:
+                dense[(1 << len(prefix)) - 1 + int(prefix or "0", 2)] = float(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+    return dense
+
+
 class TableRule:
     """A rule read off a table: table[party][str(own_input)][prefix].
 
-    Called per node, or per level through `level`, which looks the
-    (party, own input) row up once for a whole list of prefixes.
+    Called per node, it looks the entry up.  Its level form
+    `level(party, own_input, depth, ids)` reads the (party, str(own_input))
+    row once, on the row's first level query, into a float64 array in heap
+    order (`_dense_row`) kept on the rule, and answers every later query of
+    that row by one array index.  Nodes the row lacks read NaN, which the
+    walker treats as a fault and replays through `node_law`, so a level
+    answer is the per-node answer or `node_law`'s error.  A row is read when
+    first queried, so edit a table before walking its spec.
+
+    Memory: a row is 2**rounds - 1 floats.  A walk reads at most one row per
+    (rule, party, own input held by an input pair), so the two rules of a
+    spec hold at most 4 x 8 B x (len(mu) << rounds), which is 32 MB under
+    ENUMERATION_GUARD.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "rounds", "_rows")
 
-    def __init__(self, table: dict):
+    def __init__(self, table: dict, rounds: int):
         self.table = table
+        self.rounds = rounds
+        self._rows: dict[tuple[str, str], np.ndarray] = {}
 
     def __call__(self, party: str, own_input: Any, prefix: Transcript) -> Any:
         return self.table[party][str(own_input)][prefix]
 
-    def level(self, party: str, own_input: Any, prefixes: list[Transcript]) -> list:
-        return list(map(self.table[party][str(own_input)].__getitem__, prefixes))
+    def level(self, party: str, own_input: Any, depth: int, ids: np.ndarray) -> np.ndarray:
+        key = (party, str(own_input))
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = _dense_row(self.table[party][key[1]], self.rounds)
+        return row[(1 << depth) - 1 :][ids]
 
 
 def _table_values(name: str, table: dict) -> np.ndarray:
@@ -788,12 +873,12 @@ def table_spec(
     crossover = None
     if crossover_table is not None:
         _table_values("crossover_table", crossover_table)
-        crossover = TableRule(crossover_table)
+        crossover = TableRule(crossover_table, rounds)
     return ProtocolSpec(
         rounds,
         tuple(alice_inputs),
         tuple(bob_inputs),
-        TableRule(table),
+        TableRule(table, rounds),
         crossover=crossover,
         deterministic=deterministic,
     )

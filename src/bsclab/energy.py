@@ -305,7 +305,9 @@ def _climb(a: int, top: int, rng: RandomSource, ledger: CostLedger) -> None:
 
 class ReceivedBit:
     """Intent rule of a noisy protocol's noiseless replay: the noisy
-    protocol's received-one probability at the node, per node or per level."""
+    protocol's received-one probability at the node, per node or per level.
+    The level form asks pi's own rules through `level_law`, so a table pi's
+    dense rows are read once and shared with the energy walk of pi."""
 
     __slots__ = ("pi",)
 
@@ -315,8 +317,8 @@ class ReceivedBit:
     def __call__(self, party: str, own_input: Any, prefix: Transcript) -> float:
         return node_law(self.pi, party, own_input, prefix)[2]
 
-    def level(self, party: str, own_input: Any, prefixes: list[Transcript]) -> np.ndarray:
-        return received_one(*level_law(self.pi, party, own_input, prefixes))
+    def level(self, party: str, own_input: Any, depth: int, ids: np.ndarray) -> np.ndarray:
+        return received_one(*level_law(self.pi, party, own_input, depth, ids))
 
 
 def noiseless_from_noisy(pi: ProtocolSpec, mu: dict | None = None) -> ProtocolSpec:

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import entr, rel_entr
 
-from .core import InvariantViolation, ParameterError, ProtocolSpec, SpecError, protocol_tree
+from .core import (
+    InvariantViolation,
+    ParameterError,
+    ProtocolSpec,
+    SpecError,
+    node_prefixes,
+    protocol_tree,
+)
 
 LN2 = math.log(2.0)
 
@@ -71,9 +78,10 @@ class FiniteJoint:
     @classmethod
     def from_protocol(cls, spec: ProtocolSpec, mu: dict) -> "FiniteJoint":
         pairs = [pair for pair, w in mu.items() if w > 0.0]
-        for leaves, reach, _, _ in protocol_tree(spec, mu):
+        for ids, reach, _, _ in protocol_tree(spec, mu):
             pass  # the leaf level comes last
         rows, cols = np.nonzero(reach > 0.0)
+        leaves = node_prefixes(spec.rounds, ids)
         table = {
             (*pairs[j], leaves[i]): pr
             for i, j, pr in zip(rows.tolist(), cols.tolist(), reach[rows, cols].tolist())

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsclab import core
@@ -25,6 +25,7 @@ from bsclab.core import (
     flip_pattern,
     level_law,
     node_law,
+    node_prefixes,
     pad_to_even,
     prefix_probability,
     protocol_tree,
@@ -579,6 +580,74 @@ def _per_node(spec):
     )
 
 
+def _full_tables(gen, rounds, scale):
+    """A heap-ordered table on inputs {0, 1} with a uniform [0, scale) entry
+    at every interior node, built like the `info_cost` bench's."""
+    prefixes = _prefixes(rounds)
+    return {
+        party: {
+            own: dict(zip(prefixes, (scale * gen.random(len(prefixes))).tolist()))
+            for own in ("0", "1")
+        }
+        for party in ("alice", "bob")
+    }
+
+
+def _assert_level_matches_calls(rule, party, own, depth, ids, names):
+    """`rule.level` gives float(rule(...)) at every asked node, NaN where the
+    call raises or float() rejects its value, and a missing row raises
+    KeyError both ways."""
+    try:
+        dense = rule.level(party, own, depth, np.asarray(ids, dtype=np.int64))
+    except KeyError:
+        with pytest.raises(KeyError):
+            rule(party, own, "")
+        return
+    assert dense.dtype == np.float64 and dense.shape == (len(ids),)
+    for got, prefix in zip(dense.tolist(), names):
+        try:
+            want = float(rule(party, own, prefix))
+        except (KeyError, TypeError, ValueError):
+            want = math.nan
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@st.composite
+def edited_table_cases(draw):
+    """A 1-5 round table spec on inputs {0, 1}, both tables edited after
+    `table_spec` built them (as a caller may, before walking): key order
+    shuffled, nodes removed, keys added that are not binary or are too deep,
+    entries set to NaN, 1.5, None or "0.3", an own-input row removed; and a
+    few (depth, ids) queries, ids unsorted, down to the leaf depth."""
+    rounds = draw(st.integers(1, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits, crossovers = _full_tables(gen, rounds, 1.0), _full_tables(gen, rounds, 0.5)
+    spec = table_spec(rounds, bits, (0, 1), (0, 1), crossover_table=crossovers)
+    prefixes = _prefixes(rounds)
+    for table in (bits, crossovers):
+        for party in ("alice", "bob"):
+            for own in ("0", "1"):
+                row = table[party][own]
+                if draw(st.booleans()):
+                    order = draw(st.permutations(list(row)))
+                    items = {p: row[p] for p in order}
+                    row.clear()
+                    row.update(items)
+                for p in draw(st.sets(st.sampled_from(prefixes), max_size=2)):
+                    del row[p]
+                extra = ["2", "0a", " 1", "0" * rounds, "1" * (rounds + 3), 7, ("0",)]
+                for key in draw(st.lists(st.sampled_from(extra), max_size=2)):
+                    row[key] = 0.25
+                bad = st.sampled_from([math.nan, 1.5, None, "0.3"])
+                row.update(draw(st.dictionaries(st.sampled_from(prefixes), bad, max_size=2)))
+        if draw(st.booleans()):
+            del table[draw(st.sampled_from(["alice", "bob"]))][draw(st.sampled_from(["0", "1"]))]
+    queries = []
+    for depth in draw(st.lists(st.integers(0, rounds), min_size=1, max_size=3)):
+        queries.append((depth, draw(st.lists(st.integers(0, (1 << depth) - 1), max_size=6))))
+    return spec, queries
+
+
 def _xor4_tables():
     """Noiseless 4-round send-your-input protocol on inputs 0..3, with the
     intent and a zero crossover defined only at reachable nodes."""
@@ -641,6 +710,9 @@ BAD_NODES = {
         "per-bit crossover 0.7 outside [0, 1/2]",
     ),
 }
+
+# (depth, ids) queries of 5-round trees: ids unsorted, repeated depths, none.
+LEVEL_QUERIES = [(0, [0]), (1, [0, 1]), (2, [2]), (3, [3, 7]), (4, [6, 1]), (2, [])]
 
 WALK_CONSUMERS = {
     "external_info_cost": lambda pi, mu: external_info_cost(noiseless_from_noisy(pi, mu), mu),
@@ -750,6 +822,9 @@ class TestLevelWalker:
         st.lists(st.integers(0, 5), max_size=3),
         st.sampled_from([None, 0.0, 0.2, 0.5]),
     )
+    # The info_cost bench's size: a full 12-round table of Bernoulli nodes
+    # on 2x2 inputs, so nothing prunes.
+    @example(12, DOMAINS[0], 12, 0.0, True, [], None)
     def test_level_rules_match_per_node_rules(
         self, rounds, domains, seed, p_det, noisy, zero_pairs, crossover
     ):
@@ -767,7 +842,8 @@ class TestLevelWalker:
             for got, want in zip(
                 protocol_tree(fast, mu, noise), protocol_tree(slow, mu, noise), strict=True
             ):
-                assert got[0] == want[0]
+                assert got[0].dtype == want[0].dtype == np.int64
+                assert np.array_equal(got[0], want[0])
                 for a, b in zip(got[1:], want[1:]):
                     assert (a is None) == (b is None)
                     if a is not None:
@@ -789,28 +865,104 @@ class TestLevelWalker:
         for which in (spec, noiseless_from_noisy(spec)):
             for party, inputs in ((ALICE, spec.alice_inputs), (BOB, spec.bob_inputs)):
                 for own in inputs:
-                    for prefixes in (["", "0", "1"], ["10", "011", "0110"], []):
-                        intent, crossover = level_law(which, party, own, prefixes)
+                    for depth, ids in LEVEL_QUERIES:
+                        intent, crossover = level_law(which, party, own, depth, ids)
                         assert intent.dtype == crossover.dtype == np.float64
-                        laws = [node_law(which, party, own, p)[:2] for p in prefixes]
+                        laws = [
+                            node_law(which, party, own, p)[:2] for p in node_prefixes(depth, ids)
+                        ]
                         assert intent.tolist() == [r for r, _ in laws]
                         assert crossover.tolist() == [c for _, c in laws]
 
     @pytest.mark.parametrize(
-        "prefixes, error, named",
+        "depth, ids, error, named",
         [
-            (["0", "11111", "1"], SpecError, "prefix '11111' is not interior"),
-            (["0", "1", "10"], SpecError, "next_bit value 1.5 at '1' is not a probability"),
-            (["0", "zz"], SpecError, "next_bit undefined at (alice, 0, 'zz')"),
+            (5, [31, 0], SpecError, "prefix '11111' is not interior"),
+            (1, [0, 1], SpecError, "next_bit value 1.5 at '1' is not a probability"),
+            (2, [0, 1], SpecError, "next_bit undefined at (alice, 0, '01')"),
         ],
     )
-    def test_level_law_raises_node_law_error(self, prefixes, error, named):
+    def test_level_law_raises_node_law_error(self, depth, ids, error, named):
         gen = np.random.default_rng(12)
         spec, _ = _random_walk_case(gen, 5, (0, 1), (0, 1), 0.5, True, [])
         spec.next_bit.table["alice"]["0"]["1"] = 1.5
         spec.next_bit.table["alice"]["0"]["10"] = math.nan
+        del spec.next_bit.table["alice"]["0"]["01"]
         with pytest.raises(error, match=re.escape(named)):
-            level_law(spec, ALICE, 0, prefixes)
+            level_law(spec, ALICE, 0, depth, ids)
+
+    @settings(max_examples=100, deadline=None)
+    @given(edited_table_cases())
+    def test_dense_rows_answer_like_per_node_rules(self, case):
+        """A table rule's level answers are its per-node answers as floats
+        (NaN where a node has none), and `level_law` returns `node_law`'s
+        values or raises `node_law`'s exact error, however a row is edited
+        before the walk."""
+        spec, queries = case
+        for depth, ids in queries:
+            names = node_prefixes(depth, ids)
+            for party in (ALICE, BOB):
+                for own in (0, 1):
+                    for rule in (spec.next_bit, spec.crossover):
+                        if depth < spec.rounds:
+                            _assert_level_matches_calls(rule, party, own, depth, ids, names)
+                    try:
+                        want = [node_law(spec, party, own, p)[:2] for p in names]
+                    except Exception as exc:
+                        with pytest.raises(type(exc)) as got:
+                            level_law(spec, party, own, depth, ids)
+                        assert str(got.value) == str(exc)
+                    else:
+                        intent, crossover = level_law(spec, party, own, depth, ids)
+                        assert intent.tolist() == [r for r, _ in want]
+                        assert crossover.tolist() == [c for _, c in want]
+
+    def test_table_rows_read_once_across_both_walks(self):
+        """The info_cost op's two walks (IC of the noiseless replay, then EC)
+        fetch each row of pi's two tables once, and a repeat fetches none."""
+        gen = np.random.default_rng(5)
+        rounds = 8
+        bits, crossovers = _full_tables(gen, rounds, 1.0), _full_tables(gen, rounds, 0.5)
+        fetched = Counter()
+
+        class CountingRows(dict):
+            def __init__(self, key, rows):
+                super().__init__(rows)
+                self.key = key
+
+            def __getitem__(self, own):
+                fetched[(*self.key, own)] += 1
+                return super().__getitem__(own)
+
+        def counted(name, table):
+            return {party: CountingRows((name, party), rows) for party, rows in table.items()}
+
+        pi = table_spec(
+            rounds,
+            counted("table", bits),
+            (0, 1),
+            (0, 1),
+            crossover_table=counted("crossover_table", crossovers),
+        )
+        plain = table_spec(rounds, bits, (0, 1), (0, 1), crossover_table=crossovers)
+        mu = {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.4}
+        assert not fetched
+        ic = external_info_cost(noiseless_from_noisy(pi, mu), mu)
+        ec = expected_energy_cost(pi, mu)
+        assert fetched == Counter(
+            {
+                (name, party, own): 1
+                for name in ("table", "crossover_table")
+                for party in ("alice", "bob")
+                for own in ("0", "1")
+            }
+        )
+        assert ic == external_info_cost(noiseless_from_noisy(plain, mu), mu)
+        assert ec == expected_energy_cost(plain, mu)
+        fetched.clear()
+        assert external_info_cost(noiseless_from_noisy(pi, mu), mu) == ic
+        assert expected_energy_cost(pi, mu) == ec
+        assert not fetched
 
     def test_rule_returning_none_raises_like_node_law(self):
         base = xor_spec(3)
@@ -905,7 +1057,7 @@ class TestSpecFiles:
         cross = {"alice": {"0": {"": "0.25"}, "1": {"": 0}}, "bob": {"0": {"0": 0.1, "1": "0.1"}}}
         spec = table_spec(2, bits, (0, 1), (0,), crossover_table=cross)
         assert not spec.deterministic
-        assert [a.tolist() for a in level_law(spec, BOB, 0, ["0", "1"])] == [[0.0, 0.5], [0.1, 0.1]]
+        assert [a.tolist() for a in level_law(spec, BOB, 0, 1, [0, 1])] == [[0.0, 0.5], [0.1, 0.1]]
         slow = _per_node(spec)
         mu = {(0, 0): 0.5, (1, 0): 0.5}
         joint = FiniteJoint.from_protocol(spec, mu).table
