@@ -25,17 +25,19 @@ rules at one node (the executor and the per-prefix callers use it), and
 through a rule's `level(party, own_input, depth, ids)` method when it has
 one.  The walker queries each level once per speaker's own input value, so
 every rule is still asked once per (node, own value); `received_one` is the
-one received-bit formula.  `TableRule`, the rule of `table_spec`, answers a
-level from dense per-row arrays it reads once per table.
+one received-bit formula.  `TableRule`, the rule of `table_spec`, answers
+node and level queries from one store: dense per-row arrays that
+`table_spec` reads once, when it builds the spec.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from itertools import chain, cycle, repeat
+from itertools import cycle, repeat
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -535,7 +537,7 @@ def level_law(
     noise: Noise | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Intent and crossover float64 arrays of one own input value over the
-    node ids `ids` of one depth, each in [0, 2**depth) (not checked).
+    node ids `ids` of one depth, each in [0, 2**depth) or SpecError.
 
     Entry k equals `node_law(spec, party, own_input, prefix, noise)[:2]` at
     the prefix of `ids[k]` (`node_prefixes`), and each rule is asked once per
@@ -546,6 +548,11 @@ def level_law(
     `node_law`'s "is not interior".
     """
     ids = np.asarray(ids, np.int64)
+    # The ids' bitwise OR is negative or has a bit at `depth` or above
+    # exactly when some id is outside [0, 2**depth).
+    if np.bitwise_or.reduce(ids, None) >> depth:
+        bad = next(j for j in ids.tolist() if not 0 <= j < 1 << depth)
+        raise SpecError(f"node id {bad} at depth {depth} is outside [0, 2**{depth})")
     if depth < spec.rounds:
         laws = _level_laws(spec, party, depth, ids, [(own_input, slice(None))], noise)
         if laws is not None:
@@ -748,112 +755,96 @@ def seeded_spec(
     return ProtocolSpec(rounds, tuple(alice_inputs), tuple(bob_inputs), next_bit)
 
 
+# Deepest table whose rows, of 2**rounds - 1 nodes, stay within ENUMERATION_GUARD.
+_MAX_TABLE_ROUNDS = ENUMERATION_GUARD.bit_length() - 1
 # Rows of tables up to this many rounds are checked against a cached tuple of
 # heap-ordered prefixes (all tuples together at most 2**17 strings, about
 # 10 MB); a deeper row is read key by key.
 _HEAP_CHECK_ROUNDS = 16
+# A row stores an absent node as +NaN and an entry float() reads as NaN as
+# -NaN, so the two stay apart in one float64 array.
+_ABSENT = math.copysign(math.nan, 1.0)
+_NAN_ENTRY = math.copysign(math.nan, -1.0)
 
 
 @cache
-def _heap_prefixes(rounds: int) -> tuple[Transcript, ...]:
-    """Every interior node of a `rounds`-round tree, in heap order."""
+def heap_prefixes(rounds: int) -> tuple[Transcript, ...]:
+    """Every interior node of a `rounds`-round tree, in heap order: the root,
+    then each depth in lexicographic order."""
     return tuple(p for depth in range(rounds) for p in node_prefixes(depth, range(1 << depth)))
 
 
-def _dense_row(row: dict, rounds: int) -> np.ndarray:
+def _read_row(name: str, party: str, own: Any, row: dict, rounds: int) -> np.ndarray:
     """A table row as a float64 array in heap order: node p sits at
     2**len(p) - 1 + int(p, 2), over the 2**rounds - 1 interior nodes.
 
     A row whose keys are all the interior nodes in heap order is read by one
-    `np.fromiter`.  Any other row is filled key by key.  Absent nodes,
-    keys that are not binary strings shorter than `rounds` and entries that
-    float() rejects read NaN.
+    `np.fromiter`; fromiter reads None as NaN, so a row with a NaN, like any
+    other row, is read entry by entry.  SpecError at a key that is not a 0/1
+    string shorter than `rounds`, or at an entry float() rejects.
     """
     size = (1 << rounds) - 1
-    if rounds <= _HEAP_CHECK_ROUNDS and len(row) == size and tuple(row) == _heap_prefixes(rounds):
+    if rounds <= _HEAP_CHECK_ROUNDS and len(row) == size and tuple(row) == heap_prefixes(rounds):
         try:
-            return np.fromiter(row.values(), np.float64, size)
+            dense = np.fromiter(row.values(), np.float64, size)
+            if not np.isnan(dense).any():
+                return dense
         except (TypeError, ValueError, OverflowError):
             pass
-    dense = np.full(size, np.nan)
+    dense = np.full(size, _ABSENT)
     for prefix, value in row.items():
-        if isinstance(prefix, str) and len(prefix) < rounds and not prefix.strip("01"):
-            try:
-                dense[(1 << len(prefix)) - 1 + int(prefix or "0", 2)] = float(value)
-            except (TypeError, ValueError, OverflowError):
-                pass
+        if not isinstance(prefix, str) or len(prefix) >= rounds or prefix.strip("01"):
+            raise SpecError(
+                f"{name} key {prefix!r} at ({party}, {own!r}) is not a 0/1 string "
+                f"shorter than {rounds}"
+            )
+        try:
+            entry = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SpecError(
+                f"{name} entry {value!r} at ({party}, {own!r}, {prefix!r}) is not a number"
+            ) from exc
+        dense[int("1" + prefix, 2) - 1] = entry if entry == entry else _NAN_ENTRY
     return dense
 
 
 class TableRule:
     """A rule read off a table: table[party][str(own_input)][prefix].
 
-    Called per node, it looks the entry up.  Its level form
-    `level(party, own_input, depth, ids)` reads the (party, str(own_input))
-    row once, on the row's first level query, into a float64 array in heap
-    order (`_dense_row`) kept on the rule, and answers every later query of
-    that row by one array index.  Nodes the row lacks read NaN, which the
-    walker treats as a fault and replays through `node_law`, so a level
-    answer is the per-node answer or `node_law`'s error.  A row is read when
-    first queried, so edit a table before walking its spec.
+    It holds every (party, own input) row of the table as a float64 array in
+    heap order (`_read_row`), read once when the rule is built; it keeps no
+    reference to the table, so editing the table afterwards changes nothing.
+    Called per node, it gives the node's entry, and KeyError where the row
+    or the node is absent.  Its level form `level(party, own_input, depth,
+    ids)` gives the entries of the ids of one depth by one array index; an
+    absent node or a NaN entry reads NaN there, which the walker treats as a
+    fault and replays through `node_law`, so a level answer is the per-node
+    answer or `node_law`'s error.
 
-    Memory: a row is 2**rounds - 1 floats.  A walk reads at most one row per
-    (rule, party, own input held by an input pair), so the two rules of a
-    spec hold at most 4 x 8 B x (len(mu) << rounds), which is 32 MB under
-    ENUMERATION_GUARD.
+    Memory: each row is 8 B x (2**rounds - 1), at most 8 MB at 20 rounds.
     """
 
-    __slots__ = ("table", "rounds", "_rows")
+    __slots__ = ("rows", "rounds")
 
-    def __init__(self, table: dict, rounds: int):
-        self.table = table
+    def __init__(self, name: str, table: dict, rounds: int):
         self.rounds = rounds
-        self._rows: dict[tuple[str, str], np.ndarray] = {}
-
-    def __call__(self, party: str, own_input: Any, prefix: Transcript) -> Any:
-        return self.table[party][str(own_input)][prefix]
-
-    def level(self, party: str, own_input: Any, depth: int, ids: np.ndarray) -> np.ndarray:
-        key = (party, str(own_input))
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = _dense_row(self.table[party][key[1]], self.rounds)
-        return row[(1 << depth) - 1 :][ids]
-
-
-def _table_values(name: str, table: dict) -> np.ndarray:
-    """Every entry of `table` as float64; SpecError at the first entry that
-    float() rejects."""
-    rows = [row for per_party in table.values() for row in per_party.values()]
-    # One C loop reads an all-numbers table; fromiter reads None as NaN, so
-    # a table with a NaN is read again entry by entry.
-    try:
-        values = np.fromiter(
-            chain.from_iterable(row.values() for row in rows),
-            dtype=np.float64,
-            count=sum(map(len, rows)),
-        )
-        if not np.isnan(values).any():
-            return values
-    except (TypeError, ValueError, OverflowError):
-        pass
-    return np.array(
-        [
-            _entry(name, party, own, prefix, v)
+        self.rows = {
+            (party, own): _read_row(name, party, own, row, rounds)
             for party, per_party in table.items()
             for own, row in per_party.items()
-            for prefix, v in row.items()
-        ]
-    )
+        }
 
+    def __call__(self, party: str, own_input: Any, prefix: Transcript) -> float:
+        row = self.rows[party, str(own_input)]
+        if len(prefix) >= self.rounds or prefix.strip("01"):
+            raise KeyError(prefix)
+        value = row[int("1" + prefix, 2) - 1]
+        if value != value and math.copysign(1.0, value) > 0.0:
+            raise KeyError(prefix)
+        return value
 
-def _entry(name: str, party: str, own: Any, prefix: Transcript, value: Any) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(
-            f"{name} entry {value!r} at ({party}, {own!r}, {prefix!r}) is not a number"
-        ) from exc
+    def level(self, party: str, own_input: Any, depth: int, ids: np.ndarray) -> np.ndarray:
+        return self.rows[party, str(own_input)][(1 << depth) - 1 :][ids]
 
 
 def table_spec(
@@ -865,22 +856,32 @@ def table_spec(
 ) -> ProtocolSpec:
     """Explicit per-node table: table[party][str(input)][prefix] -> bit or probability.
 
-    Every entry of `table` and `crossover_table` must be accepted by
-    float(); ranges are checked where the walk reads a node.
+    Every row of `table` and `crossover_table` is read here, once, into the
+    spec's `TableRule`s.  A table needs 1 to 20 rounds, every key must be a
+    0/1 string shorter than `rounds` and every entry must be accepted by
+    float(), or SpecError; ranges are checked where the walk reads a node.
     """
-    values = _table_values("table", table)
-    deterministic = bool(((values == 0.0) | (values == 1.0)).all())
+    if not 1 <= rounds <= _MAX_TABLE_ROUNDS:
+        raise SpecError(
+            f"a table protocol needs 1 to {_MAX_TABLE_ROUNDS} rounds, got rounds = {rounds}: "
+            f"a row holds 2**rounds - 1 nodes, at most ENUMERATION_GUARD = {ENUMERATION_GUARD}"
+        )
+    next_bit = TableRule("table", table, rounds)
     crossover = None
     if crossover_table is not None:
-        _table_values("crossover_table", crossover_table)
-        crossover = TableRule(crossover_table, rounds)
+        crossover = TableRule("crossover_table", crossover_table, rounds)
+    # Absent nodes (+NaN) do not count; a NaN entry (-NaN) is not a bit.
+    deterministic = all(
+        ((row == 0.0) | (row == 1.0) | (np.isnan(row) & ~np.signbit(row))).all()
+        for row in next_bit.rows.values()
+    )
     return ProtocolSpec(
         rounds,
         tuple(alice_inputs),
         tuple(bob_inputs),
-        TableRule(table, rounds),
+        next_bit,
         crossover=crossover,
-        deterministic=deterministic,
+        deterministic=bool(deterministic),
     )
 
 

@@ -306,8 +306,9 @@ def _climb(a: int, top: int, rng: RandomSource, ledger: CostLedger) -> None:
 class ReceivedBit:
     """Intent rule of a noisy protocol's noiseless replay: the noisy
     protocol's received-one probability at the node, per node or per level.
-    The level form asks pi's own rules through `level_law`, so a table pi's
-    dense rows are read once and shared with the energy walk of pi."""
+    The level form asks pi's own rules through `level_law`, so a table pi
+    answers from the dense rows `table_spec` read when it built pi, the
+    same store the energy walk of pi reads."""
 
     __slots__ = ("pi",)
 

@@ -30,6 +30,7 @@ from .core import (
     SpecError,
     constant_spec,
     flip_pattern,
+    heap_prefixes,
     pad_to_even,
     seeded_spec,
     table_spec,
@@ -83,15 +84,6 @@ def combine(results: dict[str, ExperimentResult]) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _all_prefixes(rounds: int) -> list[str]:
-    prefixes = [""]
-    for r in range(1, rounds):
-        prefixes.extend(
-            format(i, f"0{r}b") for i in range(1 << r)
-        )
-    return prefixes
-
-
 def _random_tables(gen: np.random.Generator, rounds: int, noisy: bool):
     bits: dict = {"alice": {}, "bob": {}}
     crossovers: dict = {"alice": {}, "bob": {}}
@@ -99,7 +91,7 @@ def _random_tables(gen: np.random.Generator, rounds: int, noisy: bool):
         for inp in ("0", "1"):
             bits[party][inp] = {}
             crossovers[party][inp] = {}
-            for prefix in _all_prefixes(rounds):
+            for prefix in heap_prefixes(rounds):
                 bits[party][inp][prefix] = float(gen.random())
                 crossovers[party][inp][prefix] = float(0.5 * gen.random())
     return bits, (crossovers if noisy else None)

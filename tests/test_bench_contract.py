@@ -36,9 +36,27 @@ energy.sample_with_prior(0.3, 0.2, 64, core.RandomSource(4), core.CostLedger())
 # The compress workload's alpha-ceiling check.
 t = compressor.default_t(eps)
 alpha = max(1.0 / compressor.DEFAULT_BETA**2, 50.0 * t * t + 10.0)
+# The info_cost op on a variable-noise table protocol.
+heap = ["", "0", "1", "00", "01", "10", "11"]
+parties = (core.ALICE, core.BOB)
+bits = {p: {o: dict.fromkeys(heap, 0.25 + 0.5 * int(o)) for o in "01"} for p in parties}
+cross = {p: {o: dict.fromkeys(heap, 0.125) for o in "01"} for p in parties}
+pi = core.table_spec(3, bits, (0, 1), (0, 1), crossover_table=cross)
+mu = {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.4}
+phi = energy.noiseless_from_noisy(pi, mu)
+ic = infotheory.external_info_cost(phi, mu)
+ec = energy.expected_energy_cost(pi, mu)
+_, _, run = core.run_over_bsc(pi, 1, 0, None, core.RandomSource(5))
+# The walks workload's replay set-up and run, and the tracer's draw regions.
+joint = infotheory.FiniteJoint.from_protocol(phi, mu).table
+transcript, _ = energy.noisy_from_noiseless(phi, mu, 16).run(0, 1, core.RandomSource(6))
+q_rounded = energy.BitWithPrior(0.3, 0.2, 64).q_rounded
 print(json.dumps({
     "leaf": leaf, "bits": ledger.bits_sent, "counts": dict(tracer.counts),
     "alpha": alpha, "gamma": compressor.default_gamma(eps),
+    "ic": [ic.bits, ic.chain_bits, ic.divergence_bits], "ec": ec,
+    "run": [run.bits_sent, run.energy], "joint": sum(joint.values()),
+    "transcript": transcript, "q_rounded": q_rounded, "spans": sorted(set(tracer.names)),
 }))
 """
 
@@ -61,3 +79,16 @@ def test_traced_library_calls():
     assert counts["compressor.threshold_rounds"] > 0
     assert counts["core.replay.rounds"] > 0
     assert counts["verify.mc.trials"] == 4
+    assert max(out["ic"]) - min(out["ic"]) < 1e-9 and out["ec"] > 0.0
+    assert out["run"][0] == 3 and out["run"][1] > 0.0
+    assert abs(out["joint"] - 1.0) < 1e-12 and len(out["transcript"]) == 3
+    assert 0.0 < out["q_rounded"] <= 0.5
+    assert counts["infotheory.nodes"] > 0
+    for span in (
+        "infotheory.icost",
+        "energy.expected_energy",
+        "core.bsc_run",
+        "infotheory.joint",
+        "energy.replay",
+    ):
+        assert span in out["spans"], span

@@ -29,6 +29,7 @@ from bsclab.core import (
     pad_to_even,
     prefix_probability,
     protocol_tree,
+    received_one,
     run_over_bsc,
     seeded_spec,
     speaker,
@@ -209,8 +210,8 @@ def _raised(call):
 @st.composite
 def replay_cases(draw):
     """A random deterministic table protocol of 1-10 rounds on inputs {0, 1}
-    with every node defined, inputs, a root at even depth and a flip pattern
-    for the rounds below it."""
+    with every node defined, its table, inputs, a root at even depth and a
+    flip pattern for the rounds below it."""
     rounds = draw(st.integers(1, 10))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     prefixes = _prefixes(rounds)
@@ -228,7 +229,7 @@ def replay_cases(draw):
         draw(st.lists(st.integers(0, 1), min_size=rounds - depth, max_size=rounds - depth)),
         dtype=np.int8,
     )
-    return table_spec(rounds, table, (0, 1), (0, 1)), x, y, root, pattern
+    return table_spec(rounds, table, (0, 1), (0, 1)), table, x, y, root, pattern
 
 
 class TestReplay:
@@ -238,7 +239,7 @@ class TestReplay:
     @settings(max_examples=150, deadline=None)
     @given(replay_cases())
     def test_matches_reference(self, case):
-        spec, x, y, root, pattern = case
+        spec, _, x, y, root, pattern = case
         leaf = core.apply_flip_pattern(spec, x, y, root, pattern)
         assert leaf == _reference_apply(spec, x, y, root, pattern)
         flips = flip_pattern(spec, x, y, leaf)
@@ -255,7 +256,7 @@ class TestReplay:
         st.integers(0, 9),
     )
     def test_errors_match_reference(self, case, fault, at):
-        spec, x, y, root, pattern = case
+        spec, table, x, y, root, pattern = case
         leaf = _reference_apply(spec, x, y, root, pattern)
         if fault == "long":
             pattern = np.append(pattern, np.int8(at % 2))
@@ -266,11 +267,12 @@ class TestReplay:
             if i >= spec.rounds:
                 return
             party = speaker(i)
-            row = spec.next_bit.table[party][str((x, y)[i % 2])]
+            row = table[party][str((x, y)[i % 2])]
             if fault == "missing":
                 del row[leaf[:i]]
             else:
                 row[leaf[:i]] = fault
+            spec = table_spec(spec.rounds, table, (0, 1), (0, 1))
         got = _raised(lambda: core.apply_flip_pattern(spec, x, y, root, pattern))
         want = _raised(lambda: _reference_apply(spec, x, y, root, pattern))
         assert got[0] == want[0] == "raised"
@@ -595,8 +597,7 @@ def _full_tables(gen, rounds, scale):
 
 def _assert_level_matches_calls(rule, party, own, depth, ids, names):
     """`rule.level` gives float(rule(...)) at every asked node, NaN where the
-    call raises or float() rejects its value, and a missing row raises
-    KeyError both ways."""
+    call raises KeyError, and a missing row raises KeyError both ways."""
     try:
         dense = rule.level(party, own, depth, np.asarray(ids, dtype=np.int64))
     except KeyError:
@@ -607,24 +608,28 @@ def _assert_level_matches_calls(rule, party, own, depth, ids, names):
     for got, prefix in zip(dense.tolist(), names):
         try:
             want = float(rule(party, own, prefix))
-        except (KeyError, TypeError, ValueError):
+        except KeyError:
             want = math.nan
         assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 @st.composite
 def edited_table_cases(draw):
-    """A 1-5 round table spec on inputs {0, 1}, both tables edited after
-    `table_spec` built them (as a caller may, before walking): key order
-    shuffled, nodes removed, keys added that are not binary or are too deep,
-    entries set to NaN, 1.5, None or "0.3", an own-input row removed; and a
-    few (depth, ids) queries, ids unsorted, down to the leaf depth."""
+    """A 1-5 round table on inputs {0, 1}, both tables edited before
+    `table_spec` reads them: key order shuffled, nodes removed, entries set
+    to NaN, 1.5 or "0.3", an own-input row removed; sometimes one key added
+    that is not a 0/1 string shorter than the rounds, with the build-time
+    error it raises; and a few (depth, ids) queries, ids unsorted, down to
+    the leaf depth.  Returns (rounds, bits, crossovers, build error or None,
+    queries)."""
     rounds = draw(st.integers(1, 5))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    bits, crossovers = _full_tables(gen, rounds, 1.0), _full_tables(gen, rounds, 0.5)
-    spec = table_spec(rounds, bits, (0, 1), (0, 1), crossover_table=crossovers)
+    tables = {
+        "table": _full_tables(gen, rounds, 1.0),
+        "crossover_table": _full_tables(gen, rounds, 0.5),
+    }
     prefixes = _prefixes(rounds)
-    for table in (bits, crossovers):
+    for table in tables.values():
         for party in ("alice", "bob"):
             for own in ("0", "1"):
                 row = table[party][own]
@@ -635,17 +640,26 @@ def edited_table_cases(draw):
                     row.update(items)
                 for p in draw(st.sets(st.sampled_from(prefixes), max_size=2)):
                     del row[p]
-                extra = ["2", "0a", " 1", "0" * rounds, "1" * (rounds + 3), 7, ("0",)]
-                for key in draw(st.lists(st.sampled_from(extra), max_size=2)):
-                    row[key] = 0.25
-                bad = st.sampled_from([math.nan, 1.5, None, "0.3"])
+                bad = st.sampled_from([math.nan, 1.5, "0.3"])
                 row.update(draw(st.dictionaries(st.sampled_from(prefixes), bad, max_size=2)))
         if draw(st.booleans()):
             del table[draw(st.sampled_from(["alice", "bob"]))][draw(st.sampled_from(["0", "1"]))]
+    build_error = None
+    extra = ["2", "0a", " 1", "0" * rounds, "1" * (rounds + 3), 7, ("0",)]
+    key = draw(st.none() | st.sampled_from(extra))
+    if key is not None:
+        name = draw(st.sampled_from(list(tables)))
+        party, own = draw(
+            st.sampled_from([(p, o) for p, rows in tables[name].items() for o in rows])
+        )
+        tables[name][party][own][key] = 0.25
+        build_error = (
+            f"{name} key {key!r} at ({party}, {own!r}) is not a 0/1 string shorter than {rounds}"
+        )
     queries = []
     for depth in draw(st.lists(st.integers(0, rounds), min_size=1, max_size=3)):
         queries.append((depth, draw(st.lists(st.integers(0, (1 << depth) - 1), max_size=6))))
-    return spec, queries
+    return rounds, tables["table"], tables["crossover_table"], build_error, queries
 
 
 def _xor4_tables():
@@ -880,14 +894,19 @@ class TestLevelWalker:
             (5, [31, 0], SpecError, "prefix '11111' is not interior"),
             (1, [0, 1], SpecError, "next_bit value 1.5 at '1' is not a probability"),
             (2, [0, 1], SpecError, "next_bit undefined at (alice, 0, '01')"),
+            # Ids outside [0, 2**depth) would read another node of the row.
+            (1, [2], SpecError, "node id 2 at depth 1 is outside [0, 2**1)"),
+            (1, [-1], SpecError, "node id -1 at depth 1 is outside [0, 2**1)"),
+            (3, [5, 8, -2], SpecError, "node id 8 at depth 3 is outside [0, 2**3)"),
         ],
     )
     def test_level_law_raises_node_law_error(self, depth, ids, error, named):
         gen = np.random.default_rng(12)
-        spec, _ = _random_walk_case(gen, 5, (0, 1), (0, 1), 0.5, True, [])
-        spec.next_bit.table["alice"]["0"]["1"] = 1.5
-        spec.next_bit.table["alice"]["0"]["10"] = math.nan
-        del spec.next_bit.table["alice"]["0"]["01"]
+        bits = _full_tables(gen, 5, 1.0)
+        bits["alice"]["0"]["1"] = 1.5
+        bits["alice"]["0"]["10"] = math.nan
+        del bits["alice"]["0"]["01"]
+        spec = table_spec(5, bits, (0, 1), (0, 1), crossover_table=_full_tables(gen, 5, 0.5))
         with pytest.raises(error, match=re.escape(named)):
             level_law(spec, ALICE, 0, depth, ids)
 
@@ -896,9 +915,15 @@ class TestLevelWalker:
     def test_dense_rows_answer_like_per_node_rules(self, case):
         """A table rule's level answers are its per-node answers as floats
         (NaN where a node has none), and `level_law` returns `node_law`'s
-        values or raises `node_law`'s exact error, however a row is edited
-        before the walk."""
-        spec, queries = case
+        values or raises `node_law`'s exact error, however a table is edited
+        before `table_spec` reads it; a key it cannot store fails the build."""
+        rounds, bits, crossovers, build_error, queries = case
+        if build_error is not None:
+            with pytest.raises(SpecError) as built:
+                table_spec(rounds, bits, (0, 1), (0, 1), crossover_table=crossovers)
+            assert str(built.value) == build_error
+            return
+        spec = table_spec(rounds, bits, (0, 1), (0, 1), crossover_table=crossovers)
         for depth, ids in queries:
             names = node_prefixes(depth, ids)
             for party in (ALICE, BOB):
@@ -918,8 +943,9 @@ class TestLevelWalker:
                         assert crossover.tolist() == [c for _, c in want]
 
     def test_table_rows_read_once_across_both_walks(self):
-        """The info_cost op's two walks (IC of the noiseless replay, then EC)
-        fetch each row of pi's two tables once, and a repeat fetches none."""
+        """`table_spec` fetches each row of pi's two tables once; the
+        info_cost op's two walks (IC of the noiseless replay, then EC) and a
+        repeat of them fetch none."""
         gen = np.random.default_rng(5)
         rounds = 8
         bits, crossovers = _full_tables(gen, rounds, 1.0), _full_tables(gen, rounds, 0.5)
@@ -934,6 +960,11 @@ class TestLevelWalker:
                 fetched[(*self.key, own)] += 1
                 return super().__getitem__(own)
 
+            def items(self):
+                for own, row in super().items():
+                    fetched[(*self.key, own)] += 1
+                    yield own, row
+
         def counted(name, table):
             return {party: CountingRows((name, party), rows) for party, rows in table.items()}
 
@@ -944,11 +975,6 @@ class TestLevelWalker:
             (0, 1),
             crossover_table=counted("crossover_table", crossovers),
         )
-        plain = table_spec(rounds, bits, (0, 1), (0, 1), crossover_table=crossovers)
-        mu = {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.4}
-        assert not fetched
-        ic = external_info_cost(noiseless_from_noisy(pi, mu), mu)
-        ec = expected_energy_cost(pi, mu)
         assert fetched == Counter(
             {
                 (name, party, own): 1
@@ -957,12 +983,36 @@ class TestLevelWalker:
                 for own in ("0", "1")
             }
         )
+        plain = table_spec(rounds, bits, (0, 1), (0, 1), crossover_table=crossovers)
+        mu = {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.4}
+        fetched.clear()
+        ic = external_info_cost(noiseless_from_noisy(pi, mu), mu)
+        ec = expected_energy_cost(pi, mu)
         assert ic == external_info_cost(noiseless_from_noisy(plain, mu), mu)
         assert ec == expected_energy_cost(plain, mu)
-        fetched.clear()
         assert external_info_cost(noiseless_from_noisy(pi, mu), mu) == ic
         assert expected_energy_cost(pi, mu) == ec
         assert not fetched
+
+    def test_edits_after_build_change_nothing(self):
+        """The spec keeps no reference to the caller's tables: editing them
+        after `table_spec`, before or after a walk, changes no node query, no
+        level query and no walk, so both exact routes keep agreeing."""
+        bits = {"alice": {"0": {"": 0.25}}, "bob": {"0": {"0": 0.5, "1": 0.5}}}
+        cross = {"alice": {"0": {"": 0.125}}, "bob": {"0": {"0": 0.0, "1": 0.25}}}
+        phi = table_spec(2, bits, (0,), (0,))
+        pi = table_spec(2, bits, (0,), (0,), crossover_table=cross)
+        leaves = dict(enumerate_transcripts(phi, 0, 0))
+        bits["alice"]["0"][""] = 0.75
+        cross["bob"]["0"]["1"] = 0.5
+        del bits["bob"]["0"]["0"]
+        bits["bob"]["1"] = {"0": 1.0, "1": 1.0}
+        assert dict(enumerate_transcripts(phi, 0, 0)) == leaves
+        assert leaves["10"] + leaves["11"] == prefix_probability(phi, 0, 0, "1") == 0.25
+        assert node_law(pi, ALICE, 0, "") == (0.25, 0.125, received_one(0.25, 0.125))
+        assert [a.tolist() for a in level_law(pi, BOB, 0, 1, [0, 1])] == [[0.5, 0.5], [0.0, 0.25]]
+        with pytest.raises(SpecError, match=re.escape("next_bit undefined at (bob, 1, '0')")):
+            node_law(pi, BOB, 1, "0")
 
     def test_rule_returning_none_raises_like_node_law(self):
         base = xor_spec(3)
@@ -1067,6 +1117,42 @@ class TestSpecFiles:
         cross["bob"]["0"]["1"] = "nan"
         with pytest.raises(ParameterError, match="per-bit crossover nan outside"):
             expected_energy_cost(table_spec(2, bits, (0, 1), (0,), crossover_table=cross), mu)
+
+    @pytest.mark.parametrize("key", ["2", "0a", "000", 7])
+    def test_malformed_row_key_fails_the_build(self, key, tmp_path):
+        bits = {"alice": {"0": {"": 0.5}}, "bob": {"0": {"0": 0.5, "1": 0.5}}}
+        bits["bob"]["0"][key] = 0.5
+        doc = {"rounds": 2, "alice_inputs": [0], "bob_inputs": [0], "kind": "table", "table": bits}
+        named = f"table key {key!r} at (bob, '0') is not a 0/1 string shorter than 2"
+        with pytest.raises(SpecError, match=re.escape(named)):
+            table_spec(2, bits, (0,), (0,))
+        with pytest.raises(SpecError, match=re.escape(named)):
+            spec_from_dict(doc)
+        cross = {"alice": {"0": {"": 0.25}}, "bob": {"0": {key: 0.25}}}
+        named_cross = f"crossover_table key {key!r} at (bob, '0')"
+        with pytest.raises(SpecError, match=re.escape(named_cross)):
+            spec_from_dict({**doc, "table": {"alice": {"0": {"": 0.5}}}, "crossover_table": cross})
+        # JSON object keys are strings, so 7 comes back from the file as '7'.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpecError, match=re.escape(named.replace(repr(key), repr(str(key))))):
+            core.load_spec(str(path))
+
+    def test_table_depth_is_bounded_by_the_guard(self):
+        row = {"": 1.0, "1" * 19: 0.25}
+        spec = table_spec(20, {"alice": {"0": row}, "bob": {"0": row}}, (0,), (0,))
+        assert spec.next_bit.rows["alice", "0"].size == (1 << 20) - 1 <= ENUMERATION_GUARD
+        assert node_law(spec, BOB, 0, "1" * 19)[0] == 0.25
+        assert level_law(spec, BOB, 0, 19, [(1 << 19) - 1])[0].tolist() == [0.25]
+        named = (
+            "a table protocol needs 1 to 20 rounds, got rounds = 21: "
+            f"a row holds 2**rounds - 1 nodes, at most ENUMERATION_GUARD = {ENUMERATION_GUARD}"
+        )
+        with pytest.raises(SpecError, match=re.escape(named)):
+            table_spec(21, {"alice": {"0": {"": 1.0}}, "bob": {}}, (0,), (0,))
+        doc = {"rounds": 21, "alice_inputs": [0], "bob_inputs": [0], "kind": "table", "table": {}}
+        with pytest.raises(SpecError, match=re.escape(named)):
+            spec_from_dict(doc)
 
     def test_unknown_kind(self):
         with pytest.raises(SpecError):
