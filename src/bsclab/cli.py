@@ -300,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        # numpy's own message for a negative seed names neither flag nor value.
+        if args.seed < 0:
+            raise ParameterError(f"--seed must be a non-negative integer, got {args.seed}")
         experiment, parameters, seeds, res = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,13 +11,15 @@ channel's crossover probability and accounts bits and energy exactly.
 
 `protocol_tree` is the one exact walk over a protocol tree: it checks the
 input law, applies ENUMERATION_GUARD and yields one level at a time as
-arrays, the joint reach of every reachable node and input pair together with
-the node's intent and crossover.  The leaf law, the joint (x, y, transcript)
-table, expected energy and information cost are reductions over those
-arrays.  The walk names nodes by integer id: id j at depth d is the prefix
-`format(j, f"0{d}b")` (`node_prefixes`), so id order is lexicographic order
-and the children of j are 2j and 2j+1.  Prefix strings are built only where
-something needs them: leaf names, and rules without a level form.
+arrays: the joint reach of every reachable node and input pair, and the
+intent and crossover of every node and speaker's own input value, with the
+map from input pair to own value that expands them to pairs.  The leaf law,
+the joint (x, y, transcript) table, expected energy and information cost are
+reductions over those arrays.  The walk names nodes by integer id: id j at
+depth d is the prefix `format(j, f"0{d}b")` (`node_prefixes`), so id order
+is lexicographic order and the children of j are 2j and 2j+1.  Prefix
+strings are built only where something needs them: leaf names, and rules
+without a level form.
 
 A node's law has two forms with the same values: `node_law` asks the spec's
 rules at one node (the executor and the per-prefix callers use it), and
@@ -227,14 +229,19 @@ class ProtocolSpec:
     def crossover_at(self, party: str, own_input: Any, prefix: Transcript) -> float:
         if self.crossover is None:
             raise SpecError("protocol has no per-bit crossover table")
-        c = float(self.crossover(party, own_input, prefix))
+        try:
+            c = float(self.crossover(party, own_input, prefix))
+        except KeyError as exc:
+            raise _undefined(party, own_input, prefix, "crossover") from exc
         if not 0.0 <= c <= 0.5:
             raise ParameterError(f"per-bit crossover {c} outside [0, 1/2]")
         return c
 
 
-def _undefined(party: str, own_input: Any, prefix: Transcript) -> SpecError:
-    return SpecError(f"next_bit undefined at ({party}, {own_input!r}, {prefix!r})")
+def _undefined(
+    party: str, own_input: Any, prefix: Transcript, rule: str = "next_bit"
+) -> SpecError:
+    return SpecError(f"{rule} undefined at ({party}, {own_input!r}, {prefix!r})")
 
 
 def _probability(value: Any, prefix: Transcript) -> float:
@@ -572,12 +579,12 @@ def _own_values(pairs: list[tuple], own: int) -> tuple[list, np.ndarray, np.ndar
     inputs, as they are to a spec keyed on str(own_input).
     """
     index: dict[tuple, int] = {}
-    column_value = np.array(
+    columns = np.array(
         [index.setdefault((type(p[own]), p[own]), len(index)) for p in pairs], dtype=np.intp
     )
     values = [key[1] for key in index]
-    holds = (column_value[:, None] == np.arange(len(values))).astype(np.float64)
-    return values, column_value, holds
+    holds = (columns[:, None] == np.arange(len(values))).astype(np.float64)
+    return values, columns, holds
 
 
 # Added to twice a node's id, the ids of its two children.
@@ -586,8 +593,11 @@ _CHILD_BIT = np.array([0, 1], dtype=np.int64)
 
 def protocol_tree(
     spec: ProtocolSpec, mu: dict, noise: Noise | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]]:
-    """Walk the tree one level at a time, yielding (ids, reach, intent, crossover).
+) -> Iterator[
+    tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None]
+]:
+    """Walk the tree one level at a time, yielding
+    (ids, reach, intent, crossover, columns).
 
     The k-th level yielded is depth k, the leaves (depth `spec.rounds`)
     last.  `ids` is an int64 array of the level's reachable node ids in
@@ -595,19 +605,23 @@ def protocol_tree(
     `reach` is a float64 array with one row per node and one column per
     input pair of positive weight, in the order of `mu`: the joint
     probability of the pair and the received prefix (crossover rule as in
-    `node_law`).  `intent` and `crossover` have the same shape and are None
-    at the leaf level.  A node is dropped when all its entries are 0; a 0
-    entry at a kept node stays 0 and its intent and crossover are
-    meaningless, so consumers must weight by reach.
+    `node_law`).  A node is dropped when all its entries are 0.
 
-    Intent and crossover depend only on the speaker's own input, so each
-    level asks the rules once per own input value held by some pair of
+    Intent and crossover depend only on the speaker's own input, so they
+    come per (node, own value): float64 arrays with one row per node and
+    one column per distinct own input value of the level's speaker among
+    the pairs, and `columns` maps each pair (a column of `reach`) to its
+    value's column, so `intent[:, columns]` is the (node, pair) intent.
+    All three are None at the leaf level.  A (node, own value) that no pair
+    of positive reach holds is never asked and reads 0, so consumers must
+    weight by reach.
+
+    Each level asks the rules once per own input value held by some pair of
     positive reach, over the ids where such a pair is (the `level_law`
-    query), and broadcasts the answers to that value's columns: one query
-    per (node, own value).  The level's laws are validated at once; on any
-    fault the level is replayed through `node_law` node by node, then own
-    value by own value, so the error raised is `node_law`'s at the first bad
-    (node, value).  Only the current level is held in memory.
+    query).  The level's laws are validated at once; on any fault the level
+    is replayed through `node_law` node by node, then own value by own
+    value, so the error raised is `node_law`'s at the first bad (node,
+    value).  Only the current level is held in memory.
     """
     check_mu(spec, mu)
     size = len(mu) << spec.rounds
@@ -619,6 +633,9 @@ def protocol_tree(
         )
     pairs = [pair for pair, w in mu.items() if w > 0.0]
     own_values = {ALICE: _own_values(pairs, 0), BOB: _own_values(pairs, 1)}
+    # With no crossover rule and no noise every crossover is 0, and
+    # received_one(r, 0.0) is r exactly.
+    noiseless = spec.crossover is None and noise is None
     ones = np.ones(len(pairs))
     ids = np.zeros(1, dtype=np.int64)
     reach = np.array([[mu[pair] for pair in pairs]], dtype=np.float64)
@@ -627,7 +644,7 @@ def protocol_tree(
     full = True
     for depth in range(spec.rounds):
         party = speaker(depth)
-        values, column_value, holds = own_values[party]
+        values, columns, holds = own_values[party]
         # Ask the rules value by value where some pair holding the value
         # reaches the node: on a full level, at every node.
         if full:
@@ -645,20 +662,19 @@ def protocol_tree(
                     for prefix, g in zip(node_prefixes(depth, ids[rows]), groups.tolist())
                 ]
             ).reshape(-1, 2).T
-        laws = laws[:, :, column_value]
         intent, crossover = laws[0], laws[1]
-        yield ids, reach, intent, crossover
-        pr_one = received_one(intent, crossover)
+        yield ids, reach, intent, crossover, columns
+        pr_one = intent if noiseless else received_one(intent, crossover)
         children = np.empty((len(ids), 2, len(pairs)))
-        np.multiply(reach, 1.0 - pr_one, out=children[:, 0])
-        np.multiply(reach, pr_one, out=children[:, 1])
+        np.multiply(reach, (1.0 - pr_one)[:, columns], out=children[:, 0])
+        np.multiply(reach, pr_one[:, columns], out=children[:, 1])
         reach = children.reshape(2 * len(ids), len(pairs))
         ids = (2 * ids[:, None] + _CHILD_BIT).ravel()
         full = np.minimum.reduce(reach, None) > 0.0
         if not full:
             keep = reach @ ones > 0.0
             ids, reach = ids[keep], reach[keep]
-    yield ids, reach, None, None
+    yield ids, reach, None, None, None
 
 
 def enumerate_transcripts(
@@ -669,7 +685,7 @@ def enumerate_transcripts(
     With `noise` (or a per-bit crossover table) the law is the received-bit
     law over the channel; with neither, the noiseless sent-bit law.
     """
-    for ids, reach, intent, _ in protocol_tree(spec, {(x, y): 1.0}, noise):
+    for ids, reach, intent, *_ in protocol_tree(spec, {(x, y): 1.0}, noise):
         if intent is None:
             yield from zip(node_prefixes(spec.rounds, ids), reach[:, 0].tolist())
 

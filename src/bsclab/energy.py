@@ -347,10 +347,11 @@ def expected_energy_cost(pi: ProtocolSpec, mu: dict) -> float:
     if pi.crossover is None:
         raise SpecError("protocol has no per-bit crossover table")
     total = 0.0
-    for _, reach, _, crossover in protocol_tree(pi, mu):
+    for _, reach, _, crossover, columns in protocol_tree(pi, mu):
         if crossover is not None:
-            # bit_energy elementwise; the walk has validated every crossover.
-            total += float(np.sum(reach * (4.0 * (crossover - 0.5) ** 2)))
+            # bit_energy per (node, own value), then per pair; the walk has
+            # validated every crossover.
+            total += float(np.sum(reach * (4.0 * (crossover - 0.5) ** 2)[:, columns]))
     return total
 
 

@@ -4,9 +4,13 @@ Everything is reported in bits; where a bound is native to natural logs the
 ln(2) factor is kept explicit at the API boundary.  The joint table and the
 information cost read their probabilities off `core.protocol_tree`, which
 also checks mu and enforces the enumeration guard (`core.ENUMERATION_GUARD`).
-The walk yields one tree level at a time as (node x input pair) arrays, so
-the information cost is a handful of array reductions per level; the scalar
-`binary_entropy` and `kl_bernoulli` remain for single values.
+The walk yields one tree level at a time: reaches as (node x input pair)
+arrays, intents per (node x own input value) with the pair -> value column
+map.  So the information cost is a handful of array reductions per level.
+On a level where every reach is positive, the weights are the raveled reach
+and the entropies and divergences are evaluated once per (node, own value),
+then expanded to pairs; on any other level, at the positive entries.  The
+scalar `binary_entropy` and `kl_bernoulli` remain for single values.
 """
 
 from __future__ import annotations
@@ -62,6 +66,18 @@ def _divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (rel_entr(p, q) + rel_entr(1.0 - p, 1.0 - q)) / LN2
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=1)`, bit for bit.  Below 8 columns numpy's pairwise sum
+    adds a row left to right, as column additions do, and on a tall array
+    those are several times faster; on a short one the single call is."""
+    if a.shape[1] >= 8 or len(a) < 64:
+        return np.add.reduce(a, 1)
+    total = a[:, 0]
+    for j in range(1, a.shape[1]):
+        total = total + a[:, j]
+    return total
+
+
 def uniform_inputs(spec: ProtocolSpec) -> dict:
     """Uniform product distribution over the declared input domains."""
     w = 1.0 / (len(spec.alice_inputs) * len(spec.bob_inputs))
@@ -78,7 +94,7 @@ class FiniteJoint:
     @classmethod
     def from_protocol(cls, spec: ProtocolSpec, mu: dict) -> "FiniteJoint":
         pairs = [pair for pair, w in mu.items() if w > 0.0]
-        for ids, reach, _, _ in protocol_tree(spec, mu):
+        for ids, reach, *_ in protocol_tree(spec, mu):
             pass  # the leaf level comes last
         rows, cols = np.nonzero(reach > 0.0)
         leaves = node_prefixes(spec.rounds, ids)
@@ -123,19 +139,35 @@ def external_info_cost(phi: ProtocolSpec, mu: dict) -> InfoCostResult:
         raise SpecError("information cost is computed for noiseless protocols")
     chain = [0.0] * phi.rounds
     div = [0.0] * phi.rounds
-    for level, (_, reach, intent, _) in enumerate(protocol_tree(phi, mu)):
-        rows, cols = np.nonzero(reach > 0.0)
-        w = reach[rows, cols]
+    for level, (_, reach, intent, _, columns) in enumerate(protocol_tree(phi, mu)):
+        p_prefix = _row_sums(reach)
+        # On a full level every reach is positive and the weights are the
+        # raveled reach; otherwise only the positive entries are weighted.
+        full = np.minimum.reduce(reach, None) > 0.0
+        if full:
+            w = reach.ravel()
+        else:
+            rows, cols = np.nonzero(reach > 0.0)
+            w = reach[rows, cols]
         if intent is None:
-            p_leaf = reach.sum(axis=1)[rows]
-            p_pair = reach.sum(axis=0)[cols]
-            bits = float(np.dot(w, np.log2(w / (p_pair * p_leaf))))
+            p_pair = reach.sum(axis=0)
+            if full:
+                joint = (p_pair * p_prefix[:, None]).ravel()
+            else:
+                joint = p_pair[cols] * p_prefix[rows]
+            bits = float(np.dot(w, np.log2(w / joint)))
             break
-        r = intent[rows, cols]
-        p_prefix = reach.sum(axis=1)
-        q = (reach * intent).sum(axis=1) / p_prefix
-        chain[level] = float(np.dot(p_prefix, _entropy(q)) - np.dot(w, _entropy(r)))
-        div[level] = float(np.dot(w, _divergence(r, q[rows])))
+        q = _row_sums(reach * intent[:, columns]) / p_prefix
+        if full:
+            # Entropy and divergence per (node, own value), then per pair.
+            h_r = _entropy(intent)[:, columns].ravel()
+            d_rq = _divergence(intent, q[:, None])[:, columns].ravel()
+        else:
+            r = intent[rows, columns[cols]]
+            h_r = _entropy(r)
+            d_rq = _divergence(r, q[rows])
+        chain[level] = float(np.dot(p_prefix, _entropy(q)) - np.dot(w, h_r))
+        div[level] = float(np.dot(w, d_rq))
     return InfoCostResult(
         bits=bits,
         chain_bits=sum(chain),

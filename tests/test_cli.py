@@ -378,6 +378,18 @@ class TestCounts:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "args",
+        [["suite", "--criteria", "4"], ["equiv", "--mode", "ecub"]],
+        ids=["suite", "equiv-ecub"],
+    )
+    def test_negative_seed_named(self, capsys, args):
+        code = run_cli([*args, "--seed", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--seed must be a non-negative integer, got -1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "args,message",
         [
             (["sample-prior", "--pairs", "0.3"], "--pairs entry '0.3' is not p:q"),

@@ -38,7 +38,15 @@ from bsclab.core import (
     xor_spec,
 )
 from bsclab.energy import expected_energy_cost, noiseless_from_noisy
-from bsclab.infotheory import FiniteJoint, binary_entropy, external_info_cost, kl_bernoulli
+from bsclab.infotheory import (
+    FiniteJoint,
+    InfoCostResult,
+    _divergence,
+    _entropy,
+    binary_entropy,
+    external_info_cost,
+    kl_bernoulli,
+)
 from bsclab.verify import chi_square_gof
 
 
@@ -137,6 +145,26 @@ class TestRunOverBsc:
         spec = table_spec(2, {"alice": {"0": {"": 1}}, "bob": {"0": {}}}, (0,), (0,))
         with pytest.raises(SpecError):
             run_over_bsc(spec, 0, 0, Noise(0.1), RandomSource(0))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: node_law(spec, ALICE, 0, ""),
+            lambda spec: expected_energy_cost(spec, {(0, 0): 1.0}),
+            lambda spec: run_over_bsc(spec, 0, 0, None, RandomSource(0)),
+        ],
+        ids=["node_law", "expected_energy_cost", "run_over_bsc"],
+    )
+    def test_undefined_crossover_is_spec_error(self, call):
+        spec = table_spec(
+            1,
+            {"alice": {"0": {"": 1.0}}, "bob": {"0": {}}},
+            (0,),
+            (0,),
+            crossover_table={"alice": {"0": {}}, "bob": {"0": {}}},
+        )
+        with pytest.raises(SpecError, match=re.escape("crossover undefined at (alice, 0, '')")):
+            call(spec)
 
     def test_input_outside_domain(self):
         with pytest.raises(SpecError):
@@ -538,6 +566,50 @@ def _row_info_cost(phi, mu):
     return bits, sum(chain), sum(div), chain
 
 
+# ---------------------------------------------------------------------------
+# Reference: the information and energy costs computed on (node, pair)
+# arrays, the laws expanded to one column per input pair.  The consumers,
+# which work per (node, own value), must equal them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _expanded_tree(spec, mu, noise=None):
+    """The walker's levels as (reach, intent, crossover), the laws expanded
+    to one column per input pair."""
+    for _, reach, intent, crossover, columns in protocol_tree(spec, mu, noise):
+        if intent is None:
+            yield reach, None, None
+        else:
+            yield reach, intent[:, columns], crossover[:, columns]
+
+
+def _expanded_info_cost(phi, mu):
+    chain = [0.0] * phi.rounds
+    div = [0.0] * phi.rounds
+    for level, (reach, intent, _) in enumerate(_expanded_tree(phi, mu)):
+        rows, cols = np.nonzero(reach > 0.0)
+        w = reach[rows, cols]
+        if intent is None:
+            p_leaf = reach.sum(axis=1)[rows]
+            p_pair = reach.sum(axis=0)[cols]
+            bits = float(np.dot(w, np.log2(w / (p_pair * p_leaf))))
+            break
+        r = intent[rows, cols]
+        p_prefix = reach.sum(axis=1)
+        q = (reach * intent).sum(axis=1) / p_prefix
+        chain[level] = float(np.dot(p_prefix, _entropy(q)) - np.dot(w, _entropy(r)))
+        div[level] = float(np.dot(w, _divergence(r, q[rows])))
+    return InfoCostResult(bits, sum(chain), sum(div), tuple(chain))
+
+
+def _expanded_energy_cost(pi, mu):
+    total = 0.0
+    for reach, _, crossover in _expanded_tree(pi, mu):
+        if crossover is not None:
+            total += float(np.sum(reach * (4.0 * (crossover - 0.5) ** 2)))
+    return total
+
+
 DOMAINS = [((0, 1), (0, 1)), ((0, 1, 2), (0, 1)), (("a", "b"), ("u", "v", "w"))]
 
 
@@ -691,6 +763,11 @@ BAD_NODES = {
         lambda bits, cross: bits["bob"]["1"].pop("0"),
         SpecError,
         "next_bit undefined at (bob, 1, '0')",
+    ),
+    "undefined reachable crossover": (
+        lambda bits, cross: cross["bob"]["1"].pop("0"),
+        SpecError,
+        "crossover undefined at (bob, 1, '0')",
     ),
     "intent 1.5": (
         lambda bits, cross: bits["alice"]["2"].update({"": 1.5}),
@@ -872,6 +949,55 @@ class TestLevelWalker:
                 else (replace(fast, crossover=None), replace(slow, crossover=None))
             )
             assert external_info_cost(phi, mu) == external_info_cost(phi_slow, mu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.5, 0.9]),
+        st.booleans(),
+        st.lists(st.integers(0, 8), max_size=3),
+        st.sampled_from([None, 0.0, 0.2, 0.5]),
+    )
+    # Full 8-round trees: 4 columns and 128 nodes (row sums by column
+    # additions), 8 and 9 columns (numpy's pairwise row sums).
+    @example(8, 2, 2, 3, 0.0, True, [], None)
+    @example(8, 3, 3, 3, 0.0, True, [0], 0.2)
+    @example(8, 3, 3, 3, 0.0, False, [], None)
+    def test_compact_laws_match_expanded_reference(
+        self, rounds, n_alice, n_bob, seed, p_det, noisy, zero_pairs, crossover
+    ):
+        """The walker's laws per (node, own value) expand by `columns` to
+        `node_law` at every reached (node, pair), and the costs computed on
+        them equal the (node, pair) reference bit for bit."""
+        gen = np.random.default_rng(seed)
+        alice, bob = tuple(range(n_alice)), tuple(range(n_bob))
+        spec, mu = _random_walk_case(gen, rounds, alice, bob, p_det, noisy, zero_pairs)
+        noise = None if crossover is None else Noise.from_crossover(crossover)
+        pairs = [pair for pair, w in mu.items() if w > 0.0]
+        for depth, (ids, reach, intent, cross, columns) in enumerate(
+            protocol_tree(spec, mu, noise)
+        ):
+            if depth == rounds:
+                assert intent is None and cross is None and columns is None
+                continue
+            party = speaker(depth)
+            own = 0 if party == ALICE else 1
+            assert len(columns) == len(pairs)
+            assert intent.shape == cross.shape == (len(ids), len({p[own] for p in pairs}))
+            for i, prefix in enumerate(node_prefixes(depth, ids)):
+                for j, pair in enumerate(pairs):
+                    if reach[i, j] > 0.0:
+                        want = node_law(spec, party, pair[own], prefix, noise)[:2]
+                        assert (intent[i, columns[j]], cross[i, columns[j]]) == want
+        phi = noiseless_from_noisy(spec, mu) if noisy else spec
+        assert external_info_cost(phi, mu) == _expanded_info_cost(phi, mu)
+        assert FiniteJoint.from_protocol(phi, mu).table == _row_joint(phi, mu)
+        if noisy:
+            assert expected_energy_cost(spec, mu) == _expanded_energy_cost(spec, mu)
+            assert FiniteJoint.from_protocol(spec, mu).table == _row_joint(spec, mu)
 
     def test_level_law_matches_node_law(self):
         gen = np.random.default_rng(11)
