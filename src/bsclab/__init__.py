@@ -24,12 +24,10 @@ from .compressor import (
     ChunkParams,
     CountDistribution,
     ProductCountDistribution,
-    ThresholdResult,
     find_xi,
     low_error_mass,
     simulate_chunk,
     simulate_noiseless,
-    threshold,
     validate_params,
 )
 from .energy import (

@@ -261,14 +261,6 @@ class ProductCountDistribution:
         return cls.binomial(half, 0.5)
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    answer: int
-    theta_x: int
-    theta_y: int
-    rounds_used: int
-
-
 def _support(d: CountDistribution) -> str:
     """The range of counts carrying mass, as "lo..hi"."""
     counts = np.flatnonzero(d.pmf)
@@ -289,68 +281,23 @@ def find_xi(dist: ProductCountDistribution, theta: int) -> int:
     )
 
 
-def threshold(
-    theta: int,
-    dist: ProductCountDistribution,
-    m_x: int,
-    m_y: int,
-    ledger: CostLedger | None = None,
-) -> ThresholdResult:
-    """Decide whether m_x + m_y > theta with witnesses, 4 bits per round.
-
-    The round exchanges (m_x = xi), (m_x > xi), (m_y = theta - xi),
-    (m_y > theta - xi); unresolved opposite verdicts recurse on the product
-    distribution conditioned to the surviving rectangle.  The returned
-    witnesses satisfy theta_x + theta_y = theta and bound the counts from
-    the answer's side.
-    """
-    rounds = 0
-    current = dist
-    while True:
-        rounds += 1
-        if rounds > MAX_THRESHOLD_ROUNDS:
-            raise InvariantViolation(
-                f"threshold recursion failed to terminate: theta={theta}, "
-                f"half={dist.dx.n}, {rounds} rounds > {MAX_THRESHOLD_ROUNDS}"
-            )
-        if ledger is not None:
-            ledger.charge(0.0, BITS_PER_THRESHOLD_ROUND)
-        xi = find_xi(current, theta)
-        b1 = m_x == xi
-        b2 = m_x > xi
-        b3 = m_y == theta - xi
-        b4 = m_y > theta - xi
-        if b1:
-            answer = int(b4)
-        elif b3:
-            answer = int(b2)
-        elif b2 == b4:
-            answer = int(b2)
-        elif b2:
-            current = ProductCountDistribution(
-                current.dx.given_gt(xi), current.dy.given_lt(theta - xi)
-            )
-            continue
-        else:
-            current = ProductCountDistribution(
-                current.dx.given_lt(xi), current.dy.given_gt(theta - xi)
-            )
-            continue
-        return ThresholdResult(
-            answer=answer, theta_x=xi, theta_y=theta - xi, rounds_used=rounds
-        )
-
-
 def threshold_nodes(
     dist: ProductCountDistribution, theta: int, half: int
 ) -> Iterator[tuple[int, slice, slice, ProductCountDistribution, int]]:
     """Walk the threshold protocol's node tree over the class grid [0, half]^2.
 
+    The protocol decides whether m_x + m_y > theta with witnesses, 4 bits per
+    round: at a node with split xi the parties exchange (m_x = xi),
+    (m_x > xi), (m_y = theta - xi) and (m_y > theta - xi).  Opposite strict
+    verdicts recurse on `dist` conditioned to the surviving rectangle; any
+    other answer ends the run with witnesses theta_x = xi, theta_y = theta - xi.
+
     Yields (rounds, rows, cols, node, xi) for every node, parents before
     children: the classes reaching the node are rows x cols (slices), `node`
     is `dist` conditioned to them and xi the node's split.  Only the two
-    off-diagonal quadrants that hold classes recurse, conditioned exactly as
-    `threshold` conditions them, so each class meets the nodes of its replay.
+    off-diagonal quadrants that hold classes recurse, so each class meets the
+    nodes of its own run, as the tests' per-class reference replays it.  A
+    run deeper than `MAX_THRESHOLD_ROUNDS` raises `InvariantViolation`.
     """
     stack = [(1, 0, half, 0, half, dist)]
     while stack:
@@ -381,9 +328,9 @@ def threshold_table(
     """Trace the threshold protocol for every class (m_x, m_y) in [0, half]^2.
 
     Returns (answer, theta_x, theta_y, rounds) arrays indexed [m_x, m_y],
-    equal to a per-class `threshold` replay.  Each node of `threshold_nodes`
-    decides its whole rectangle at once; the quadrants it leaves open are
-    overwritten by its children.
+    equal to the tests' per-class reference run class by class.  Each node of
+    `threshold_nodes` decides its whole rectangle at once; the quadrants it
+    leaves open are overwritten by its children.
     """
     shape = (half + 1, half + 1)
     answer = np.zeros(shape, dtype=np.int64)

@@ -222,10 +222,6 @@ class ProtocolSpec:
             raise _undefined(party, own_input, prefix) from exc
         return _probability(value, prefix)
 
-    def intent_bit(self, party: str, own_input: Any, prefix: Transcript) -> int:
-        """Intent of a deterministic protocol; rejects Bernoulli nodes."""
-        return _deterministic(self.intent(party, own_input, prefix), party, own_input, prefix)
-
     def crossover_at(self, party: str, own_input: Any, prefix: Transcript) -> float:
         if self.crossover is None:
             raise SpecError("protocol has no per-bit crossover table")
@@ -345,11 +341,11 @@ def _replay(
 
     Step k replays the node reached so far for the k-th (party, own input,
     rule) of `turns`: it asks the rule once and checks the value in the order
-    of `ProtocolSpec.intent_bit`, so a KeyError is "next_bit undefined", a
-    value outside [0, 1] (or NaN) is "not a probability", and any other value
-    but 0 and 1 is "not deterministic".  The intended bit goes to `intended`
-    when given, and the node grows by `grow[step][bit]`.  Returns the node
-    reached.
+    of `ProtocolSpec.intent` followed by `_deterministic`, so a KeyError is
+    "next_bit undefined", a value outside [0, 1] (or NaN) is "not a
+    probability", and any other value but 0 and 1 is "not deterministic".
+    The intended bit goes to `intended` when given, and the node grows by
+    `grow[step][bit]`.  Returns the node reached.
     """
     prefix = root
     for step, (party, own_input, rule) in zip(steps, turns):

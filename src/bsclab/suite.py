@@ -491,38 +491,33 @@ def icost_battery_experiment(seed: int) -> ExperimentResult:
 
 
 def threshold_experiment(seed: int) -> ExperimentResult:
-    """The threshold protocol at theta 4 on uniform leaves of half-size 10:
-    its witnesses must be sound on every class (m_x, m_y), and over 10,000
-    Binomial(10, 1/2) class pairs drawn from default_rng(seed) it must charge
-    4 bits per round and average at most two rounds."""
-    half, theta = 10, 4
+    """The sampler's threshold table at theta 4 on uniform leaves of
+    half-size 10, the high branch of criterion 02's gamma-20 chunk at eps
+    0.1: its witnesses must be sound on every class (m_x, m_y), and its
+    exact mean rounds under the Binomial(10, 1/2)^2 class law at most two.
+    1,000 trials of that chunk, trial i at seed + i, check the sampler's
+    charges: on every high-branch trial, bits - 4 * threshold rounds are the
+    accept bits, an even number in [2, 2 * proposals] and 2 when the first
+    proposal wins.  The chunk runs at the minimal t, so first wins occur."""
+    params = ChunkParams.for_advantage(0.1, gamma=20, t=minimal_t(20, 0.1, default_theta(20, 0.1)))
+    half, theta = params.half, params.theta_int
     dist = ProductCountDistribution.uniform_leaves(half)
-    sound = True
-    for m_x in range(half + 1):
-        for m_y in range(half + 1):
-            res = compressor.threshold(theta, dist, m_x, m_y)
-            tx, ty, answer = res.theta_x, res.theta_y, res.answer
-            ok = (
-                answer == int(m_x + m_y > theta)
-                and tx + ty == theta
-                and (
-                    (m_x <= tx and m_y <= ty)
-                    if answer == 0
-                    else (m_x >= tx and m_y >= ty)
-                )
-            )
-            sound = sound and ok
-    gen = np.random.default_rng(seed)
-    mxs = gen.binomial(half, 0.5, size=10_000)
-    mys = gen.binomial(half, 0.5, size=10_000)
-    rounds = np.zeros(mxs.size)
-    bits_exact = True
-    for i, (mx, my) in enumerate(zip(mxs, mys)):
-        ledger = CostLedger()
-        res = compressor.threshold(theta, dist, int(mx), int(my), ledger)
-        rounds[i] = res.rounds_used
-        bits_exact = bits_exact and 4 * res.rounds_used == ledger.bits_sent
-    mean_rounds = float(rounds.mean())
+    answer, tx, ty, rounds = compressor.threshold_table(dist, theta, half)
+    m_x, m_y = np.ogrid[: half + 1, : half + 1]
+    sound = bool(
+        np.all(answer == (m_x + m_y > theta))
+        and np.all(tx + ty == theta)
+        and np.all(np.where(answer == 0, (m_x <= tx) & (m_y <= ty), (m_x >= tx) & (m_y >= ty)))
+    )
+    mean_rounds = float(dist.dx.pmf @ rounds @ dist.dy.pmf)
+    mc = verify.monte_carlo_chunk(params, constant_spec(params.gamma), 0, 0, 1000, seed)
+    accept_bits = [
+        (t.bits - 4 * t.threshold_rounds, t.rounds) for t in mc.trials if t.branch == 1
+    ]
+    bits_exact = bool(accept_bits) and all(
+        a % 2 == 0 and 2 <= a <= 2 * proposals and (proposals > 1 or a == 2)
+        for a, proposals in accept_bits
+    )
     return ExperimentResult(
         {"witnesses_sound": sound, "mean_rounds": mean_rounds, "bits_per_round": 4},
         [
@@ -639,7 +634,7 @@ CRITERIA: dict[int, tuple[str, Callable[[int], ExperimentResult]]] = {
         ),
     ),
     3: ("end-to-end compression", _compression_scales_linearly),
-    4: ("threshold witnesses and cost", threshold_experiment),
+    4: ("threshold witnesses and cost", lambda seed: threshold_experiment(seed + 200_000)),
     5: ("per-round acceptance masses", lambda seed: round_mass_experiment()),
     6: (
         "biased walk absorption and energy",

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from collections import Counter
 from functools import cache
@@ -32,7 +33,6 @@ from bsclab.compressor import (
     ProductCountDistribution,
     find_xi,
     low_error_mass,
-    threshold,
     threshold_nodes,
     threshold_table,
     validate_params,
@@ -200,60 +200,85 @@ class TestFindXi:
             find_xi(ProductCountDistribution.binomial(4, 0.5), -2)
 
 
+def per_class_threshold(theta, dist, m_x, m_y):
+    """(answer, theta_x, theta_y, rounds) of one class's threshold run, one
+    `find_xi` and one conditioning per round: the reference the node-tree
+    walk (`threshold_nodes`, `threshold_table`) must equal."""
+    current = dist
+    for rounds in itertools.count(1):
+        xi = find_xi(current, theta)
+        b2, b4 = m_x > xi, m_y > theta - xi
+        if m_x == xi:
+            answer = b4
+        elif m_y == theta - xi or b2 == b4:
+            answer = b2
+        elif b2:
+            current = ProductCountDistribution(
+                current.dx.given_gt(xi), current.dy.given_lt(theta - xi)
+            )
+            continue
+        else:
+            current = ProductCountDistribution(
+                current.dx.given_lt(xi), current.dy.given_gt(theta - xi)
+            )
+            continue
+        return int(answer), xi, theta - xi, rounds
+
+
+def table_entry(dist, theta, half, m_x, m_y):
+    """(answer, theta_x, theta_y, rounds) of class (m_x, m_y) in `threshold_table`."""
+    return tuple(int(a[m_x, m_y]) for a in threshold_table(dist, theta, half))
+
+
+def assert_witnesses_sound(dist, theta, half):
+    answer, tx, ty, rounds = threshold_table(dist, theta, half)
+    m_x = np.arange(half + 1)[:, None]
+    m_y = np.arange(half + 1)[None, :]
+    np.testing.assert_array_equal(answer, m_x + m_y > theta)
+    assert np.all(tx + ty == theta)
+    low = answer == 0
+    assert np.all(((m_x <= tx) & (m_y <= ty))[low])
+    assert np.all(((m_x >= tx) & (m_y >= ty))[~low])
+    assert rounds.min() >= 1
+
+
 class TestThreshold:
     def test_low_pair_one_round(self):
         d = ProductCountDistribution.binomial(4, 0.5)
-        res = threshold(2, d, 0, 0)
-        assert (res.answer, res.theta_x, res.theta_y, res.rounds_used) == (0, 1, 1, 1)
+        assert table_entry(d, 2, 4, 0, 0) == (0, 1, 1, 1)
 
     def test_high_pair_one_round(self):
         d = ProductCountDistribution.binomial(4, 0.5)
-        res = threshold(2, d, 3, 3)
-        assert (res.answer, res.theta_x, res.theta_y, res.rounds_used) == (1, 1, 1, 1)
+        assert table_entry(d, 2, 4, 3, 3) == (1, 1, 1, 1)
 
     def test_two_level_recursion(self):
         d = ProductCountDistribution.binomial(4, 0.5)
-        res = threshold(2, d, 2, 0)
-        assert (res.answer, res.theta_x, res.theta_y, res.rounds_used) == (0, 2, 0, 2)
-
-    def test_bits_charged(self):
-        d = ProductCountDistribution.binomial(4, 0.5)
-        ledger = CostLedger()
-        res = threshold(2, d, 2, 0, ledger)
-        assert ledger.bits_sent == 4 * res.rounds_used
+        assert table_entry(d, 2, 4, 2, 0) == (0, 2, 0, 2)
 
     def test_point_mass_single_round(self):
         d = ProductCountDistribution(
             CountDistribution(np.array([0.0, 1.0])),
             CountDistribution(np.array([0.0, 1.0])),
         )
-        assert threshold(2, d, 1, 1).rounds_used == 1
+        assert table_entry(d, 2, 1, 1, 1)[3] == 1
 
     def test_point_mass_one_sided(self):
+        # Margins of unequal length: no square class grid, so the reference.
         d = ProductCountDistribution(
             CountDistribution(np.array([0.0, 0.0, 1.0])),
             CountDistribution(np.array([1.0])),
         )
-        assert threshold(2, d, 2, 0).rounds_used == 1
+        assert per_class_threshold(2, d, 2, 0)[3] == 1
 
     def test_zero_errors_full_budget(self):
         d = ProductCountDistribution.binomial(5, 0.4)
-        res = threshold(10, d, 0, 0)
-        assert res.answer == 0 and res.rounds_used == 1
+        answer, _, _, rounds = table_entry(d, 10, 5, 0, 0)
+        assert answer == 0 and rounds == 1
 
     @pytest.mark.parametrize("q", [0.5, 0.3])
     @pytest.mark.parametrize("half,theta", [(4, 2), (12, 5), (10, 4)])
     def test_witnesses_exhaustive(self, half, theta, q):
-        d = ProductCountDistribution.binomial(half, q)
-        for m_x in range(half + 1):
-            for m_y in range(half + 1):
-                res = threshold(theta, d, m_x, m_y)
-                assert res.answer == int(m_x + m_y > theta)
-                assert res.theta_x + res.theta_y == theta
-                if res.answer == 0:
-                    assert m_x <= res.theta_x and m_y <= res.theta_y
-                else:
-                    assert m_x >= res.theta_x and m_y >= res.theta_y
+        assert_witnesses_sound(ProductCountDistribution.binomial(half, q), theta, half)
 
 
 @st.composite
@@ -275,12 +300,10 @@ def threshold_instances(draw):
 
 
 def replay_table(dist, theta, classes):
-    """(answer, theta_x, theta_y, rounds) per class, one `threshold` run each."""
-    traces = [threshold(theta, dist, int(mx), int(my)) for mx, my in classes]
-    return [
-        np.array([getattr(t, f) for t in traces])
-        for f in ("answer", "theta_x", "theta_y", "rounds_used")
-    ]
+    """(answer, theta_x, theta_y, rounds) per class, one `per_class_threshold`
+    run each."""
+    traces = [per_class_threshold(theta, dist, int(mx), int(my)) for mx, my in classes]
+    return list(np.array(traces).T)
 
 
 def assert_table_matches_replay(dist, theta, half, classes=None):
@@ -322,16 +345,7 @@ class TestThresholdTable:
     @settings(max_examples=60, deadline=None)
     @given(threshold_instances())
     def test_witnesses_sound(self, instance):
-        dist, theta, half = instance
-        answer, tx, ty, rounds = threshold_table(dist, theta, half)
-        m_x = np.arange(half + 1)[:, None]
-        m_y = np.arange(half + 1)[None, :]
-        np.testing.assert_array_equal(answer, m_x + m_y > theta)
-        assert np.all(tx + ty == theta)
-        low = answer == 0
-        assert np.all(((m_x <= tx) & (m_y <= ty))[low])
-        assert np.all(((m_x >= tx) & (m_y >= ty))[~low])
-        assert rounds.min() >= 1
+        assert_witnesses_sound(*instance)
 
     @pytest.mark.parametrize("branch", ["low", "high"])
     def test_canonical_full_grid(self, branch):

@@ -331,9 +331,6 @@ class TestReplay:
         with pytest.raises(SpecError) as replayed:
             core.apply_flip_pattern(spec, 1, 0, "", np.zeros(2, dtype=np.int8))
         assert str(replayed.value) == named
-        with pytest.raises(SpecError) as asked:
-            spec.intent_bit(BOB, 0, "1")
-        assert str(asked.value) == named
 
     def test_odd_root_starts_with_bob(self):
         spec = xor_spec(4)
