@@ -22,8 +22,6 @@ from .core import (
 )
 from .compressor import (
     ChunkParams,
-    CountDistribution,
-    ProductCountDistribution,
     find_xi,
     low_error_mass,
     simulate_chunk,

@@ -11,6 +11,12 @@ the low-regime proposal.  `chunk_plan` is the one place that cuts a span and
 picks each chunk's theta and t; it validates every level the recursion can
 reach before the first draw.
 
+Each regime runs a threshold subprotocol on the parties' error counts
+(m_x, m_y).  A node of its tree is a class rectangle [x0, x1] x [y0, y1],
+and its law is the two unconditioned margins (`binomial_margin`) read
+through that window; `threshold_table` records every class's answer,
+witnesses and rounds.
+
 Everything the sampler decides on depends on the chunk's flip pattern only,
 never on the protocol tree, so the internal engine samples flip patterns;
 `core.apply_flip_pattern` turns the accepted pattern into the actual leaf.
@@ -187,145 +193,98 @@ def round_accept_mass_high(params: ChunkParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Count distributions and the threshold protocol
+# The threshold protocol
 # ---------------------------------------------------------------------------
 
 
-class CountDistribution:
-    """Exact distribution of one party's error count on support [0, n]."""
-
-    def __init__(self, pmf: np.ndarray):
-        pmf = np.asarray(pmf, dtype=float)
-        if pmf.ndim != 1 or pmf.size == 0:
-            raise ParameterError("pmf must be a non-empty vector")
-        if np.any(pmf < 0):
-            raise ParameterError("pmf entries must be nonnegative")
-        total = pmf.sum()
-        if total <= 0:
-            raise InvariantViolation("conditioning emptied the support")
-        if abs(total - 1.0) > 1e-12:
-            pmf = pmf / total
-        self.pmf = pmf
-        self.cdf = np.cumsum(pmf)
-        self.n = pmf.size - 1
-
-    @classmethod
-    def binomial(cls, n: int, q: float) -> "CountDistribution":
-        ks = np.arange(n + 1)
-        if q <= 0.0:
-            pmf = np.zeros(n + 1)
-            pmf[0] = 1.0
-        elif q >= 1.0:
-            pmf = np.zeros(n + 1)
-            pmf[n] = 1.0
-        else:
-            pmf = np.exp(_log_binom_pmf(ks, n, q))
-        return cls(pmf)
-
-    def prob_le(self, k: int) -> float:
-        if k < 0:
-            return 0.0
-        if k >= self.n:
-            return 1.0
-        return float(self.cdf[k])
-
-    def given_gt(self, k: int) -> "CountDistribution":
-        """Condition on count > k."""
-        pmf = self.pmf.copy()
-        pmf[: min(k + 1, pmf.size)] = 0.0
-        return CountDistribution(pmf)
-
-    def given_lt(self, k: int) -> "CountDistribution":
-        """Condition on count < k."""
-        pmf = self.pmf.copy()
-        if k <= 0:
-            raise InvariantViolation("conditioning on an empty lower tail")
-        pmf[k:] = 0.0
-        return CountDistribution(pmf)
+def binomial_margin(n: int, q: float) -> np.ndarray:
+    """Binomial(n, q) pmf on [0, n] for 0 < q < 1, divided by its float sum
+    when that strays from 1 by more than 1e-12: one party's error-count
+    margin."""
+    pmf = np.exp(_log_binom_pmf(np.arange(n + 1), n, q))
+    total = pmf.sum()
+    return pmf / total if abs(total - 1.0) > 1e-12 else pmf
 
 
-@dataclass(frozen=True)
-class ProductCountDistribution:
-    """Independent per-party error-count margins; conditioning acts per margin."""
+def _window_cdf(pmf: np.ndarray, lo: int, hi: int):
+    """k -> Pr[count <= k] for `pmf` conditioned to the window [lo, hi]:
+    cumsum(pmf[lo:hi+1]) over its last entry, the window's mass, inside the
+    window, 0 below it and 1 from its top.  A window without mass raises
+    before anything is divided by it."""
+    cum = np.cumsum(pmf[lo : hi + 1])
+    if not cum[-1] > 0.0:
+        raise InvariantViolation("conditioning emptied the support")
 
-    dx: CountDistribution
-    dy: CountDistribution
+    def cdf(k: np.ndarray) -> np.ndarray:
+        inside = cum[np.clip(k - lo, 0, hi - lo)] / cum[-1]
+        return np.where(k < lo, 0.0, np.where(k >= hi, 1.0, inside))
 
-    @classmethod
-    def binomial(cls, half: int, q: float) -> "ProductCountDistribution":
-        d = CountDistribution.binomial(half, q)
-        return cls(d, d)
-
-    @classmethod
-    def uniform_leaves(cls, half: int) -> "ProductCountDistribution":
-        return cls.binomial(half, 0.5)
-
-
-def _support(d: CountDistribution) -> str:
-    """The range of counts carrying mass, as "lo..hi"."""
-    counts = np.flatnonzero(d.pmf)
-    return f"{counts[0]}..{counts[-1]}"
+    return cdf
 
 
-def find_xi(dist: ProductCountDistribution, theta: int) -> int:
-    """Smallest integer xi in [-1, theta] balancing the two tail conditions."""
-    for xi in range(-1, theta + 1):
-        if dist.dx.prob_le(xi - 1) <= dist.dy.prob_le(theta - xi) and dist.dx.prob_le(
-            xi
-        ) >= dist.dy.prob_le(theta - xi - 1):
-            return xi
+def find_xi(
+    px: np.ndarray, py: np.ndarray, rect: tuple[int, int, int, int], theta: int
+) -> int:
+    """Smallest integer xi in [-1, theta] balancing the two tail conditions
+    at the node whose classes are rect = (x0, x1, y0, y1), i.e.
+    [x0, x1] x [y0, y1]: under the margins px, py conditioned to it,
+    Pr[m_x <= xi - 1] <= Pr[m_y <= theta - xi] and
+    Pr[m_x <= xi] >= Pr[m_y <= theta - xi - 1]."""
+    x0, x1, y0, y1 = rect
+    cdf_x, cdf_y = _window_cdf(px, x0, x1), _window_cdf(py, y0, y1)
+    xi = np.arange(-1, theta + 1)
+    ok = (cdf_x(xi - 1) <= cdf_y(theta - xi)) & (cdf_x(xi) >= cdf_y(theta - xi - 1))
+    if ok.any():
+        return int(xi[ok.argmax()])
     raise InvariantViolation(
-        f"no admissible xi for theta={theta}, half={dist.dx.n}, "
-        f"m_x support {_support(dist.dx)}, m_y support {_support(dist.dy)}; "
+        f"no admissible xi for theta={theta}, half={px.size - 1}, "
+        f"m_x support {x0}..{x1}, m_y support {y0}..{y1}; "
         "the sweep argument guarantees one"
     )
 
 
 def threshold_nodes(
-    dist: ProductCountDistribution, theta: int, half: int
-) -> Iterator[tuple[int, slice, slice, ProductCountDistribution, int]]:
+    px: np.ndarray, py: np.ndarray, theta: int, half: int
+) -> Iterator[tuple[int, slice, slice, int]]:
     """Walk the threshold protocol's node tree over the class grid [0, half]^2.
 
     The protocol decides whether m_x + m_y > theta with witnesses, 4 bits per
     round: at a node with split xi the parties exchange (m_x = xi),
     (m_x > xi), (m_y = theta - xi) and (m_y > theta - xi).  Opposite strict
-    verdicts recurse on `dist` conditioned to the surviving rectangle; any
-    other answer ends the run with witnesses theta_x = xi, theta_y = theta - xi.
+    verdicts recurse on the surviving rectangle; any other answer ends the
+    run with witnesses theta_x = xi, theta_y = theta - xi.
 
-    Yields (rounds, rows, cols, node, xi) for every node, parents before
-    children: the classes reaching the node are rows x cols (slices), `node`
-    is `dist` conditioned to them and xi the node's split.  Only the two
-    off-diagonal quadrants that hold classes recurse, so each class meets the
-    nodes of its own run, as the tests' per-class reference replays it.  A
-    run deeper than `MAX_THRESHOLD_ROUNDS` raises `InvariantViolation`.
+    A node is its class rectangle: its law is the margins px, py (m_x's and
+    m_y's unconditioned pmfs) restricted to it, and `find_xi` reads them
+    through that window.  Yields (rounds, rows, cols, xi) for every node,
+    parents before children: the classes reaching the node are rows x cols
+    (slices) and xi is the node's split.  Only the two off-diagonal
+    quadrants that hold classes recurse, so each class meets the nodes of
+    its own run, as the tests' per-class reference replays it.  A run deeper
+    than `MAX_THRESHOLD_ROUNDS` raises `InvariantViolation`.
     """
-    stack = [(1, 0, half, 0, half, dist)]
+    stack = [(1, 0, half, 0, half)]
     while stack:
-        rounds, x0, x1, y0, y1, node = stack.pop()
+        rounds, x0, x1, y0, y1 = stack.pop()
         if rounds > MAX_THRESHOLD_ROUNDS:
             raise InvariantViolation(
                 f"threshold recursion failed to terminate: theta={theta}, "
                 f"half={half}, {rounds} rounds > {MAX_THRESHOLD_ROUNDS}"
             )
-        xi = find_xi(node, theta)
+        xi = find_xi(px, py, (x0, x1, y0, y1), theta)
         k = theta - xi
-        yield rounds, slice(x0, x1 + 1), slice(y0, y1 + 1), node, xi
+        yield rounds, slice(x0, x1 + 1), slice(y0, y1 + 1), xi
         if xi < x1 and y0 < k:
-            stack.append((
-                rounds + 1, max(x0, xi + 1), x1, y0, min(y1, k - 1),
-                ProductCountDistribution(node.dx.given_gt(xi), node.dy.given_lt(k)),
-            ))
+            stack.append((rounds + 1, max(x0, xi + 1), x1, y0, min(y1, k - 1)))
         if x0 < xi and k < y1:
-            stack.append((
-                rounds + 1, x0, min(x1, xi - 1), max(y0, k + 1), y1,
-                ProductCountDistribution(node.dx.given_lt(xi), node.dy.given_gt(k)),
-            ))
+            stack.append((rounds + 1, x0, min(x1, xi - 1), max(y0, k + 1), y1))
 
 
 def threshold_table(
-    dist: ProductCountDistribution, theta: int, half: int
+    px: np.ndarray, py: np.ndarray, theta: int, half: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Trace the threshold protocol for every class (m_x, m_y) in [0, half]^2.
+    """Trace the threshold protocol for every class (m_x, m_y) in [0, half]^2
+    under m_x's and m_y's pmfs px and py on [0, half].
 
     Returns (answer, theta_x, theta_y, rounds) arrays indexed [m_x, m_y],
     equal to the tests' per-class reference run class by class.  Each node of
@@ -338,7 +297,7 @@ def threshold_table(
     ty = np.zeros(shape, dtype=np.int64)
     rounds = np.zeros(shape, dtype=np.int64)
     grid = np.arange(half + 1)
-    for depth, rows, cols, _, xi in threshold_nodes(dist, theta, half):
+    for depth, rows, cols, xi in threshold_nodes(px, py, theta, half):
         m_x, m_y = grid[rows, None], grid[None, cols]
         # m_x = xi answers by m_y's verdict; any other class decided here
         # (the column m_y = theta - xi or an agreeing quadrant) by m_x's.
@@ -510,16 +469,16 @@ class ChunkTables:
                 raise InvariantViolation(f"{branch}-branch acceptance probability exceeds 1")
             return acc_x, acc_y
 
-        d_low = ProductCountDistribution.binomial(half, 0.5 - 2 * e)
-        self.ans_low, tx, ty, self.rounds_low = threshold_table(d_low, ti, half)
+        low = binomial_margin(half, 0.5 - 2 * e)
+        self.ans_low, tx, ty, self.rounds_low = threshold_table(low, low, ti, half)
         self.acc_low_x, self.acc_low_y = accept("low", log_acc_low, tx, ty, self.ans_low == 1)
-        d_high = ProductCountDistribution.uniform_leaves(half)
-        self.ans_high, tx, ty, self.rounds_high = threshold_table(d_high, ti, half)
+        margin = binomial_margin(half, 0.5)
+        self.ans_high, tx, ty, self.rounds_high = threshold_table(margin, margin, ti, half)
         self.acc_high_x, self.acc_high_y = accept("high", log_acc_high, tx, ty, self.ans_high == 0)
 
         # A rejected proposal's cost depends only on its (threshold rounds,
         # answer) category, so the sampler needs no per-class rejected law.
-        law = np.outer(d_high.dx.pmf, d_high.dy.pmf)
+        law = np.outer(margin, margin)
         won = self.ans_high * self.acc_high_x * self.acc_high_y
         win_cdf = np.cumsum((law * won).reshape(-1))
         self.mass_high = float(win_cdf[-1])
@@ -541,7 +500,7 @@ def expected_high_bits(params: ChunkParams) -> float:
     mean charge, 4 per threshold round plus 2 when the threshold lets it
     through, times the mean proposal count 1 / `mass_high`."""
     tables = chunk_tables(params)
-    margin = CountDistribution.binomial(params.half, 0.5).pmf
+    margin = binomial_margin(params.half, 0.5)
     charge = BITS_PER_THRESHOLD_ROUND * tables.rounds_high + 2 * tables.ans_high
     return float(margin @ charge @ margin) / tables.mass_high
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import compressor, energy, infotheory, verify
-from .compressor import ChunkParams, ProductCountDistribution, default_theta, minimal_t
+from .compressor import ChunkParams, default_theta, minimal_t
 from .core import (
     CostLedger,
     ParameterError,
@@ -498,18 +498,20 @@ def threshold_experiment(seed: int) -> ExperimentResult:
     1,000 trials of that chunk, trial i at seed + i, check the sampler's
     charges: on every high-branch trial, bits - 4 * threshold rounds are the
     accept bits, an even number in [2, 2 * proposals] and 2 when the first
-    proposal wins.  The chunk runs at the minimal t, so first wins occur."""
+    proposal wins.  The chunk runs at the minimal t, so first wins occur;
+    `bits_per_round` is measured on them: their bits less the 2 accept
+    bits, per threshold round."""
     params = ChunkParams.for_advantage(0.1, gamma=20, t=minimal_t(20, 0.1, default_theta(20, 0.1)))
     half, theta = params.half, params.theta_int
-    dist = ProductCountDistribution.uniform_leaves(half)
-    answer, tx, ty, rounds = compressor.threshold_table(dist, theta, half)
+    margin = compressor.binomial_margin(half, 0.5)
+    answer, tx, ty, rounds = compressor.threshold_table(margin, margin, theta, half)
     m_x, m_y = np.ogrid[: half + 1, : half + 1]
     sound = bool(
         np.all(answer == (m_x + m_y > theta))
         and np.all(tx + ty == theta)
         and np.all(np.where(answer == 0, (m_x <= tx) & (m_y <= ty), (m_x >= tx) & (m_y >= ty)))
     )
-    mean_rounds = float(dist.dx.pmf @ rounds @ dist.dy.pmf)
+    mean_rounds = float(margin @ rounds @ margin)
     mc = verify.monte_carlo_chunk(params, constant_spec(params.gamma), 0, 0, 1000, seed)
     accept_bits = [
         (t.bits - 4 * t.threshold_rounds, t.rounds) for t in mc.trials if t.branch == 1
@@ -518,8 +520,14 @@ def threshold_experiment(seed: int) -> ExperimentResult:
         a % 2 == 0 and 2 <= a <= 2 * proposals and (proposals > 1 or a == 2)
         for a, proposals in accept_bits
     )
+    # A trial won by its first proposal paid its threshold rounds and the 2
+    # accept bits of that one proposal, nothing else.
+    first = [(t.bits - 2, t.threshold_rounds) for t in mc.trials if (t.branch, t.rounds) == (1, 1)]
+    bits_per_round = (
+        sum(b for b, _ in first) / sum(r for _, r in first) if first else math.nan
+    )
     return ExperimentResult(
-        {"witnesses_sound": sound, "mean_rounds": mean_rounds, "bits_per_round": 4},
+        {"witnesses_sound": sound, "mean_rounds": mean_rounds, "bits_per_round": bits_per_round},
         [
             _check("witnesses sound on every class", sound),
             _check("4 bits per threshold round", bits_exact),

@@ -47,10 +47,9 @@ def test_criterion_04_threshold_protocol():
     assert res.metrics["mean_rounds"] <= 2.0
     assert res.metrics["bits_per_round"] == 4
     # The exact mean: each class's reference rounds under Bin(10, 1/2)^2.
-    dist = compressor.ProductCountDistribution.uniform_leaves(10)
-    margin = dist.dx.pmf
+    margin = compressor.binomial_margin(10, 0.5)
     mean = sum(
-        margin[m_x] * margin[m_y] * per_class_threshold(4, dist, m_x, m_y)[3]
+        margin[m_x] * margin[m_y] * per_class_threshold(4, margin, margin, m_x, m_y)[3]
         for m_x in range(11)
         for m_y in range(11)
     )
@@ -60,8 +59,10 @@ def test_criterion_04_threshold_protocol():
 @pytest.mark.parametrize("bits_per_round,passes", [(4, True), (3, False)])
 def test_criterion_04_checks_the_sampler_charges(monkeypatch, bits_per_round, passes):
     monkeypatch.setattr(compressor, "BITS_PER_THRESHOLD_ROUND", bits_per_round)
-    checks = {c["name"]: c["passed"] for c in _run(4).checks}
+    res = _run(4)
+    checks = {c["name"]: c["passed"] for c in res.checks}
     assert checks["4 bits per threshold round"] is passes
+    assert res.metrics["bits_per_round"] == bits_per_round
 
 
 def test_criterion_05_per_round_masses():

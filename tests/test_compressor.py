@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 from collections import Counter
 from functools import cache
 
@@ -29,8 +30,6 @@ from bsclab.core import (
 )
 from bsclab.compressor import (
     ChunkParams,
-    CountDistribution,
-    ProductCountDistribution,
     find_xi,
     low_error_mass,
     threshold_nodes,
@@ -177,61 +176,58 @@ class TestLowErrorMass:
         )
 
 
-class TestFindXi:
-    def test_zero_budget_symmetric(self):
-        d = ProductCountDistribution.binomial(3, 0.5)
-        assert find_xi(d, 0) == 0
-
-    def test_binomial_example(self):
-        d = ProductCountDistribution.binomial(4, 0.5)
-        assert find_xi(d, 2) == 1
-
-    def test_conditioned_example(self):
-        dx = CountDistribution(np.array([0, 0, 6, 4, 1], dtype=float) / 11)
-        dy = CountDistribution(np.array([1.0]))
-        assert find_xi(ProductCountDistribution(dx, dy), 2) == 2
-
-    def test_no_admissible_xi_names_the_node(self):
-        with pytest.raises(
-            InvariantViolation,
-            match=r"^no admissible xi for theta=-2, half=4, "
-            r"m_x support 0\.\.4, m_y support 0\.\.4; ",
-        ):
-            find_xi(ProductCountDistribution.binomial(4, 0.5), -2)
+def window_cdf(pmf, lo, hi, k):
+    """Pr[count <= k] under `pmf` conditioned to [lo, hi], one k at a time."""
+    if k < lo:
+        return 0.0
+    if k >= hi:
+        return 1.0
+    cum = np.cumsum(pmf[lo : hi + 1])
+    return cum[k - lo] / cum[-1]
 
 
-def per_class_threshold(theta, dist, m_x, m_y):
+def scan_xi(px, py, rect, theta):
+    """`find_xi` by its definition: the first xi in [-1, theta] meeting both
+    tail conditions on the node's windows, or None."""
+    x0, x1, y0, y1 = rect
+    for xi in range(-1, theta + 1):
+        if window_cdf(px, x0, x1, xi - 1) <= window_cdf(py, y0, y1, theta - xi) and window_cdf(
+            px, x0, x1, xi
+        ) >= window_cdf(py, y0, y1, theta - xi - 1):
+            return xi
+    return None
+
+
+def per_class_threshold(theta, px, py, m_x, m_y):
     """(answer, theta_x, theta_y, rounds) of one class's threshold run, one
-    `find_xi` and one conditioning per round: the reference the node-tree
-    walk (`threshold_nodes`, `threshold_table`) must equal."""
-    current = dist
+    `find_xi` per round on the rectangle of classes still in the run: the
+    reference the node-tree walk (`threshold_nodes`, `threshold_table`) must
+    equal."""
+    x0, x1, y0, y1 = 0, px.size - 1, 0, py.size - 1
     for rounds in itertools.count(1):
-        xi = find_xi(current, theta)
+        xi = find_xi(px, py, (x0, x1, y0, y1), theta)
         b2, b4 = m_x > xi, m_y > theta - xi
         if m_x == xi:
             answer = b4
         elif m_y == theta - xi or b2 == b4:
             answer = b2
         elif b2:
-            current = ProductCountDistribution(
-                current.dx.given_gt(xi), current.dy.given_lt(theta - xi)
-            )
+            x0, y1 = max(x0, xi + 1), min(y1, theta - xi - 1)
             continue
         else:
-            current = ProductCountDistribution(
-                current.dx.given_lt(xi), current.dy.given_gt(theta - xi)
-            )
+            x1, y0 = min(x1, xi - 1), max(y0, theta - xi + 1)
             continue
         return int(answer), xi, theta - xi, rounds
 
 
-def table_entry(dist, theta, half, m_x, m_y):
-    """(answer, theta_x, theta_y, rounds) of class (m_x, m_y) in `threshold_table`."""
-    return tuple(int(a[m_x, m_y]) for a in threshold_table(dist, theta, half))
+def table_entry(margin, theta, half, m_x, m_y):
+    """(answer, theta_x, theta_y, rounds) of class (m_x, m_y) in `threshold_table`
+    with `margin` for both parties."""
+    return tuple(int(a[m_x, m_y]) for a in threshold_table(margin, margin, theta, half))
 
 
-def assert_witnesses_sound(dist, theta, half):
-    answer, tx, ty, rounds = threshold_table(dist, theta, half)
+def assert_witnesses_sound(px, py, theta, half):
+    answer, tx, ty, rounds = threshold_table(px, py, theta, half)
     m_x = np.arange(half + 1)[:, None]
     m_y = np.arange(half + 1)[None, :]
     np.testing.assert_array_equal(answer, m_x + m_y > theta)
@@ -244,83 +240,150 @@ def assert_witnesses_sound(dist, theta, half):
 
 class TestThreshold:
     def test_low_pair_one_round(self):
-        d = ProductCountDistribution.binomial(4, 0.5)
-        assert table_entry(d, 2, 4, 0, 0) == (0, 1, 1, 1)
+        assert table_entry(C.binomial_margin(4, 0.5), 2, 4, 0, 0) == (0, 1, 1, 1)
 
     def test_high_pair_one_round(self):
-        d = ProductCountDistribution.binomial(4, 0.5)
-        assert table_entry(d, 2, 4, 3, 3) == (1, 1, 1, 1)
+        assert table_entry(C.binomial_margin(4, 0.5), 2, 4, 3, 3) == (1, 1, 1, 1)
 
     def test_two_level_recursion(self):
-        d = ProductCountDistribution.binomial(4, 0.5)
-        assert table_entry(d, 2, 4, 2, 0) == (0, 2, 0, 2)
+        assert table_entry(C.binomial_margin(4, 0.5), 2, 4, 2, 0) == (0, 2, 0, 2)
 
     def test_point_mass_single_round(self):
-        d = ProductCountDistribution(
-            CountDistribution(np.array([0.0, 1.0])),
-            CountDistribution(np.array([0.0, 1.0])),
-        )
-        assert table_entry(d, 2, 1, 1, 1)[3] == 1
+        assert table_entry(np.array([0.0, 1.0]), 2, 1, 1, 1)[3] == 1
 
     def test_point_mass_one_sided(self):
         # Margins of unequal length: no square class grid, so the reference.
-        d = ProductCountDistribution(
-            CountDistribution(np.array([0.0, 0.0, 1.0])),
-            CountDistribution(np.array([1.0])),
-        )
-        assert per_class_threshold(2, d, 2, 0)[3] == 1
+        assert per_class_threshold(2, np.array([0.0, 0.0, 1.0]), np.array([1.0]), 2, 0)[3] == 1
 
     def test_zero_errors_full_budget(self):
-        d = ProductCountDistribution.binomial(5, 0.4)
-        answer, _, _, rounds = table_entry(d, 10, 5, 0, 0)
+        answer, _, _, rounds = table_entry(C.binomial_margin(5, 0.4), 10, 5, 0, 0)
         assert answer == 0 and rounds == 1
 
     @pytest.mark.parametrize("q", [0.5, 0.3])
     @pytest.mark.parametrize("half,theta", [(4, 2), (12, 5), (10, 4)])
     def test_witnesses_exhaustive(self, half, theta, q):
-        assert_witnesses_sound(ProductCountDistribution.binomial(half, q), theta, half)
+        m = C.binomial_margin(half, q)
+        assert_witnesses_sound(m, m, theta, half)
 
 
 @st.composite
 def count_margins(draw, half):
-    """One error-count margin on [0, half]: binomial at a random q, or a random
-    positive pmf."""
+    """One error-count pmf on [0, half]: binomial at a random q, or random
+    positive weights normalised."""
     if draw(st.booleans()):
-        return CountDistribution.binomial(half, draw(st.floats(0.02, 0.98)))
-    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=half + 1, max_size=half + 1))
-    return CountDistribution(np.array(weights))
+        return C.binomial_margin(half, draw(st.floats(0.02, 0.98)))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=half + 1, max_size=half + 1)))
+    return weights / weights.sum()
 
 
 @st.composite
 def threshold_instances(draw):
-    """(dist, theta, half): a random product law with a budget in [0, 2 half]."""
+    """(px, py, theta, half): random margins with a budget in [0, 2 half]."""
     half = draw(st.integers(1, 40))
-    dist = ProductCountDistribution(draw(count_margins(half)), draw(count_margins(half)))
-    return dist, draw(st.integers(0, 2 * half)), half
+    px, py = draw(count_margins(half)), draw(count_margins(half))
+    return px, py, draw(st.integers(0, 2 * half)), half
 
 
-def replay_table(dist, theta, classes):
+@st.composite
+def find_xi_instances(draw):
+    """(px, py, rect, theta): margins of unequal lengths, some of few distinct
+    weights so the two tail conditions tie, a sub-rectangle of their grid and
+    a budget in [-1, the grid's diagonal + 2]."""
+
+    def margin(size):
+        if draw(st.booleans()):
+            return draw(count_margins(size - 1))
+        weights = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=size, max_size=size))
+        return np.array(weights) / sum(weights)
+
+    px, py = margin(draw(st.integers(1, 30))), margin(draw(st.integers(1, 30)))
+    x0, x1 = sorted(draw(st.lists(st.integers(0, px.size - 1), min_size=2, max_size=2)))
+    y0, y1 = sorted(draw(st.lists(st.integers(0, py.size - 1), min_size=2, max_size=2)))
+    return px, py, (x0, x1, y0, y1), draw(st.integers(-1, px.size + py.size))
+
+
+class TestFindXi:
+    def test_zero_budget_symmetric(self):
+        m = C.binomial_margin(3, 0.5)
+        assert find_xi(m, m, (0, 3, 0, 3), 0) == 0
+
+    def test_binomial_example(self):
+        m = C.binomial_margin(4, 0.5)
+        assert find_xi(m, m, (0, 4, 0, 4), 2) == 1
+
+    def test_conditioned_example(self):
+        # m_x conditioned to [2, 4] reads 6/11, 10/11, 1; m_y sits at 0.
+        px = np.array([1, 2, 6, 4, 1], dtype=float) / 14
+        assert find_xi(px, np.array([1.0]), (2, 4, 0, 0), 2) == 2
+
+    def test_no_admissible_xi_names_the_node(self):
+        m = C.binomial_margin(4, 0.5)
+        with pytest.raises(
+            InvariantViolation,
+            match=r"^no admissible xi for theta=-2, half=4, "
+            r"m_x support 0\.\.4, m_y support 0\.\.4; ",
+        ):
+            find_xi(m, m, (0, 4, 0, 4), -2)
+
+    @pytest.mark.parametrize("rect", [(1, 2, 0, 3), (0, 3, 1, 2)])
+    def test_zero_mass_window_is_typed(self, rect):
+        # Checked before the division, so no 0/0 warning precedes the error.
+        pmf = np.array([0.5, 0.0, 0.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match="^conditioning emptied the support$"):
+                find_xi(pmf, pmf, rect, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(find_xi_instances())
+    def test_first_xi_of_the_scalar_scan(self, instance):
+        px, py, rect, theta = instance
+        expected = scan_xi(px, py, rect, theta)
+        if expected is None:
+            with pytest.raises(InvariantViolation, match="^no admissible xi"):
+                find_xi(px, py, rect, theta)
+        else:
+            assert find_xi(px, py, rect, theta) == expected
+
+
+def replay_table(px, py, theta, classes):
     """(answer, theta_x, theta_y, rounds) per class, one `per_class_threshold`
     run each."""
-    traces = [per_class_threshold(theta, dist, int(mx), int(my)) for mx, my in classes]
+    traces = [per_class_threshold(theta, px, py, int(mx), int(my)) for mx, my in classes]
     return list(np.array(traces).T)
 
 
-def assert_table_matches_replay(dist, theta, half, classes=None):
+def assert_table_matches_replay(px, py, theta, half, classes=None):
     if classes is None:
         classes = np.argwhere(np.ones((half + 1, half + 1), dtype=bool))
-    table = threshold_table(dist, theta, half)
-    for built, replayed in zip(table, replay_table(dist, theta, classes)):
+    table = threshold_table(px, py, theta, half)
+    for built, replayed in zip(table, replay_table(px, py, theta, classes)):
         assert built.dtype == np.int64
         np.testing.assert_array_equal(built[classes[:, 0], classes[:, 1]], replayed)
 
 
-def canonical_laws(eps):
-    params = ChunkParams.for_advantage(eps)
-    return params, {
-        "low": ProductCountDistribution.binomial(params.half, 0.5 - 2 * eps),
-        "high": ProductCountDistribution.uniform_leaves(params.half),
+def branch_margins(params):
+    """Each branch's error-count margin: Bin(half, 1/2 - 2 eps) for the low
+    branch's doubled-advantage proposals, Bin(half, 1/2) for the high
+    branch's uniform leaves."""
+    return {
+        "low": C.binomial_margin(params.half, 0.5 - 2 * params.epsilon),
+        "high": C.binomial_margin(params.half, 0.5),
     }
+
+
+# SHA-256 of both branches' `threshold_table` arrays (answer, theta_x,
+# theta_y, rounds; low branch first, int64 little-endian) at every distinct
+# chunk the `compress` workload's plans reach (eps 0.1, 0.08 and 0.06 and
+# their nested eps-0.12 chunks) and at criterion 02's gamma-20 chunk.
+PLAN_TABLE_DIGESTS = {
+    (0.06, 278): "179fff7bf6719ebdea1029f270cfe42c2845ab6c1dcbee6dfd4883c28840acbf",
+    (0.08, 158): "9a5d6522cc308592016596481f7fd13be7cbb41b7166fa3575b48193cb41887d",
+    (0.1, 20): "5fd961e6fbb5a78d4c463c5a6688725fafd8ca1e1ca5a1e25399cf358ee07264",
+    (0.1, 100): "9da4aeae8ab5c7596d801134b4a800c6b6c7484e8486ee32f647344b0f734208",
+    (0.12, 68): "3fa4194c5790fea542a1212d80d42df6d261b2f71e3c0ef68417e22b5c4bfd5b",
+    (0.12, 70): "469d189e2517ee24da31465d02397dbe2e0a2bc7fef3c50ff6fe9ef367662779",
+}
 
 
 class TestThresholdTable:
@@ -332,13 +395,14 @@ class TestThresholdTable:
     @settings(max_examples=60, deadline=None)
     @given(threshold_instances())
     def test_find_xi_exists_on_every_node(self, instance):
-        dist, theta, half = instance
+        px, py, theta, half = instance
         seen = np.zeros((half + 1, half + 1), dtype=bool)
-        for _, rows, cols, node, xi in threshold_nodes(dist, theta, half):
+        for _, rows, cols, xi in threshold_nodes(px, py, theta, half):
+            x0, x1, y0, y1 = rows.start, rows.stop - 1, cols.start, cols.stop - 1
             assert -1 <= xi <= theta
-            assert node.dx.prob_le(xi - 1) <= node.dy.prob_le(theta - xi)
-            assert node.dx.prob_le(xi) >= node.dy.prob_le(theta - xi - 1)
-            assert rows.start < rows.stop and cols.start < cols.stop
+            assert window_cdf(px, x0, x1, xi - 1) <= window_cdf(py, y0, y1, theta - xi)
+            assert window_cdf(px, x0, x1, xi) >= window_cdf(py, y0, y1, theta - xi - 1)
+            assert x0 <= x1 and y0 <= y1
             seen[rows, cols] = True
         assert seen.all()
 
@@ -349,24 +413,43 @@ class TestThresholdTable:
 
     @pytest.mark.parametrize("branch", ["low", "high"])
     def test_canonical_full_grid(self, branch):
-        params, laws = canonical_laws(0.1)
-        assert_table_matches_replay(laws[branch], params.theta_int, params.half)
+        params = ChunkParams.for_advantage(0.1)
+        m = branch_margins(params)[branch]
+        assert_table_matches_replay(m, m, params.theta_int, params.half)
 
     @pytest.mark.parametrize("branch", ["low", "high"])
     def test_canonical_sampled_classes(self, branch):
-        params, laws = canonical_laws(0.06)
+        params = ChunkParams.for_advantage(0.06)
+        m = branch_margins(params)[branch]
         classes = np.random.default_rng(6).integers(0, params.half + 1, size=(500, 2))
-        assert_table_matches_replay(laws[branch], params.theta_int, params.half, classes)
+        assert_table_matches_replay(m, m, params.theta_int, params.half, classes)
+
+    def test_plan_tables_pinned(self):
+        # The tables the samplers draw from at the `compress` workload's
+        # chunks: a change to the threshold engine that moves one of them
+        # moves the bench's draws, and must re-pin.
+        chunks = {(0.1, 20): ChunkParams.for_advantage(0.1, gamma=20)}
+        for eps in (0.1, 0.08, 0.06):
+            for params in plan_levels(eps, C.default_gamma(eps)):
+                chunks[params.epsilon, params.gamma] = params
+        assert chunks.keys() == PLAN_TABLE_DIGESTS.keys()
+        for key, params in chunks.items():
+            digest = hashlib.sha256()
+            for m in branch_margins(params).values():
+                for a in threshold_table(m, m, params.theta_int, params.half):
+                    assert a.dtype == np.int64
+                    digest.update(a.astype("<i8").tobytes())
+            assert digest.hexdigest() == PLAN_TABLE_DIGESTS[key], key
 
     def test_nonterminating_recursion_guarded(self, monkeypatch):
         # A split that leaves the whole rectangle in one off-diagonal quadrant
         # never shrinks it; the depth guard must stop the walk.
-        d = ProductCountDistribution.binomial(4, 0.5)
-        monkeypatch.setattr(C, "find_xi", lambda dist, theta: -1)
+        m = C.binomial_margin(4, 0.5)
+        monkeypatch.setattr(C, "find_xi", lambda px, py, rect, theta: -1)
         with pytest.raises(
             InvariantViolation, match="failed to terminate: theta=10, half=4, 10001 rounds"
         ):
-            threshold_table(d, 10, 4)
+            threshold_table(m, m, 10, 4)
 
 
 class TestValidateParams:

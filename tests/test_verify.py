@@ -3,7 +3,7 @@ import pytest
 
 from bsclab import compressor as C
 from bsclab import verify as V
-from bsclab.compressor import ChunkParams, CountDistribution, ProductCountDistribution
+from bsclab.compressor import ChunkParams
 from bsclab.core import (
     IterationCapExceeded,
     InvariantViolation,
