@@ -26,7 +26,6 @@ from .compressor import (
     low_error_mass,
     simulate_chunk,
     simulate_noiseless,
-    validate_params,
 )
 from .energy import (
     BitWithPrior,

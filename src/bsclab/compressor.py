@@ -8,8 +8,9 @@ gamma ~ 1/eps^2 and each chunk's leaf is sampled exactly via a biased public
 coin that picks a low-error or high-error regime, rejection sampling inside
 the regime, and a recursive simulation of the chunk at doubled advantage as
 the low-regime proposal.  `chunk_plan` is the one place that cuts a span and
-picks each chunk's theta and t; it validates every level the recursion can
-reach before the first draw.
+picks each chunk's theta and t.  A `ChunkParams` checks its own exactness
+conditions when built, and building a plan builds every level the
+recursion can reach, so a bad level raises before the first draw.
 
 Each regime runs a threshold subprotocol on the parties' error counts
 (m_x, m_y).  A node of its tree is a class rectangle [x0, x1] x [y0, y1],
@@ -83,23 +84,39 @@ def integer_budget(theta: float) -> int:
 
 
 def minimal_t(gamma: int, epsilon: float, theta: float) -> float:
-    """Smallest normalizer keeping every high-branch acceptance probability <= 1."""
+    """Smallest normalizer keeping every high-branch acceptance probability
+    <= 1, or inf where it exceeds every float (then no finite t is
+    admissible)."""
     ti = integer_budget(theta)
-    return math.exp(
-        0.5 * ti * math.log1p(-4.0 * epsilon**2)
-        + (gamma / 2.0 - ti) * math.log1p(2.0 * epsilon)
+    try:
+        return math.exp(
+            0.5 * ti * math.log1p(-4.0 * epsilon**2)
+            + (gamma / 2.0 - ti) * math.log1p(2.0 * epsilon)
+        )
+    except OverflowError:
+        return math.inf
+
+
+def _describe(params: ChunkParams) -> str:
+    """The chunk parameters an error message names."""
+    return (
+        f"eps={params.epsilon}, gamma={params.gamma}, "
+        f"theta={params.theta:.6g}, t={params.t:.6g}"
     )
 
 
 @dataclass(frozen=True)
 class ChunkParams:
-    """Knobs of one compression chunk.
+    """Knobs of one compression chunk, exact by construction.
 
-    gamma is the chunk depth (even), theta the error threshold separating the
-    regimes, t the high-regime normalizer.  Distribution exactness holds for
-    any admissible combination; only the cost bound needs the canonical
-    settings.  The direct-simulation cutoff is the constant `DEFAULT_BETA`,
-    not a knob: advantages at or above it never form a chunk.
+    gamma is the chunk depth, theta the error threshold separating the
+    regimes, t the high-regime normalizer.  The sampled leaf follows the
+    channel law exactly when gamma is even and positive, theta lies in
+    [0, gamma], the nested advantage 2 eps lies in (0, 1/2) and t is at
+    least the high branch's acceptance supremum `minimal_t`; the constructor
+    checks these and raises `ParameterError` naming the parameters and every
+    violation, so every `ChunkParams` is admissible, on either side of
+    `DEFAULT_BETA`.  Only the cost bound needs the canonical settings.
     """
 
     gamma: int
@@ -108,14 +125,23 @@ class ChunkParams:
     t: float
 
     def __post_init__(self) -> None:
-        if self.gamma < 1:
-            raise ParameterError("gamma must be positive")
-        if not 0.0 < self.epsilon <= 0.5:
-            raise ParameterError("epsilon must be in (0, 1/2]")
-        if not math.isfinite(self.theta):
-            raise ParameterError(f"theta must be finite, got {self.theta}")
+        violations = []
+        if self.gamma < 2 or self.gamma % 2 != 0:
+            violations.append(f"gamma must be even and positive, got {self.gamma}")
+        if not 0.0 < self.nested_epsilon < 0.5:
+            violations.append(f"nested advantage 2*eps={self.nested_epsilon} outside (0, 1/2)")
+        if not 0.0 <= self.theta <= self.gamma:
+            violations.append(f"theta must be finite and lie in [0, gamma], got {self.theta}")
         if not 0.0 < self.t < math.inf:
-            raise ParameterError(f"t must be positive and finite, got {self.t}")
+            violations.append(f"t must be positive and finite, got {self.t}")
+        if not violations:
+            sup = minimal_t(self.gamma, self.epsilon, self.theta)
+            if self.t < sup * (1.0 - 1e-12):
+                violations.append(
+                    f"t={self.t:.6g} below the high-branch acceptance supremum {sup:.6g}"
+                )
+        if violations:
+            raise ParameterError(f"{_describe(self)}: " + "; ".join(violations))
 
     @classmethod
     def for_advantage(
@@ -125,6 +151,11 @@ class ChunkParams:
         theta: float | None = None,
         t: float | None = None,
     ) -> "ChunkParams":
+        """The chunk at advantage eps with the paper's gamma, theta and t for
+        every knob left out.  Where rounding puts `default_t` below the
+        acceptance supremum (eps 0.1175 at canonical depth, for example) the
+        default t is not admissible and construction raises; `chunk_plan`
+        picks its own t there."""
         if gamma is None:
             gamma = default_gamma(epsilon)
         if theta is None:
@@ -132,6 +163,11 @@ class ChunkParams:
         if t is None:
             t = default_t(epsilon)
         return cls(gamma, epsilon, theta, t)
+
+    @property
+    def nested_epsilon(self) -> float:
+        """The advantage 2 eps at which the low branch proposes its span."""
+        return 2 * self.epsilon
 
     @property
     def theta_int(self) -> int:
@@ -179,11 +215,11 @@ def round_accept_mass_low(params: ChunkParams) -> float:
     law at the integer budget; the threshold witnesses make the per-leaf
     acceptance products collapse to exactly this value times the leaf law.
     """
-    e = params.epsilon
+    e, e2 = params.epsilon, params.nested_epsilon
     ti = params.theta_int
-    log_r = ti * (math.log(0.5 - 2 * e) - math.log(0.5 - e)) + (
+    log_r = ti * (math.log(0.5 - e2) - math.log(0.5 - e)) + (
         params.gamma - ti
-    ) * (math.log(0.5 + 2 * e) - math.log(0.5 + e))
+    ) * (math.log(0.5 + e2) - math.log(0.5 + e))
     return params.low_mass * math.exp(log_r)
 
 
@@ -309,62 +345,10 @@ def threshold_table(
 
 
 # ---------------------------------------------------------------------------
-# Parameter validation
+# The paper's chunk plan
 # ---------------------------------------------------------------------------
 
 COST_RATIO_FLOOR = 5.0
-
-
-def validate_params(params: ChunkParams) -> list[str]:
-    """Check a parameter set before any sampling; empty list means ok.
-
-    At or above the base-case cutoff the chunk machinery is never used, so
-    the knobs are not inspected.  The cost-ratio floor R >= 5 is enforced
-    only for full-size (canonical-depth) chunks: a shorter trailing chunk
-    runs the same machinery with the same exactness, it just does not carry
-    the canonical per-chunk cost bound.
-    """
-    if params.epsilon >= DEFAULT_BETA:
-        return []
-    violations: list[str] = []
-    if params.gamma % 2 != 0:
-        violations.append(f"gamma must be even, got {params.gamma}")
-    if not 0.0 <= params.theta <= params.gamma:
-        violations.append(f"theta must lie in [0, gamma], got {params.theta}")
-    if params.epsilon >= 0.25:
-        violations.append(
-            f"epsilon={params.epsilon} needs a doubled advantage > 1/2"
-        )
-    if violations:
-        return violations
-    sup = minimal_t(params.gamma, params.epsilon, params.theta)
-    if params.t < sup * (1.0 - 1e-12):
-        violations.append(
-            f"t={params.t:.6g} below the high-branch acceptance supremum {sup:.6g}"
-        )
-    if params.gamma >= default_gamma(params.epsilon):
-        ratio = round_accept_mass_low(params) / max(params.low_mass, 5e-324)
-        if ratio < COST_RATIO_FLOOR:
-            violations.append(
-                f"low-branch mass ratio R={ratio:.4g} < {COST_RATIO_FLOOR} "
-                "at canonical chunk depth"
-            )
-    return violations
-
-
-def _describe(params: ChunkParams) -> str:
-    """The chunk parameters an error message names."""
-    return (
-        f"eps={params.epsilon}, gamma={params.gamma}, "
-        f"theta={params.theta:.6g}, t={params.t:.6g}"
-    )
-
-
-def _require_valid(params: ChunkParams) -> None:
-    """Raise `ParameterError` naming the parameters and every violation."""
-    violations = validate_params(params)
-    if violations:
-        raise ParameterError(f"{_describe(params)}: " + "; ".join(violations))
 
 
 @cache
@@ -379,9 +363,12 @@ def chunk_plan(epsilon: float, depth: int) -> tuple[ChunkParams, ...]:
     supremum; rounding gamma up and flooring theta can put `default_t` below
     it.  The output law does not depend on t.
 
-    Every chunk is validated, and so is the plan of each distinct chunk's
-    doubled-advantage span, so a span whose plan builds never meets an
-    invalid level while sampling.  Each distinct chunk is one `ChunkParams`.
+    Building a plan builds every chunk, which checks its exactness, and the
+    plan of each distinct chunk's nested-advantage span, so a span whose
+    plan builds never meets a bad level while sampling.  A canonical chunk
+    must also keep the low branch's mass ratio R at or above
+    `COST_RATIO_FLOOR`: a cost rule of the paper plan, not an exactness
+    one.  Each distinct chunk is one `ChunkParams`.
     """
     if epsilon >= DEFAULT_BETA:
         return ()
@@ -392,10 +379,14 @@ def chunk_plan(epsilon: float, depth: int) -> tuple[ChunkParams, ...]:
         sup = minimal_t(gamma, epsilon, theta)
         t = max(default_t(epsilon), sup) if gamma == canonical else sup
         params = ChunkParams(gamma, epsilon, theta, t)
-        _require_valid(params)
-        # Doubling only follows a validated level, whose eps < beta <= 1/4
-        # keeps the doubled advantage below 1/2.
-        chunk_plan(2.0 * epsilon, gamma)
+        if gamma == canonical:
+            ratio = round_accept_mass_low(params) / max(params.low_mass, 5e-324)
+            if ratio < COST_RATIO_FLOOR:
+                raise ParameterError(
+                    f"{_describe(params)}: low-branch mass ratio R={ratio:.4g} "
+                    f"< {COST_RATIO_FLOOR} at canonical chunk depth"
+                )
+        chunk_plan(params.nested_epsilon, gamma)
         return params
 
     full, rest = divmod(depth, canonical)
@@ -429,12 +420,6 @@ class ChunkTables:
     proposal's category (`high_reject_law`)."""
 
     def __init__(self, params: ChunkParams):
-        e = params.epsilon
-        if 2 * e >= 0.5:
-            raise ParameterError(
-                f"eps={e}, gamma={params.gamma}: 2*eps >= 1/2, so the low "
-                "branch's doubled-advantage proposal channel does not exist"
-            )
         try:
             self._build(params)
         except InvariantViolation as err:
@@ -445,7 +430,8 @@ class ChunkTables:
         half = params.half
         ti = params.theta_int
         l1m, l1p = math.log(0.5 - e), math.log(0.5 + e)
-        l2m, l2p = math.log(0.5 - 2 * e), math.log(0.5 + 2 * e)
+        e2 = params.nested_epsilon
+        l2m, l2p = math.log(0.5 - e2), math.log(0.5 + e2)
         log_t = math.log(params.t)
 
         # Each branch's log acceptance probability for one party with error
@@ -469,7 +455,7 @@ class ChunkTables:
                 raise InvariantViolation(f"{branch}-branch acceptance probability exceeds 1")
             return acc_x, acc_y
 
-        low = binomial_margin(half, 0.5 - 2 * e)
+        low = binomial_margin(half, 0.5 - e2)
         self.ans_low, tx, ty, self.rounds_low = threshold_table(low, low, ti, half)
         self.acc_low_x, self.acc_low_y = accept("low", log_acc_low, tx, ty, self.ans_low == 1)
         margin = binomial_margin(half, 0.5)
@@ -586,7 +572,7 @@ def _branch_low_pattern(
                 f"low-branch rejection loop exceeded {DEFAULT_MAX_ROUNDS} rounds: "
                 f"{_describe(params)}"
             )
-        pattern = _span_pattern(2.0 * params.epsilon, params.gamma, rng, ledger)
+        pattern = _span_pattern(params.nested_epsilon, params.gamma, rng, ledger)
         mx = int(pattern[0::2].sum())
         my = int(pattern[1::2].sum())
         used = int(tables.rounds_low[mx, my])
@@ -650,7 +636,8 @@ def simulate_chunk(
     ledger: CostLedger | None = None,
     record: dict | None = None,
 ) -> Transcript:
-    """Sample one depth-gamma leaf below `root` with the exact channel law.
+    """Sample one depth-gamma leaf below `root` with the exact channel law,
+    which every `ChunkParams` admits by construction.
 
     Bits are charged to `ledger`.  `record` gets "branch" (0 low, 1 high) and
     adds the chunk's proposal and threshold rounds to "rounds" and
@@ -660,7 +647,6 @@ def simulate_chunk(
         raise SpecError("chunk roots sit at even depth in the padded tree")
     if len(root) + params.gamma > spec.rounds:
         raise SpecError("chunk extends past the protocol's leaf level")
-    _require_valid(params)
     ledger = CostLedger() if ledger is None else ledger
     pattern, (branch, rounds, threshold_rounds) = _chunk_pattern(params, rng, ledger)
     if record is not None:

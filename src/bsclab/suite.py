@@ -137,9 +137,12 @@ def chunk_experiment(
 ) -> ExperimentResult:
     """One chunk's exact class law against the product binomial, then
     `samples` runs of `spec` on inputs (0, 1) by `verify.monte_carlo_chunk`
-    at base seed `seed`, against the exact law.  Bad parameters raise
-    `ParameterError` from the class DP before any trial runs."""
+    at base seed `seed`, against the exact law.  `params` is exact by
+    construction; sampling without a spec raises `SpecError` before the
+    class DP runs."""
     require_count("samples", samples, least=0)
+    if samples and spec is None:
+        raise SpecError(f"samples={samples} chunk runs need a spec")
     exact = verify.exact_chunk_distribution(params)
     max_diff = float(np.max(np.abs(exact - verify.class_law(params.half, params.epsilon))))
     metrics = {"exact_max_abs_diff": max_diff}

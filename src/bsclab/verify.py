@@ -62,15 +62,13 @@ class ChunkAnalysis:
 
 
 def exact_branch_analysis(params: ChunkParams) -> ChunkAnalysis:
-    compressor._require_valid(params)
     half = params.half
-    e = params.epsilon
     tables = compressor.chunk_tables(params)
 
     # Low branch: candidate law is the exact doubled-advantage class law
     # (the nested simulation is itself exact, verified at its own scale).
     accepted_low = (
-        class_law(half, 2 * e)
+        class_law(half, params.nested_epsilon)
         * (tables.ans_low == 0)
         * tables.acc_low_x
         * tables.acc_low_y

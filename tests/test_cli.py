@@ -66,7 +66,10 @@ class TestChunkVerify:
         # The low branch proposes at advantage 2 eps, which must stay < 1/2.
         code = run_cli(["chunk-verify", "--epsilon", "0.3", "--gamma", "20", "--samples", "10"])
         assert code == 2
-        assert "eps=0.3, gamma=20: 2*eps >= 1/2" in capsys.readouterr().err
+        assert (
+            "eps=0.3, gamma=20, theta=0, t=109.951: nested advantage 2*eps=0.6 outside (0, 1/2)"
+            in capsys.readouterr().err
+        )
 
     def test_above_class_dp_depth_checks_channel_law(self, tmp_path):
         # The class DP has no depth limit: at canonical gamma 100 it runs
@@ -85,7 +88,7 @@ class TestChunkVerify:
         assert doc["metrics"]["trials"] == 300
 
     def test_invalid_params_exit_nonzero(self, capsys):
-        # The class DP validates the parameters before any trial runs, at
+        # Building the chunk checks its parameters before any trial runs, at
         # any depth.
         for gamma in ("7", "101"):
             code = run_cli(
@@ -93,6 +96,23 @@ class TestChunkVerify:
             )
             assert code == 2
             assert "gamma must be even" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--gamma", "21", "--samples", "0"], "gamma must be even"),
+            (["--t", "0.001"], "t=0.001 below the high-branch acceptance supremum 28.9255"),
+            (["--gamma", "6000", "--t", "1e300"], "below the high-branch acceptance supremum inf"),
+        ],
+        ids=["odd-gamma", "t-below-supremum", "supremum-beyond-floats"],
+    )
+    def test_invalid_params_above_beta_exit_2(self, capsys, args, message):
+        # eps 0.2 is above beta, where a chunk is checked like any other.
+        code = run_cli(["chunk-verify", "--epsilon", "0.2", *args])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert message in err
+        assert "[PASS]" not in out and "[FAIL]" not in out
 
 
 class TestCompress:

@@ -34,7 +34,6 @@ from bsclab.compressor import (
     low_error_mass,
     threshold_nodes,
     threshold_table,
-    validate_params,
 )
 
 
@@ -88,12 +87,12 @@ def plan_levels(eps, depth):
     """Every chunk the recursion from a depth-`depth` span at eps can reach."""
     for params in dict.fromkeys(C.chunk_plan(eps, depth)):
         yield params
-        yield from plan_levels(2.0 * eps, params.gamma)
+        yield from plan_levels(params.nested_epsilon, params.gamma)
 
 
 @pytest.fixture
 def cold_plans():
-    """A cached plan skips validation, so start and end with an empty cache."""
+    """A cached plan builds no chunk, so start and end with an empty cache."""
     C.chunk_plan.cache_clear()
     yield
     C.chunk_plan.cache_clear()
@@ -118,7 +117,9 @@ class TestChunkPlan:
     @given(st.floats(0.02, 0.5), st.integers(1, 2000).map(lambda h: 2 * h))
     def test_every_level_valid_with_the_paper_t_rule(self, eps, depth):
         for params in plan_levels(eps, depth):
-            assert validate_params(params) == []
+            if params.gamma == C.default_gamma(params.epsilon):
+                ratio = C.round_accept_mass_low(params) / params.low_mass
+                assert ratio >= C.COST_RATIO_FLOOR
             assert params.theta == C.default_theta(params.gamma, params.epsilon)
             sup = C.minimal_t(params.gamma, params.epsilon, params.theta)
             if params.gamma == C.default_gamma(params.epsilon):
@@ -146,17 +147,24 @@ class TestChunkPlan:
                       if p.gamma == C.default_gamma(p.epsilon) and p.epsilon == level)
         sup = C.minimal_t(params.gamma, params.epsilon, params.theta)
         assert C.default_t(params.epsilon) < sup == params.t
-        assert validate_params(params) == []
+        with pytest.raises(ParameterError, match="below the high-branch acceptance supremum"):
+            ChunkParams.for_advantage(level)
         C.simulate_noiseless(constant_spec(148), 0, 0, eps, RandomSource(1))
 
     def test_nested_level_validated_before_the_first_draw(self, cold_plans, monkeypatch):
-        real = C.validate_params
+        # A theta above gamma at the nested eps 0.1 level only: the plan of
+        # the eps 0.05 span must reject it before the first draw.
+        real = C.default_theta
         monkeypatch.setattr(
-            C, "validate_params", lambda p: ["rejected"] if p.epsilon == 0.1 else real(p)
+            C, "default_theta", lambda g, e: g + 1.0 if e == 0.1 else real(g, e)
         )
         rng = RandomSource(5)
         before = stream_states(rng)
-        with pytest.raises(ParameterError, match=r"^eps=0\.1, gamma=10, .*: rejected$"):
+        with pytest.raises(
+            ParameterError,
+            match=r"^eps=0\.1, gamma=10, theta=11, t=\S+: "
+            r"theta must be finite and lie in \[0, gamma\], got 11\.0$",
+        ):
             C.simulate_noiseless(seeded_spec(10, 3), 0, 1, 0.05, rng)
         assert stream_states(rng) == before
 
@@ -452,32 +460,112 @@ class TestThresholdTable:
             threshold_table(m, m, 10, 4)
 
 
+@st.composite
+def admissible_chunks(draw, eps=st.floats(0.005, 0.2499)):
+    """(gamma, eps, theta, t): even gamma <= 60, theta in [0, gamma], integer
+    values included, and t = sup * f with f >= 1.  eps stops at 0.2499:
+    within about 1e-7 of 1/4 the float class DP underflows, which
+    `test_chunk_near_a_quarter_is_exact` marks."""
+    eps = draw(eps)
+    gamma = 2 * draw(st.integers(1, 30))
+    theta = draw(st.one_of(st.integers(0, gamma).map(float), st.floats(0.0, float(gamma))))
+    t = C.minimal_t(gamma, eps, theta) * draw(st.floats(1.0, 100.0))
+    return gamma, eps, theta, t
+
+
+@st.composite
+def inadmissible_chunks(draw):
+    """(gamma, eps, theta, t) breaking exactly one exactness condition, at eps
+    0.1 or 0.2, or with eps in [1/4, 1/2]."""
+    gamma, eps, theta, t = draw(admissible_chunks(st.sampled_from([0.1, 0.2])))
+    fault = draw(st.sampled_from(["odd gamma", "theta", "t", "eps"]))
+    if fault == "odd gamma":
+        gamma -= 1
+        theta = min(theta, gamma)
+        t = C.minimal_t(gamma, eps, theta) * draw(st.floats(1.0, 100.0))
+    elif fault == "theta":
+        theta = draw(
+            st.one_of(
+                st.floats(max_value=0.0, exclude_max=True, allow_nan=False),
+                st.floats(min_value=float(gamma), exclude_min=True),
+                st.just(math.nan),
+            )
+        )
+    elif fault == "t":
+        f = draw(st.one_of(st.just(1.0 - 1e-9), st.floats(1e-6, 1.0 - 1e-9)))
+        t = C.minimal_t(gamma, eps, theta) * f
+    else:
+        eps = draw(st.floats(0.25, 0.5))
+    return gamma, eps, theta, t
+
+
 class TestValidateParams:
+    """What a `ChunkParams` checks when it is built."""
+
     def test_canonical_ok_with_large_ratio(self):
         params = ChunkParams(100, 0.1, 20.0, math.e**6)
-        assert validate_params(params) == []
         ratio = C.round_accept_mass_low(params) / params.low_mass
         assert ratio == pytest.approx(math.exp(6.5784), rel=1e-3)
 
-    def test_base_case_short_circuits(self):
-        assert validate_params(ChunkParams.for_advantage(0.2)) == []
+    @settings(max_examples=300, deadline=None)
+    @given(admissible_chunks())
+    def test_chunk_that_builds_is_exact(self, chunk):
+        # On both sides of beta: exactness needs the four conditions only.
+        params = ChunkParams(*chunk)
+        law = V.exact_chunk_distribution(params)
+        assert np.max(np.abs(law - V.class_law(params.half, params.epsilon))) <= 1e-10
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="1/2 - 2 eps near 0 underflows the float class DP's low-branch products",
+    )
+    def test_chunk_near_a_quarter_is_exact(self):
+        params = ChunkParams(40, 0.25 - 1e-15, 23.0, C.minimal_t(40, 0.25 - 1e-15, 23.0))
+        law = V.exact_chunk_distribution(params)
+        assert np.max(np.abs(law - V.class_law(params.half, params.epsilon))) <= 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(inadmissible_chunks())
+    def test_chunk_that_is_not_exact_does_not_build(self, chunk):
+        gamma, eps, theta, t = chunk
+        with pytest.raises(ParameterError) as caught:
+            ChunkParams(gamma, eps, theta, t)
+        assert str(caught.value).startswith(
+            f"eps={eps}, gamma={gamma}, theta={theta:.6g}, t={t:.6g}: "
+        )
 
     def test_gamma_parity(self):
-        bad = ChunkParams(5, 0.1, 1.0, 10.0)
-        assert any("even" in v for v in validate_params(bad))
+        with pytest.raises(ParameterError, match="even"):
+            ChunkParams(5, 0.1, 1.0, 10.0)
 
     def test_theta_range(self):
-        bad = ChunkParams(4, 0.1, 9.0, 10.0)
-        assert any("theta" in v for v in validate_params(bad))
+        with pytest.raises(ParameterError, match="theta"):
+            ChunkParams(4, 0.1, 9.0, 10.0)
 
     def test_t_below_supremum(self):
-        bad = ChunkParams(20, 0.1, 4.0, 1.0)
-        assert any("supremum" in v for v in validate_params(bad))
+        with pytest.raises(ParameterError, match="supremum"):
+            ChunkParams(20, 0.1, 4.0, 1.0)
 
-    def test_short_chunks_skip_ratio_floor(self):
-        # R < 5 here, but the chunk is shorter than canonical depth
-        params = ChunkParams(20, 0.1, 4.0, C.minimal_t(20, 0.1, 4.0))
-        assert validate_params(params) == []
+    def test_short_chunks_skip_ratio_floor(self, cold_plans):
+        # R < 5 here, but the chunk is shorter than canonical depth, so the
+        # paper plan keeps it.
+        (params,) = C.chunk_plan(0.1, 20)
+        assert params.gamma < C.default_gamma(0.1)
+        assert C.round_accept_mass_low(params) < C.COST_RATIO_FLOOR * params.low_mass
+
+    def test_plan_keeps_the_ratio_floor_at_canonical_depth(self, cold_plans, monkeypatch):
+        # The floor is a cost rule of the paper plan's canonical chunks: with
+        # it above every R, a canonical chunk still builds and a short span
+        # still plans, but a canonical span's plan does not.
+        monkeypatch.setattr(C, "COST_RATIO_FLOOR", math.inf)
+        ChunkParams.for_advantage(0.1)
+        assert plan_sizes(0.1, 50) == [50]
+        with pytest.raises(
+            ParameterError,
+            match=r"^eps=0\.1, gamma=100, theta=20, t=\S+: "
+            r"low-branch mass ratio R=\S+ < inf at canonical chunk depth$",
+        ):
+            C.chunk_plan(0.1, 100)
 
     def test_beta_at_most_quarter(self):
         # Chunk levels sit below beta, so their doubled advantage stays
@@ -488,7 +576,11 @@ class TestValidateParams:
 class TestChunkTables:
     @pytest.mark.parametrize("eps", [0.25, 0.3])
     def test_doubled_advantage_must_stay_below_half(self, eps):
-        with pytest.raises(ParameterError, match=rf"eps={eps}, gamma=20: 2\*eps >= 1/2"):
+        with pytest.raises(
+            ParameterError,
+            match=rf"^eps={eps}, gamma=20, theta=0, t=1: nested advantage 2\*eps={2 * eps} "
+            r"outside \(0, 1/2\)$",
+        ):
             C.chunk_tables(ChunkParams(20, eps, 0.0, 1.0))
 
     def test_build_failure_names_the_level(self):
@@ -1071,17 +1163,17 @@ class TestChunkApi:
             C.simulate_chunk(constant_spec(2), 0, 0, "", params, RandomSource(0))
 
     def test_validation_failure_before_sampling(self):
-        bad = ChunkParams(4, 0.1, 9.0, 2.0)
         with pytest.raises(ParameterError):
+            bad = ChunkParams(4, 0.1, 9.0, 2.0)
             C.simulate_chunk(constant_spec(4), 0, 0, "", bad, RandomSource(0))
 
     def test_validation_error_names_parameters(self):
-        bad = ChunkParams(20, 0.1, 4.0, 1.0)
         with pytest.raises(
             ParameterError,
             match=r"^eps=0\.1, gamma=20, theta=4, t=1: "
             r"t=1 below the high-branch acceptance supremum 2\.75188$",
         ):
+            bad = ChunkParams(20, 0.1, 4.0, 1.0)
             C.simulate_chunk(constant_spec(20), 0, 0, "", bad, RandomSource(0))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bsclab import compressor as C
+from bsclab import suite
 from bsclab import verify as V
 from bsclab.compressor import ChunkParams
 from bsclab.core import (
@@ -178,3 +179,13 @@ class TestMonteCarloChunk:
         monkeypatch.setattr(C, "simulate_chunk", broken)
         with pytest.raises(InvariantViolation):
             V.monte_carlo_chunk(params, spec, 0, 1, 6, base_seed=9)
+
+
+class TestChunkExperiment:
+    def test_samples_without_a_spec_raise_before_the_class_dp(self, monkeypatch):
+        def no_class_dp(params):
+            raise AssertionError("the class DP ran")
+
+        monkeypatch.setattr(V, "exact_chunk_distribution", no_class_dp)
+        with pytest.raises(SpecError, match="samples=10"):
+            suite.chunk_experiment(ChunkParams.for_advantage(0.1, gamma=20), samples=10)
