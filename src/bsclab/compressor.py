@@ -197,15 +197,10 @@ def _log_binom_pmf(k: np.ndarray, n: int, q: float) -> np.ndarray:
 def low_error_mass(params: ChunkParams) -> float:
     """Pr[Binomial(gamma, 1/2-eps) <= floor(theta)], summed in log space."""
     ti = params.theta_int
-    if ti < 0:
-        return 0.0
     if ti >= params.gamma:
         return 1.0
-    q = 0.5 - params.epsilon
-    if q <= 0.0:
-        return 1.0
     ks = np.arange(0, ti + 1)
-    return float(np.exp(logsumexp(_log_binom_pmf(ks, params.gamma, q))))
+    return float(np.exp(logsumexp(_log_binom_pmf(ks, params.gamma, 0.5 - params.epsilon))))
 
 
 def round_accept_mass_low(params: ChunkParams) -> float:

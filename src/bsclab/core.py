@@ -84,7 +84,13 @@ def bit_energy(crossover: float) -> float:
 
 @dataclass(frozen=True)
 class Noise:
-    """Channel noise level, stored as the advantage eps; crossover = 1/2 - eps."""
+    """Channel noise level, stored as the advantage eps; crossover = 1/2 - eps.
+
+    It is also a crossover rule that sends every bit at that crossover, per
+    node and per level, so `replace(spec, crossover=Noise(eps))` is `spec`
+    run over BSC(1/2 - eps): a variable-noise protocol paying
+    `bit_energy(1/2 - eps)` = 4 eps^2 per bit.
+    """
 
     epsilon: float
 
@@ -101,6 +107,12 @@ class Noise:
         if not 0.0 <= crossover <= 0.5:
             raise ParameterError(f"crossover must be in [0, 1/2], got {crossover}")
         return cls(0.5 - crossover)
+
+    def __call__(self, party: str, own_input: Any, prefix: Transcript) -> float:
+        return self.crossover
+
+    def level(self, party: str, own_input: Any, depth: int, ids: np.ndarray) -> np.ndarray:
+        return np.full(len(ids), self.crossover)
 
 
 @dataclass(frozen=True)
@@ -193,7 +205,9 @@ class ProtocolSpec:
     for the next round: 0/1 for a deterministic protocol, or a Bernoulli
     parameter in [0, 1] when the speaker uses a private coin at that node.
     `crossover`, when present, gives the per-bit channel choice of a
-    variable-noise protocol (the transmitter picks it from the same view).
+    variable-noise protocol (the transmitter picks it from the same view);
+    a `Noise` there is the BSC at its crossover.  Without it every walk and
+    node query reads crossover 0, the noiseless sent-bit law.
     """
 
     rounds: int
@@ -293,20 +307,22 @@ def run_over_bsc(
 ) -> tuple[Transcript, ErrorCounts, CostLedger]:
     """Execute all rounds over the BSC with feedback.
 
-    Each transmitted bit is flipped independently with the crossover
-    probability (the spec's per-bit table overrides `noise` when present);
-    thanks to feedback both parties continue from the received bit.
+    Each transmitted bit is flipped independently with the spec's crossover
+    rule, or, when the spec has none, with `noise`'s crossover; thanks to
+    feedback both parties continue from the received bit.
     """
     if x not in spec.alice_inputs or y not in spec.bob_inputs:
         raise SpecError(f"inputs ({x!r}, {y!r}) outside the declared domains")
-    if noise is None and spec.crossover is None:
-        raise ParameterError("need either a channel noise level or a per-bit crossover table")
+    if spec.crossover is None:
+        if noise is None:
+            raise ParameterError("need either a channel noise level or a per-bit crossover table")
+        spec = replace(spec, crossover=noise)
     transcript = ""
     m_x = m_y = 0
     ledger = CostLedger()
     for i in range(spec.rounds):
         party = speaker(i)
-        intent, c, _ = node_law(spec, party, spec.input_for(party, x, y), transcript, noise)
+        intent, c, _ = node_law(spec, party, spec.input_for(party, x, y), transcript)
         if intent in (0.0, 1.0):
             sent = int(intent)
         else:
@@ -451,22 +467,17 @@ def received_one(r, c):
 
 
 def node_law(
-    spec: ProtocolSpec, party: str, own_input: Any, prefix: Transcript, noise: Noise | None = None
+    spec: ProtocolSpec, party: str, own_input: Any, prefix: Transcript
 ) -> tuple[float, float, float]:
     """Intent r, crossover c and received-one probability of a node.
 
-    The crossover is the spec's per-bit table when present, else `noise`,
-    else 0 (the noiseless sent-bit law).  This is the reference form of a
-    node's law: `level_law` gives the same values for the ids of one depth
-    and falls back to this function to raise its errors.
+    The crossover is the spec's crossover rule when it has one, else 0 (the
+    noiseless sent-bit law).  This is the reference form of a node's law:
+    `level_law` gives the same values for the ids of one depth, and the
+    walker replays its faults through this function to raise its errors.
     """
     r = spec.intent(party, own_input, prefix)
-    if spec.crossover is not None:
-        c = spec.crossover_at(party, own_input, prefix)
-    elif noise is not None:
-        c = noise.crossover
-    else:
-        c = 0.0
+    c = 0.0 if spec.crossover is None else spec.crossover_at(party, own_input, prefix)
     return r, c, received_one(r, c)
 
 
@@ -479,34 +490,32 @@ def node_prefixes(depth: int, ids: Any) -> list[Transcript]:
 
 
 def _level_laws(
-    spec: ProtocolSpec,
-    party: str,
-    depth: int,
-    ids: np.ndarray,
-    asks: list[tuple[Any, Any]],
-    noise: Noise | None,
-) -> np.ndarray | None:
+    spec: ProtocolSpec, party: str, depth: int, ids: np.ndarray, asks: list[tuple[Any, Any]]
+) -> np.ndarray:
     """Intents `[0]` and crossovers `[1]` of the nodes `ids` of one depth,
-    an array of shape (2, len(ids), len(asks)), or None on a fault.
+    an array of shape (2, len(ids), len(asks)).
 
     Column g holds own value asks[g][0] at the rows asks[g][1] selects of
     `ids`, and 0 elsewhere.  A rule with a `level(party, own_input, depth,
     ids)` method answers a column at once; any other rule is called per
-    node, on the node's prefix string.  A fault is a rule that raises or
-    gives other than one number per node, an intent that is not a
-    probability or a crossover outside [0, 1/2].  The caller replays a fault
-    through `node_law`, which raises it again at the first bad node; that is
-    why any exception is caught here.
+    node, on the node's prefix string.  With no crossover rule every
+    crossover is 0.  A fault is a depth at or below the leaves, a rule that
+    raises or gives other than one number per node, an intent that is not a
+    probability or a crossover outside [0, 1/2].  On a fault the asked
+    (node, own value) pairs are replayed through `node_law` in node order,
+    which raises its error at the first bad one, so any exception is caught
+    here; a replay that raises nothing gives the laws.
     """
     laws = np.zeros((2, len(ids), len(asks)))
-    asked = [ids[rows] for _, rows in asks]
     try:
+        if depth >= spec.rounds:
+            raise SpecError(f"depth {depth} holds no interior node")
         for rule, out in zip((spec.next_bit, spec.crossover), laws):
             if rule is None:
-                out.fill(noise.crossover if noise is not None else 0.0)
                 continue
             level = getattr(rule, "level", None)
-            for g, ((own_input, rows), nodes) in enumerate(zip(asks, asked)):
+            for g, (own_input, rows) in enumerate(asks):
+                nodes = ids[rows]
                 if not nodes.size:
                     continue
                 got = np.asarray(
@@ -516,39 +525,45 @@ def _level_laws(
                     np.float64,
                 )
                 if got.shape != nodes.shape:
-                    return None
+                    raise SpecError(f"rule gave shape {got.shape} for {nodes.size} nodes")
                 out[rows, g] = got
     except Exception:
-        return None
-    # Unasked entries are 0, which is in range.  A NaN fails, as min and max
-    # propagate it.  The axis is positional: a keyword costs numpy about a
-    # microsecond per call.
-    in_range = laws.size == 0 or (
-        np.minimum.reduce(laws, None) >= 0.0
-        and np.maximum.reduce(laws[0], None) <= 1.0
-        and (spec.crossover is None or np.maximum.reduce(laws[1], None) <= 0.5)
-    )
-    return laws if in_range else None
+        pass
+    else:
+        # Unasked entries are 0, which is in range.  A NaN fails, as min and
+        # max propagate it.  The axis is positional: a keyword costs numpy
+        # about a microsecond per call.
+        if laws.size == 0 or (
+            np.minimum.reduce(laws, None) >= 0.0
+            and np.maximum.reduce(laws[0], None) <= 1.0
+            and np.maximum.reduce(laws[1], None) <= 0.5
+        ):
+            return laws
+    asked = np.zeros((len(ids), len(asks)), dtype=bool)
+    for g, (_, rows) in enumerate(asks):
+        asked[rows, g] = True
+    rows, groups = np.nonzero(asked)
+    laws[:, rows, groups] = np.array(
+        [
+            node_law(spec, party, asks[g][0], prefix)[:2]
+            for prefix, g in zip(node_prefixes(depth, ids[rows]), groups.tolist())
+        ]
+    ).reshape(-1, 2).T
+    return laws
 
 
 def level_law(
-    spec: ProtocolSpec,
-    party: str,
-    own_input: Any,
-    depth: int,
-    ids: Any,
-    noise: Noise | None = None,
+    spec: ProtocolSpec, party: str, own_input: Any, depth: int, ids: Any
 ) -> tuple[np.ndarray, np.ndarray]:
     """Intent and crossover float64 arrays of one own input value over the
     node ids `ids` of one depth, each in [0, 2**depth) or SpecError.
 
-    Entry k equals `node_law(spec, party, own_input, prefix, noise)[:2]` at
-    the prefix of `ids[k]` (`node_prefixes`), and each rule is asked once per
-    node, through its `level` method when it has one.  On any fault (a rule
-    raises, a value is not a probability or a crossover is outside [0, 1/2])
-    the nodes are replayed through `node_law` in order, which raises its own
-    error at the first bad node.  A depth at or below the leaves raises
-    `node_law`'s "is not interior".
+    Entry k equals `node_law(spec, party, own_input, prefix)[:2]` at the
+    prefix of `ids[k]` (`node_prefixes`), and each rule is asked once per
+    node, through its `level` method when it has one.  A fault (a rule
+    raises, a value is not a probability, a crossover is outside [0, 1/2]
+    or the depth is at or below the leaves) raises `node_law`'s error at the
+    first bad node, as `_level_laws` replays it.
     """
     ids = np.asarray(ids, np.int64)
     # The ids' bitwise OR is negative or has a bit at `depth` or above
@@ -556,15 +571,8 @@ def level_law(
     if np.bitwise_or.reduce(ids, None) >> depth:
         bad = next(j for j in ids.tolist() if not 0 <= j < 1 << depth)
         raise SpecError(f"node id {bad} at depth {depth} is outside [0, 2**{depth})")
-    if depth < spec.rounds:
-        laws = _level_laws(spec, party, depth, ids, [(own_input, slice(None))], noise)
-        if laws is not None:
-            return laws[0, :, 0], laws[1, :, 0]
-    laws = np.array(
-        [node_law(spec, party, own_input, p, noise)[:2] for p in node_prefixes(depth, ids)],
-        dtype=np.float64,
-    ).reshape(-1, 2)
-    return laws[:, 0], laws[:, 1]
+    laws = _level_laws(spec, party, depth, ids, [(own_input, slice(None))])
+    return laws[0, :, 0], laws[1, :, 0]
 
 
 def _own_values(pairs: list[tuple], own: int) -> tuple[list, np.ndarray, np.ndarray]:
@@ -587,9 +595,7 @@ def _own_values(pairs: list[tuple], own: int) -> tuple[list, np.ndarray, np.ndar
 _CHILD_BIT = np.array([0, 1], dtype=np.int64)
 
 
-def protocol_tree(
-    spec: ProtocolSpec, mu: dict, noise: Noise | None = None
-) -> Iterator[
+def protocol_tree(spec: ProtocolSpec, mu: dict) -> Iterator[
     tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None]
 ]:
     """Walk the tree one level at a time, yielding
@@ -600,8 +606,9 @@ def protocol_tree(
     increasing, that is lexicographic, order (`node_prefixes` names them).
     `reach` is a float64 array with one row per node and one column per
     input pair of positive weight, in the order of `mu`: the joint
-    probability of the pair and the received prefix (crossover rule as in
-    `node_law`).  A node is dropped when all its entries are 0.
+    probability of the pair and the received prefix over the spec's
+    crossover rule (crossover 0 without one, as in `node_law`).  A node is
+    dropped when all its entries are 0.
 
     Intent and crossover depend only on the speaker's own input, so they
     come per (node, own value): float64 arrays with one row per node and
@@ -614,10 +621,10 @@ def protocol_tree(
 
     Each level asks the rules once per own input value held by some pair of
     positive reach, over the ids where such a pair is (the `level_law`
-    query).  The level's laws are validated at once; on any fault the level
-    is replayed through `node_law` node by node, then own value by own
-    value, so the error raised is `node_law`'s at the first bad (node,
-    value).  Only the current level is held in memory.
+    query).  The level's laws are validated at once; on any fault
+    `_level_laws` replays them through `node_law` node by node, then own
+    value by own value, so the error raised is `node_law`'s at the first
+    bad (node, value).  Only the current level is held in memory.
     """
     check_mu(spec, mu)
     size = len(mu) << spec.rounds
@@ -629,9 +636,9 @@ def protocol_tree(
         )
     pairs = [pair for pair, w in mu.items() if w > 0.0]
     own_values = {ALICE: _own_values(pairs, 0), BOB: _own_values(pairs, 1)}
-    # With no crossover rule and no noise every crossover is 0, and
-    # received_one(r, 0.0) is r exactly.
-    noiseless = spec.crossover is None and noise is None
+    # With no crossover rule every crossover is 0, and received_one(r, 0.0)
+    # is r exactly.
+    noiseless = spec.crossover is None
     ones = np.ones(len(pairs))
     ids = np.zeros(1, dtype=np.int64)
     reach = np.array([[mu[pair] for pair in pairs]], dtype=np.float64)
@@ -648,17 +655,7 @@ def protocol_tree(
         else:
             live = reach @ holds > 0.0
             asks = [(own_input, np.flatnonzero(live[:, g])) for g, own_input in enumerate(values)]
-        laws = _level_laws(spec, party, depth, ids, asks, noise)
-        if laws is None:
-            rows, groups = np.nonzero(reach @ holds > 0.0)
-            laws = np.zeros((2, len(ids), len(values)))
-            laws[:, rows, groups] = np.array(
-                [
-                    node_law(spec, party, values[g], prefix, noise)[:2]
-                    for prefix, g in zip(node_prefixes(depth, ids[rows]), groups.tolist())
-                ]
-            ).reshape(-1, 2).T
-        intent, crossover = laws[0], laws[1]
+        intent, crossover = _level_laws(spec, party, depth, ids, asks)
         yield ids, reach, intent, crossover, columns
         pr_one = intent if noiseless else received_one(intent, crossover)
         children = np.empty((len(ids), 2, len(pairs)))
@@ -673,27 +670,25 @@ def protocol_tree(
     yield ids, reach, None, None, None
 
 
-def enumerate_transcripts(
-    spec: ProtocolSpec, x: Any, y: Any, noise: Noise | None = None
-) -> Iterator[tuple[Transcript, float]]:
+def enumerate_transcripts(spec: ProtocolSpec, x: Any, y: Any) -> Iterator[tuple[Transcript, float]]:
     """Exact leaf law of one input pair: yields (leaf, probability).
 
-    With `noise` (or a per-bit crossover table) the law is the received-bit
-    law over the channel; with neither, the noiseless sent-bit law.
+    With a crossover rule (a `Noise` for the BSC) the law is the
+    received-bit law over that channel; without one, the noiseless sent-bit
+    law.
     """
-    for ids, reach, intent, *_ in protocol_tree(spec, {(x, y): 1.0}, noise):
+    for ids, reach, intent, *_ in protocol_tree(spec, {(x, y): 1.0}):
         if intent is None:
             yield from zip(node_prefixes(spec.rounds, ids), reach[:, 0].tolist())
 
 
-def prefix_probability(
-    spec: ProtocolSpec, x: Any, y: Any, prefix: Transcript, noise: Noise | None = None
-) -> float:
-    """Exact probability of observing a received prefix for one input pair."""
+def prefix_probability(spec: ProtocolSpec, x: Any, y: Any, prefix: Transcript) -> float:
+    """Exact probability of observing a received prefix for one input pair,
+    over the spec's crossover rule (crossover 0 without one)."""
     prob = 1.0
     for i, bit in enumerate(prefix):
         party = speaker(i)
-        pr_one = node_law(spec, party, spec.input_for(party, x, y), prefix[:i], noise)[2]
+        pr_one = node_law(spec, party, spec.input_for(party, x, y), prefix[:i])[2]
         prob *= pr_one if bit == "1" else 1.0 - pr_one
     return prob
 

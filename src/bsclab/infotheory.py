@@ -123,9 +123,6 @@ class InfoCostResult:
     divergence_bits: float
     per_round: tuple[float, ...]
 
-    def __float__(self) -> float:
-        return self.bits
-
 
 def external_info_cost(phi: ProtocolSpec, mu: dict) -> InfoCostResult:
     """Exact IC of a noiseless protocol: what the transcript tells an observer.

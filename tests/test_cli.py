@@ -62,6 +62,17 @@ class TestChunkVerify:
         assert code == 0
         assert json.loads(out.read_text())["parameters"]["theta"] == 0.0
 
+    def test_explicit_theta_and_default_t(self, tmp_path):
+        out = tmp_path / "explicit.json"
+        code = run_cli(
+            ["chunk-verify", "--theta", "4", "--t", "default", "--samples", "0",
+             "--out", str(out)]
+        )
+        assert code == 0
+        parameters = json.loads(out.read_text())["parameters"]
+        assert parameters["theta"] == 4
+        assert parameters["t"] == compressor.default_t(0.1)
+
     def test_advantage_of_a_quarter_exits_2(self, capsys):
         # The low branch proposes at advantage 2 eps, which must stay < 1/2.
         code = run_cli(["chunk-verify", "--epsilon", "0.3", "--gamma", "20", "--samples", "10"])

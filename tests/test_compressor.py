@@ -3,6 +3,7 @@ import itertools
 import math
 import warnings
 from collections import Counter
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -670,8 +671,8 @@ class TestSimulateNoiseless:
     def test_direct_path_bits_and_law(self):
         spec = seeded_spec(5, seed=31)
         noise = Noise.from_crossover(0.2)  # eps = 0.3 >= beta
-        pad = C.pad_to_even(spec)
-        law = dict(enumerate_transcripts(pad, 0, 1, noise))
+        pad = replace(C.pad_to_even(spec), crossover=noise)
+        law = dict(enumerate_transcripts(pad, 0, 1))
         leaves = sorted(law)
         expected = np.array([law[t] for t in leaves])
         counts = np.zeros(len(leaves), dtype=int)
@@ -686,11 +687,9 @@ class TestSimulateNoiseless:
         # Full transcript law over all 16 leaves of a 4-round tree at eps=0.1:
         # one short chunk well below canonical depth.
         spec = seeded_spec(4, seed=32)
-        noise = Noise(0.1)
-        leaves = sorted(t for t, _ in enumerate_transcripts(spec, 1, 1, noise))
-        expected = np.array(
-            [dict(enumerate_transcripts(spec, 1, 1, noise))[t] for t in leaves]
-        )
+        bsc = replace(spec, crossover=Noise(0.1))
+        leaves = sorted(t for t, _ in enumerate_transcripts(bsc, 1, 1))
+        expected = np.array([dict(enumerate_transcripts(bsc, 1, 1))[t] for t in leaves])
         counts = np.zeros(len(leaves), dtype=int)
         for i in range(8000):
             rng = RandomSource.for_trial(800, i)
@@ -771,7 +770,7 @@ class TestWholeTranscriptLaw:
         monkeypatch.setattr(C, "_branch_low_pattern", counted_low)
         spec, x, y = seeded_spec(10, seed=44), 0, 1
         assert [p.gamma for p in four_round_plan(0.05, 10)] == [4, 4, 2]
-        law = dict(enumerate_transcripts(spec, x, y, Noise(0.05)))
+        law = dict(enumerate_transcripts(replace(spec, crossover=Noise(0.05)), x, y))
         leaves = sorted(law)
         assert len(leaves) == 1024
         counts = Counter(

@@ -76,6 +76,24 @@ class TestNoise:
         with pytest.raises(ParameterError):
             Noise.from_crossover(0.7)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.5])
+    def test_bsc_is_a_variable_noise_protocol(self, eps):
+        """BSC(1/2 - eps) is the variable-noise channel sending every bit at
+        crossover 1/2 - eps: it costs 4 eps^2 per round, and its noiseless
+        replay has its transcript law."""
+        gen = np.random.default_rng(21)
+        table = table_spec(4, _full_tables(gen, 4, 1.0), (0, 1), (0, 1))
+        mu = {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.4}
+        for spec in (table, seeded_spec(5, seed=3)):
+            bsc = replace(spec, crossover=Noise(eps))
+            energy = expected_energy_cost(bsc, mu)
+            assert energy == pytest.approx(spec.rounds * bit_energy(0.5 - eps), abs=1e-12)
+            replay = noiseless_from_noisy(bsc)
+            for x, y in mu:
+                assert list(enumerate_transcripts(replay, x, y)) == list(
+                    enumerate_transcripts(bsc, x, y)
+                )
+
 
 class TestRunOverBsc:
     def test_noiseless_identity(self):
@@ -87,27 +105,28 @@ class TestRunOverBsc:
     def test_pure_noise_is_uniform(self):
         # crossover 1/2: the received bit ignores the intent
         spec = constant_spec(1)
-        law = dict(enumerate_transcripts(spec, 0, 0, Noise(0.0)))
+        law = dict(enumerate_transcripts(replace(spec, crossover=Noise(0.0)), 0, 0))
         assert law == {"0": 0.5, "1": 0.5}
 
     def test_exact_two_round_law(self):
         spec = constant_spec(2)
-        law = dict(enumerate_transcripts(spec, 0, 0, Noise.from_crossover(0.4)))
+        law = dict(enumerate_transcripts(replace(spec, crossover=Noise.from_crossover(0.4)), 0, 0))
         assert law["11"] == pytest.approx(0.36)
         assert law["00"] == pytest.approx(0.16)
 
     def test_monte_carlo_matches_enumeration(self):
-        spec = seeded_spec(4, seed=9)
+        # The xor spec's Bernoulli intents draw from the speakers' private
+        # streams; each spec has its own seed base.
         noise = Noise.from_crossover(0.3)
-        leaves = sorted(t for t, _ in enumerate_transcripts(spec, 1, 0, noise))
-        expected = np.array(
-            [dict(enumerate_transcripts(spec, 1, 0, noise))[t] for t in leaves]
-        )
-        counts = np.zeros(len(leaves), dtype=int)
-        for i in range(20_000):
-            tr, _, _ = run_over_bsc(spec, 1, 0, noise, RandomSource.for_trial(11, i))
-            counts[leaves.index(tr)] += 1
-        assert chi_square_gof(counts, expected).passed
+        for spec, base in ((seeded_spec(4, seed=9), 11), (xor_spec(4, noise=0.25), 13)):
+            bsc = replace(spec, crossover=noise)
+            leaves = sorted(t for t, _ in enumerate_transcripts(bsc, 1, 0))
+            expected = np.array([dict(enumerate_transcripts(bsc, 1, 0))[t] for t in leaves])
+            counts = np.zeros(len(leaves), dtype=int)
+            for i in range(20_000):
+                tr, _, _ = run_over_bsc(spec, 1, 0, noise, RandomSource.for_trial(base, i))
+                counts[leaves.index(tr)] += 1
+            assert chi_square_gof(counts, expected).passed
 
     def test_error_counts_match_replay(self):
         spec = seeded_spec(6, seed=2)
@@ -137,7 +156,8 @@ class TestRunOverBsc:
         echo = core.ProtocolSpec(
             2, (0,), (0,), lambda p, i, pre: 1.0 if pre == "" or pre[-1] == "1" else 0.0
         )
-        law = dict(enumerate_transcripts(echo, 0, 0, Noise.from_crossover(0.25)))
+        bsc = replace(echo, crossover=Noise.from_crossover(0.25))
+        law = dict(enumerate_transcripts(bsc, 0, 0))
         assert law["11"] == pytest.approx(0.5625)
         assert law["01"] == pytest.approx(0.0625)
 
@@ -427,11 +447,10 @@ class TestPadding:
     @settings(max_examples=60, deadline=None)
     @given(table_documents(), st.floats(0.0, 0.5), st.sampled_from([0, 1]), st.sampled_from([0, 1]))
     def test_padded_prefix_law_matches_raw(self, doc, crossover, x, y):
-        spec = spec_from_dict(doc)
-        noise = Noise.from_crossover(crossover)
-        raw = dict(enumerate_transcripts(spec, x, y, noise))
+        spec = _over(spec_from_dict(doc), crossover)
+        raw = dict(enumerate_transcripts(spec, x, y))
         padded_law: dict = {}
-        for leaf, pr in enumerate_transcripts(pad_to_even(spec), x, y, noise):
+        for leaf, pr in enumerate_transcripts(pad_to_even(spec), x, y):
             cut = leaf[: spec.rounds]
             padded_law[cut] = padded_law.get(cut, 0.0) + pr
         assert padded_law.keys() == raw.keys()
@@ -486,7 +505,7 @@ class TestProtocolTree:
 # ---------------------------------------------------------------------------
 
 
-def _row_walk(spec, mu, noise=None):
+def _row_walk(spec, mu):
     """Yield (prefix, rows) level by level; a row is (pair, reach, intent,
     crossover) at an interior node and (pair, reach) at a leaf."""
     frontier = {"": [(pair, w) for pair, w in mu.items() if w > 0.0]}
@@ -497,7 +516,7 @@ def _row_walk(spec, mu, noise=None):
         for prefix, reached in frontier.items():
             rows, zeros, ones = [], [], []
             for pair, reach in reached:
-                r, c, pr_one = node_law(spec, party, pair[own], prefix, noise)
+                r, c, pr_one = node_law(spec, party, pair[own], prefix)
                 rows.append((pair, reach, r, c))
                 zero, one = reach * (1.0 - pr_one), reach * pr_one
                 if zero > 0.0:
@@ -522,10 +541,10 @@ def _row_joint(spec, mu):
     }
 
 
-def _row_transcripts(spec, x, y, noise=None):
+def _row_transcripts(spec, x, y):
     return [
         (prefix, rows[0][1])
-        for prefix, rows in _row_walk(spec, {(x, y): 1.0}, noise)
+        for prefix, rows in _row_walk(spec, {(x, y): 1.0})
         if len(prefix) == spec.rounds
     ]
 
@@ -570,10 +589,10 @@ def _row_info_cost(phi, mu):
 # ---------------------------------------------------------------------------
 
 
-def _expanded_tree(spec, mu, noise=None):
+def _expanded_tree(spec, mu):
     """The walker's levels as (reach, intent, crossover), the laws expanded
     to one column per input pair."""
-    for _, reach, intent, crossover, columns in protocol_tree(spec, mu, noise):
+    for _, reach, intent, crossover, columns in protocol_tree(spec, mu):
         if intent is None:
             yield reach, None, None
         else:
@@ -639,6 +658,14 @@ def _random_walk_case(gen, rounds, alice, bob, p_det, noisy, zero_pairs):
         weights[0] = 1.0
     mu = {pair: float(w) for pair, w in zip(pairs, weights / weights.sum())}
     return spec, mu
+
+
+def _over(spec, crossover):
+    """`spec` over its own crossover rule, else over the BSC at `crossover`
+    (noiseless when None): the channel `run_over_bsc` picks."""
+    if spec.crossover is not None or crossover is None:
+        return spec
+    return replace(spec, crossover=Noise.from_crossover(crossover))
 
 
 def _per_node(spec):
@@ -826,11 +853,9 @@ class TestLevelWalker:
         gen = np.random.default_rng(seed)
         spec, mu = _random_walk_case(gen, rounds, *domains, p_det, noisy, zero_pairs)
         assert FiniteJoint.from_protocol(spec, mu).table == _row_joint(spec, mu)
-        noise = None if crossover is None else Noise.from_crossover(crossover)
+        bsc = _over(spec, crossover)
         for x, y in mu:
-            assert list(enumerate_transcripts(spec, x, y, noise)) == _row_transcripts(
-                spec, x, y, noise
-            )
+            assert list(enumerate_transcripts(bsc, x, y)) == _row_transcripts(bsc, x, y)
         if noisy:
             assert expected_energy_cost(spec, mu) == pytest.approx(_row_energy(spec, mu), abs=1e-12)
         phi = replace(spec, crossover=None)
@@ -921,15 +946,13 @@ class TestLevelWalker:
         by node."""
         gen = np.random.default_rng(seed)
         spec, mu = _random_walk_case(gen, rounds, *domains, p_det, noisy, zero_pairs)
-        noise = None if crossover is None else Noise.from_crossover(crossover)
         specs = [spec, pad_to_even(spec)]
         if noisy:
             specs.append(noiseless_from_noisy(spec, mu))
         for fast in specs:
+            fast = _over(fast, crossover)
             slow = _per_node(fast)
-            for got, want in zip(
-                protocol_tree(fast, mu, noise), protocol_tree(slow, mu, noise), strict=True
-            ):
+            for got, want in zip(protocol_tree(fast, mu), protocol_tree(slow, mu), strict=True):
                 assert got[0].dtype == want[0].dtype == np.int64
                 assert np.array_equal(got[0], want[0])
                 for a, b in zip(got[1:], want[1:]):
@@ -972,11 +995,9 @@ class TestLevelWalker:
         gen = np.random.default_rng(seed)
         alice, bob = tuple(range(n_alice)), tuple(range(n_bob))
         spec, mu = _random_walk_case(gen, rounds, alice, bob, p_det, noisy, zero_pairs)
-        noise = None if crossover is None else Noise.from_crossover(crossover)
+        bsc = _over(spec, crossover)
         pairs = [pair for pair, w in mu.items() if w > 0.0]
-        for depth, (ids, reach, intent, cross, columns) in enumerate(
-            protocol_tree(spec, mu, noise)
-        ):
+        for depth, (ids, reach, intent, cross, columns) in enumerate(protocol_tree(bsc, mu)):
             if depth == rounds:
                 assert intent is None and cross is None and columns is None
                 continue
@@ -987,7 +1008,7 @@ class TestLevelWalker:
             for i, prefix in enumerate(node_prefixes(depth, ids)):
                 for j, pair in enumerate(pairs):
                     if reach[i, j] > 0.0:
-                        want = node_law(spec, party, pair[own], prefix, noise)[:2]
+                        want = node_law(bsc, party, pair[own], prefix)[:2]
                         assert (intent[i, columns[j]], cross[i, columns[j]]) == want
         phi = noiseless_from_noisy(spec, mu) if noisy else spec
         assert external_info_cost(phi, mu) == _expanded_info_cost(phi, mu)
@@ -1210,9 +1231,8 @@ class TestSpecFiles:
             doc["rounds"], doc["table"], (0, 1), (0, 1), doc.get("crossover_table")
         )
         assert built.deterministic == direct.deterministic
-        noise = Noise.from_crossover(0.2)
-        assert dict(enumerate_transcripts(built, x, y, noise)) == dict(
-            enumerate_transcripts(direct, x, y, noise)
+        assert dict(enumerate_transcripts(_over(built, 0.2), x, y)) == dict(
+            enumerate_transcripts(_over(direct, 0.2), x, y)
         )
 
     @pytest.mark.parametrize("field", ["table", "crossover_table"])
@@ -1322,8 +1342,6 @@ class TestRandomSource:
 
     def test_prefix_probability_consistency(self):
         spec = seeded_spec(4, seed=8)
-        noise = Noise.from_crossover(0.3)
-        total = sum(
-            prefix_probability(spec, 1, 1, f"{i:02b}", noise) for i in range(4)
-        )
+        bsc = replace(spec, crossover=Noise.from_crossover(0.3))
+        total = sum(prefix_probability(bsc, 1, 1, f"{i:02b}") for i in range(4))
         assert total == pytest.approx(1.0, abs=1e-12)
