@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import chi2
+from scipy.special import chdtrc, gammaln
 
 from . import compressor
 from .core import (
@@ -28,6 +27,7 @@ from .core import (
     BOB,
     CostLedger,
     IterationCapExceeded,
+    ParameterError,
     ProtocolSpec,
     RandomSource,
     SpecError,
@@ -116,7 +116,10 @@ def chi_square_gof(counts: np.ndarray, expected_probs: np.ndarray) -> GofResult:
     observed = np.asarray(counts, dtype=float).ravel()
     probs = np.asarray(expected_probs, dtype=float).ravel()
     if observed.shape != probs.shape:
-        raise ValueError("counts and expected law have different shapes")
+        raise ParameterError(
+            f"counts have shape {np.shape(counts)} and the expected law shape "
+            f"{np.shape(expected_probs)}; they must have the same number of cells"
+        )
     n = observed.sum()
     expected = probs * n
     order = np.argsort(expected)
@@ -138,7 +141,7 @@ def chi_square_gof(counts: np.ndarray, expected_probs: np.ndarray) -> GofResult:
         return GofResult(0.0, 0, 1.0, True, int(n))
     stat = sum((o - e) ** 2 / e for o, e in groups)
     dof = len(groups) - 1
-    p_value = float(chi2.sf(stat, dof))
+    p_value = float(chdtrc(dof, stat))
     return GofResult(float(stat), dof, p_value, p_value >= SIGNIFICANCE, int(n))
 
 

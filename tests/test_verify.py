@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsclab import compressor as C
 from bsclab import suite
@@ -116,10 +124,52 @@ class TestChiSquare:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             V.chi_square_gof(np.zeros(3), np.zeros(4))
+        with pytest.raises(ParameterError, match=r"\(3,\).*\(4,\)"):
+            V.chi_square_gof(np.zeros(3), np.zeros(4))
 
     def test_pass_iff_pvalue_at_threshold(self):
         res = V.chi_square_gof(np.array([40, 60]), np.array([0.5, 0.5]))
         assert res.passed == (res.p_value >= res.significance)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 60).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.integers(0, 400), min_size=k, max_size=k),
+                st.lists(st.floats(1e-6, 1.0), min_size=k, max_size=k),
+            )
+        )
+    )
+    def test_p_value_is_scipy_stats_chi2_sf(self, case):
+        counts, weights = case
+        law = np.array(weights) / sum(weights)
+        res = V.chi_square_gof(np.array(counts), law)
+        if res.dof > 0:
+            assert res.p_value == float(scipy.stats.chi2.sf(res.statistic, res.dof))
+
+    def test_p_value_is_scipy_stats_chi2_sf_on_compress_table(self):
+        # The size of the `compress` workload's eps-0.06 class table.
+        law = V.class_law(139, 0.06).ravel()
+        law /= law.sum()
+        counts = np.random.default_rng(2024).multinomial(20_000, law)
+        res = V.chi_square_gof(counts.reshape(140, 140), law.reshape(140, 140))
+        assert res.dof > 100
+        assert res.p_value == float(scipy.stats.chi2.sf(res.statistic, res.dof))
+
+
+def test_library_imports_leave_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    script = (
+        "import sys, bsclab, bsclab.cli, bsclab.suite, bsclab.verify; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestMonteCarloChunk:
