@@ -122,10 +122,10 @@ class TestChiSquare:
         assert res.passed and res.p_value == 1.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             V.chi_square_gof(np.zeros(3), np.zeros(4))
-        with pytest.raises(ParameterError, match=r"\(3,\).*\(4,\)"):
-            V.chi_square_gof(np.zeros(3), np.zeros(4))
+        assert isinstance(info.value, ParameterError)
+        assert "(3,)" in str(info.value) and "(4,)" in str(info.value)
 
     def test_pass_iff_pvalue_at_threshold(self):
         res = V.chi_square_gof(np.array([40, 60]), np.array([0.5, 0.5]))
@@ -149,10 +149,10 @@ class TestChiSquare:
 
     def test_p_value_is_scipy_stats_chi2_sf_on_compress_table(self):
         # The size of the `compress` workload's eps-0.06 class table.
-        law = V.class_law(139, 0.06).ravel()
+        law = V.class_law(139, 0.06)
         law /= law.sum()
-        counts = np.random.default_rng(2024).multinomial(20_000, law)
-        res = V.chi_square_gof(counts.reshape(140, 140), law.reshape(140, 140))
+        counts = np.random.default_rng(2024).multinomial(20_000, law.ravel()).reshape(law.shape)
+        res = V.chi_square_gof(counts, law)
         assert res.dof > 100
         assert res.p_value == float(scipy.stats.chi2.sf(res.statistic, res.dof))
 
@@ -163,13 +163,12 @@ def test_library_imports_leave_scipy_stats_unloaded():
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     script = (
         "import sys, bsclab, bsclab.cli, bsclab.suite, bsclab.verify; "
-        "print('scipy.stats' in sys.modules)"
+        "assert 'scipy.stats' not in sys.modules"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
 
 
 class TestMonteCarloChunk:
