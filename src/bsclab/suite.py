@@ -503,7 +503,8 @@ def threshold_experiment(seed: int) -> ExperimentResult:
     accept bits, an even number in [2, 2 * proposals] and 2 when the first
     proposal wins.  The chunk runs at the minimal t, so first wins occur;
     `bits_per_round` is measured on them: their bits less the 2 accept
-    bits, per threshold round."""
+    bits, per threshold round.  It is nan, and a check fails, when they
+    charged no threshold round."""
     params = ChunkParams.for_advantage(0.1, gamma=20, t=minimal_t(20, 0.1, default_theta(20, 0.1)))
     half, theta = params.half, params.theta_int
     margin = compressor.binomial_margin(half, 0.5)
@@ -526,15 +527,15 @@ def threshold_experiment(seed: int) -> ExperimentResult:
     # A trial won by its first proposal paid its threshold rounds and the 2
     # accept bits of that one proposal, nothing else.
     first = [(t.bits - 2, t.threshold_rounds) for t in mc.trials if (t.branch, t.rounds) == (1, 1)]
-    bits_per_round = (
-        sum(b for b, _ in first) / sum(r for _, r in first) if first else math.nan
-    )
+    first_rounds = sum(r for _, r in first)
+    bits_per_round = sum(b for b, _ in first) / first_rounds if first_rounds else math.nan
     return ExperimentResult(
         {"witnesses_sound": sound, "mean_rounds": mean_rounds, "bits_per_round": bits_per_round},
         [
             _check("witnesses sound on every class", sound),
             _check("4 bits per threshold round", bits_exact),
             _check("mean rounds <= 2", mean_rounds <= 2.0),
+            _check("first-proposal wins charged threshold rounds", first_rounds > 0),
         ],
     )
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
-from scipy.special import chdtrc, gammaln
 
 from . import compressor
 from .core import (
@@ -42,9 +41,8 @@ SIGNIFICANCE = 0.001
 def class_law(half: int, epsilon: float) -> np.ndarray:
     """Exact product law of (m_x, m_y) for a depth-2*half run at advantage eps."""
     ks = np.arange(half + 1)
-    log_binom = gammaln(half + 1) - gammaln(ks + 1) - gammaln(half - ks + 1)
     lm, lp = math.log(0.5 - epsilon), math.log(0.5 + epsilon)
-    log_margin = log_binom + ks * lm + (half - ks) * lp
+    log_margin = compressor.log_binomials(half) + ks * lm + (half - ks) * lp
     margin = np.exp(log_margin)
     return np.outer(margin, margin)
 
@@ -108,7 +106,9 @@ class GofResult:
 
 def chi_square_gof(counts: np.ndarray, expected_probs: np.ndarray) -> GofResult:
     """Chi-square goodness of fit at `SIGNIFICANCE`, with cells below
-    expected count 5 pooled.
+    expected count 5 pooled.  Cells pool in increasing expected count and
+    tied cells in index order, so the groups of tied cells do not follow ulp
+    moves elsewhere in the law.
 
     A degenerate expectation (fewer than two pooled cells) passes trivially
     with p = 1.
@@ -122,7 +122,7 @@ def chi_square_gof(counts: np.ndarray, expected_probs: np.ndarray) -> GofResult:
         )
     n = observed.sum()
     expected = probs * n
-    order = np.argsort(expected)
+    order = np.argsort(expected, kind="stable")
     groups: list[tuple[float, float]] = []
     obs_acc = exp_acc = 0.0
     for idx in order:
@@ -141,6 +141,9 @@ def chi_square_gof(counts: np.ndarray, expected_probs: np.ndarray) -> GofResult:
         return GofResult(0.0, 0, 1.0, True, int(n))
     stat = sum((o - e) ** 2 / e for o, e in groups)
     dof = len(groups) - 1
+    # The one scipy call in bsclab, imported here so only a p-value loads it.
+    from scipy.special import chdtrc
+
     p_value = float(chdtrc(dof, stat))
     return GofResult(float(stat), dof, p_value, p_value >= SIGNIFICANCE, int(n))
 

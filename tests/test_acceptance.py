@@ -4,10 +4,12 @@ Each test runs one criterion of `suite.CRITERIA` end to end and prints its
 named checks, so a plain run of this module doubles as the sign-off sheet.
 """
 
+import math
+
 import pytest
 from test_compressor import per_class_threshold
 
-from bsclab import compressor, suite
+from bsclab import compressor, suite, verify
 
 
 def _run(number, seed=suite.DEFAULT_SUITE_SEED):
@@ -63,6 +65,23 @@ def test_criterion_04_checks_the_sampler_charges(monkeypatch, bits_per_round, pa
     checks = {c["name"]: c["passed"] for c in res.checks}
     assert checks["4 bits per threshold round"] is passes
     assert res.metrics["bits_per_round"] == bits_per_round
+
+
+def test_criterion_04_reports_uncharged_threshold_rounds(monkeypatch):
+    # A ledger defect that records no threshold round for any trial: the
+    # criterion reports nan and a failed check instead of dividing by 0.
+    real = verify.monte_carlo_chunk
+
+    def no_rounds(*args, **kwargs):
+        mc = real(*args, **kwargs)
+        mc.trials = [t._replace(threshold_rounds=0) for t in mc.trials]
+        return mc
+
+    monkeypatch.setattr(verify, "monte_carlo_chunk", no_rounds)
+    res = _run(4)
+    checks = {c["name"]: c["passed"] for c in res.checks}
+    assert checks["first-proposal wins charged threshold rounds"] is False
+    assert math.isnan(res.metrics["bits_per_round"])
 
 
 def test_criterion_05_per_round_masses():

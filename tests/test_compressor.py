@@ -1,15 +1,18 @@
+import decimal
 import hashlib
 import itertools
 import math
 import warnings
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 from scipy.stats import chi2_contingency
 
 from bsclab import compressor as C
@@ -183,6 +186,34 @@ class TestLowErrorMass:
         assert low_error_mass(ChunkParams(2, 0.1, 0.4, 5.0)) == pytest.approx(
             0.36, abs=1e-12
         )
+
+
+class TestLogBinomials:
+    @pytest.mark.parametrize("n", [10, 139, 278, 3200])
+    def test_within_an_ulp_of_50_digits(self, n):
+        with decimal.localcontext(prec=50):
+            exact = np.array([float(decimal.Decimal(math.comb(n, k)).ln()) for k in range(n + 1)])
+        row = C.log_binomials(n)
+        assert np.all(np.abs(row - exact) <= np.spacing(np.abs(exact)))
+
+    @pytest.mark.parametrize("n,q", [(10, 0.5), (50, 0.3), (79, 0.5), (139, 0.38)])
+    def test_margin_matches_the_log_gamma_formula(self, n, q):
+        k = np.arange(n + 1)
+        log_pmf = (
+            gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+            + k * math.log(q) + (n - k) * math.log1p(-q)
+        )
+        np.testing.assert_allclose(C.binomial_margin(n, q), np.exp(log_pmf), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.08, 0.06])
+    def test_low_mass_matches_the_exact_sum(self, eps):
+        params = ChunkParams.for_advantage(eps)
+        q = Fraction(0.5 - eps)
+        exact = sum(
+            math.comb(params.gamma, k) * q**k * (1 - q) ** (params.gamma - k)
+            for k in range(params.theta_int + 1)
+        )
+        assert low_error_mass(params) == pytest.approx(float(exact), rel=1e-13, abs=0)
 
 
 def window_cdf(pmf, lo, hi, k):

@@ -1,7 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import entr, rel_entr
 
 from bsclab import infotheory as I
 from bsclab import suite as S
@@ -37,6 +41,53 @@ class TestKl:
         assert I.kl_bernoulli(0.5, 0.0) == math.inf
         assert I.kl_bernoulli(0.5, 1.0) == math.inf
         assert I.kl_bernoulli(0.0, 0.0) == 0.0
+
+
+UNIT = st.floats(0.0, 1.0)  # with 0, 1 and the subnormals
+EDGES = np.array([0.0, 5e-324, 1e-310, np.finfo(float).smallest_normal, 0.5, 1.0])
+
+
+def kernels(x, y):
+    """(x ln x, x ln(x / y)) from the library's kernels, with every
+    RuntimeWarning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return I._xlogx(x), I._rel_entr(x, y)
+
+
+def assert_within_ulps(got, want, ulps):
+    """Equal where `want` is 0 or infinite; within `ulps` ulps of it elsewhere."""
+    edge = (want == 0.0) | np.isinf(want)
+    np.testing.assert_array_equal(got[edge], want[edge])
+    assert np.all(np.abs(got[~edge] - want[~edge]) <= ulps * np.spacing(np.abs(want[~edge])))
+
+
+class TestKernels:
+    """The numpy kernels behind `_entropy` and `_divergence` against scipy's
+    `entr` and `rel_entr`, which they replace, within 4 ulps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=30))
+    def test_match_scipy(self, pairs):
+        x, y = np.array(pairs).T
+        xlogx, div = kernels(x, y)
+        assert_within_ulps(-xlogx, entr(x), 4)
+        assert_within_ulps(div, rel_entr(x, y), 4)
+
+    def test_edges(self):
+        x, y = np.meshgrid(EDGES, EDGES)
+        xlogx, div = kernels(x, y)
+        assert_within_ulps(-xlogx, entr(x), 4)
+        assert_within_ulps(div, rel_entr(x, y), 4)
+        assert np.all(xlogx[x == 0.0] == 0.0) and np.all(xlogx[x == 1.0] == 0.0)
+        assert np.all(div[x == 0.0] == 0.0)
+        assert np.all(div[(x > 0.0) & (y == 0.0)] == math.inf)
+
+    def test_entropy_and_divergence_edges(self):
+        p = np.array([0.0, 1.0, 0.0, 1.0, 0.5])
+        q = np.array([0.0, 1.0, 1.0, 0.0, 0.5])
+        np.testing.assert_array_equal(I._entropy(p), [0.0, 0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(I._divergence(p, q), [0.0, 0.0, math.inf, math.inf, 0.0])
 
 
 class TestExternalInfoCost:

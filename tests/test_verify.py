@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import gammaln
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +92,18 @@ class TestExactChunkDistribution:
         law = V.class_law(9, 0.13)
         assert law.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("half,eps", [(10, 0.1), (50, 0.1), (79, 0.08), (139, 0.06), (139, 0.0)])
+    def test_class_law_matches_the_log_gamma_formula(self, half, eps):
+        k = np.arange(half + 1)
+        log_margin = (
+            gammaln(half + 1) - gammaln(k + 1) - gammaln(half - k + 1)
+            + k * math.log(0.5 - eps) + (half - k) * math.log(0.5 + eps)
+        )
+        margin = np.exp(log_margin)
+        np.testing.assert_allclose(
+            V.class_law(half, eps), np.outer(margin, margin), rtol=1e-12, atol=0
+        )
+
 
 class TestChiSquare:
     def test_perfect_counts_pass(self):
@@ -127,6 +141,34 @@ class TestChiSquare:
         assert isinstance(info.value, ParameterError)
         assert "(3,)" in str(info.value) and "(4,)" in str(info.value)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 40).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.integers(0, 60), min_size=k, max_size=k),
+                # few distinct weights, so many cells tie
+                st.lists(st.sampled_from([1.0, 2.0, 3.0, 0.5]), min_size=k, max_size=k),
+            )
+        )
+    )
+    def test_pools_cells_in_expected_then_index_order(self, case):
+        counts, weights = case
+        law = np.array(weights) / sum(weights)
+        res = V.chi_square_gof(np.array(counts), law)
+        assert (res.statistic, res.dof) == reference_gof(counts, law)
+
+    def test_pools_criterion_02_laws_in_reference_order(self):
+        # Criterion 02's 121-cell law, whose symmetric cells tie, and copies
+        # of it built from the margin moved by +-1 ulp.
+        margin = np.sqrt(np.diag(V.class_law(10, 0.1)))
+        counts = np.random.default_rng(7).multinomial(50_000, np.outer(margin, margin).ravel())
+        gen = np.random.default_rng(3)
+        for _ in range(6):
+            law = np.outer(margin, margin).ravel()
+            res = V.chi_square_gof(counts, law)
+            assert (res.statistic, res.dof) == reference_gof(counts.tolist(), law)
+            margin = np.nextafter(margin, np.where(gen.random(margin.size) < 0.5, 0.0, 1.0))
+
     def test_pass_iff_pvalue_at_threshold(self):
         res = V.chi_square_gof(np.array([40, 60]), np.array([0.5, 0.5]))
         assert res.passed == (res.p_value >= res.significance)
@@ -157,12 +199,42 @@ class TestChiSquare:
         assert res.p_value == float(scipy.stats.chi2.sf(res.statistic, res.dof))
 
 
+def reference_gof(counts, law):
+    """(statistic, dof) of `chi_square_gof` in plain Python: cells sorted by
+    (expected count, index), pooled in that order until each group expects
+    5, a remainder folded into the last group."""
+    n = float(sum(counts))
+    expected = [float(p) * n for p in law]
+    groups = []
+    obs_acc = exp_acc = 0.0
+    for i in sorted(range(len(counts)), key=lambda i: (expected[i], i)):
+        obs_acc += counts[i]
+        exp_acc += expected[i]
+        if exp_acc >= 5.0:
+            groups.append((obs_acc, exp_acc))
+            obs_acc = exp_acc = 0.0
+    if exp_acc > 0.0:
+        if groups:
+            groups[-1] = (groups[-1][0] + obs_acc, groups[-1][1] + exp_acc)
+        else:
+            groups.append((obs_acc, exp_acc))
+    if len(groups) < 2:
+        return 0.0, 0
+    return sum((o - e) ** 2 / e for o, e in groups), len(groups) - 1
+
+
 def test_library_imports_leave_scipy_stats_unloaded():
+    # No scipy module at all until a chi-square p-value is asked for; that
+    # first call loads scipy.special and still no scipy.stats.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     script = (
         "import sys, bsclab, bsclab.cli, bsclab.suite, bsclab.verify; "
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "assert not loaded, loaded; "
+        "bsclab.verify.chi_square_gof([40, 60], [0.5, 0.5]); "
+        "assert 'scipy.special' in sys.modules; "
         "assert 'scipy.stats' not in sys.modules"
     )
     done = subprocess.run(
