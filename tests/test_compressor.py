@@ -1265,3 +1265,42 @@ class TestChunkRecord:
                 seeded_spec(20, 41), 0, 1, "", pinned_chunk_params(), RandomSource(3), None, record
             )
         assert record == {"rounds": 5}
+
+
+def noiseless_draws_digest(spec, x, y, eps, base_seed, trials=200):
+    """SHA-256 of `trials` seeded whole-protocol runs: each transcript and its
+    bits, trial i at `RandomSource.for_trial(base_seed, i)`."""
+    digest = hashlib.sha256()
+    for i in range(trials):
+        transcript, ledger = C.simulate_noiseless(
+            spec, x, y, eps, RandomSource.for_trial(base_seed, i)
+        )
+        assert len(transcript) == spec.rounds
+        digest.update(f"{transcript}:{ledger.bits_sent};".encode())
+    return digest.hexdigest()
+
+
+class TestEvenLengthDrawsPinned:
+    # Seeded `simulate_noiseless` draws of even-length protocols, recorded on
+    # numpy 2.4.6 (numpy promises no `Generator` stream across versions):
+    # the `compress` bench's two-chunk constant protocols, a canonical chunk
+    # then a shorter one, and the direct path above beta.  A change that
+    # moves these draws moves the bench's, and must say so.
+    @pytest.mark.parametrize(
+        "spec,x,y,eps,base_seed,want",
+        [
+            (constant_spec(2 * C.default_gamma(0.1)), 0, 0, 0.1, 3_000_000,
+             "6e834b168eab3a4c8e462fa991b23f266812aa15db91d48ba5d7c52e8b343b11"),
+            (constant_spec(2 * C.default_gamma(0.08)), 0, 0, 0.08, 3_001_000,
+             "b01a7b9e85767327d4fb0760c39b6854d20dfe2f36f0e24de695afa10e7760ec"),
+            (constant_spec(2 * C.default_gamma(0.06)), 0, 0, 0.06, 3_002_000,
+             "3fc5d1df2f36a8c6ae4f3dfc7408ffc6f3a954ee4b585868cb2a3856da2a5d57"),
+            (seeded_spec(150, 41), 0, 1, 0.1, 3_003_000,
+             "75c3e50a85a1bd4c3c63c0c85828497fbe29faa54b7c5c498feaba92c5be98cc"),
+            (seeded_spec(6, 31), 0, 1, 0.3, 3_004_000,
+             "91dddb33bb76d21c8e1523a96637a644c5d234f1c8c34f96e8effc751b116fd8"),
+        ],
+        ids=["bench-0.1", "bench-0.08", "bench-0.06", "chunks-100-50", "direct-0.3"],
+    )
+    def test_draws_pinned(self, spec, x, y, eps, base_seed, want):
+        assert noiseless_draws_digest(spec, x, y, eps, base_seed) == want
