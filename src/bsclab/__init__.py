@@ -16,7 +16,6 @@ from .core import (
     bit_energy,
     count_errors,
     load_spec,
-    pad_to_even,
     run_over_bsc,
     spec_from_dict,
 )

@@ -1,13 +1,15 @@
 """Noiseless-channel compression of protocols run over a BSC with feedback.
 
 A T-round execution at advantage eps (crossover 1/2 - eps) is simulated by a
-public-coin protocol over the noiseless channel.  For eps >= beta (the
-constant `DEFAULT_BETA`) each round is transmitted directly and flipped with
-a shared public coin.  Below beta the rounds are cut into chunks of depth
-gamma ~ 1/eps^2 and each chunk's leaf is sampled exactly via a biased public
-coin that picks a low-error or high-error regime, rejection sampling inside
-the regime, and a recursive simulation of the chunk at doubled advantage as
-the low-regime proposal.  `chunk_plan` is the one place that cuts a span and
+public-coin protocol over the noiseless channel.  Below beta (the constant
+`DEFAULT_BETA`) a span's even part is cut into chunks of depth gamma ~
+1/eps^2 and each chunk's leaf is sampled exactly via a biased public coin
+that picks a low-error or high-error regime, rejection sampling inside the
+regime, and a recursive simulation of the chunk at doubled advantage as the
+low-regime proposal.  Every other round (all of them at eps >= beta, the
+last of an odd span below it) is transmitted directly, 1 bit, and flipped
+with a shared public coin; the BSC flips rounds independently, so the
+pieces compose exactly.  `chunk_plan` is the one place that cuts a span and
 picks each chunk's theta and t.  A `ChunkParams` checks its own exactness
 conditions when built, and building a plan builds every level the
 recursion can reach, so a bad level raises before the first draw.
@@ -44,7 +46,6 @@ from .core import (
     SpecError,
     Transcript,
     apply_flip_pattern,
-    pad_to_even,
 )
 
 DEFAULT_BETA = 0.125
@@ -360,9 +361,10 @@ COST_RATIO_FLOOR = 5.0
 def chunk_plan(epsilon: float, depth: int) -> tuple[ChunkParams, ...]:
     """The chunks, in order, a depth-`depth` span at advantage eps is cut into.
 
-    `()` means direct simulation: always at eps >= beta, and for an empty
-    span.  Otherwise depth-`default_gamma(eps)` chunks follow one another,
-    then the shorter remainder, if any, all at the paper's theta.  A
+    `()` means direct simulation: always at eps >= beta, and for a span
+    under two rounds.  Otherwise depth-`default_gamma(eps)` chunks follow
+    one another, then the shorter even remainder, if any, all at the
+    paper's theta; at odd depth the last round is direct.  A
     canonical chunk runs at t = max(`default_t`, sup) and the remainder at
     t = sup, where sup = `minimal_t` is the high branch's acceptance
     supremum; rounding gamma up and flooring theta can put `default_t` below
@@ -394,7 +396,7 @@ def chunk_plan(epsilon: float, depth: int) -> tuple[ChunkParams, ...]:
         chunk_plan(params.nested_epsilon, gamma)
         return params
 
-    full, rest = divmod(depth, canonical)
+    full, rest = divmod(depth - depth % 2, canonical)
     plan = (chunk(canonical),) * full if full else ()
     return plan + ((chunk(rest),) if rest else ())
 
@@ -504,14 +506,15 @@ def expected_high_bits(params: ChunkParams) -> float:
 def _span_pattern(
     epsilon: float, depth: int, rng: RandomSource, ledger: CostLedger
 ) -> np.ndarray:
-    if depth % 2 != 0:
-        raise InvariantViolation("spans must have even depth")
+    """The chunks of `chunk_plan` in order, then every round they leave
+    uncovered: one true bit each, which a shared coin flips at 1/2 - eps."""
     plan = chunk_plan(epsilon, depth)
-    if not plan:
-        # Direct simulation: one true bit per round, a shared coin flips it.
-        ledger.charge(0.0, depth)
-        return (rng.public.random(depth) < 0.5 - epsilon).astype(np.int8)
-    return np.concatenate([_chunk_pattern(params, rng, ledger)[0] for params in plan])
+    patterns = [_chunk_pattern(params, rng, ledger)[0] for params in plan]
+    direct = depth - sum(params.gamma for params in plan)
+    if direct:
+        ledger.charge(0.0, direct)
+        patterns.append((rng.public.random(direct) < 0.5 - epsilon).astype(np.int8))
+    return np.concatenate(patterns)
 
 
 def _materialize_counts(
@@ -614,21 +617,17 @@ def simulate_noiseless(
 ) -> tuple[Transcript, CostLedger]:
     """Sample a full transcript distributed exactly as the BSC execution.
 
-    The spec is padded to even length first; the returned transcript covers
-    the padded protocol and its prefix of the raw length follows the raw
-    protocol's channel law.  The ledger counts only noiseless bits actually
-    exchanged (each charged unit energy).  A span whose `chunk_plan` does not
-    build raises `ParameterError` before the first draw.
+    The ledger counts only noiseless bits actually exchanged (each charged
+    unit energy).  A span whose `chunk_plan` does not build raises
+    `ParameterError` before the first draw.
     """
     if not spec.deterministic:
         raise SpecError("only deterministic protocols can be compressed")
     if not 0.0 < epsilon <= 0.5:
         raise ParameterError(f"advantage must be in (0, 1/2], got {epsilon}")
-    padded = pad_to_even(spec)
     ledger = CostLedger()
-    pattern = _span_pattern(epsilon, padded.rounds, rng, ledger)
-    transcript = apply_flip_pattern(padded, x, y, "", pattern)
-    return transcript, ledger
+    pattern = _span_pattern(epsilon, spec.rounds, rng, ledger)
+    return apply_flip_pattern(spec, x, y, "", pattern), ledger
 
 
 def simulate_chunk(
@@ -649,7 +648,7 @@ def simulate_chunk(
     "threshold_rounds"; a chunk stopped at the iteration cap leaves it as is.
     """
     if len(root) % 2 != 0:
-        raise SpecError("chunk roots sit at even depth in the padded tree")
+        raise SpecError("chunk roots sit at even depth (an Alice round)")
     if len(root) + params.gamma > spec.rounds:
         raise SpecError("chunk extends past the protocol's leaf level")
     ledger = CostLedger() if ledger is None else ledger

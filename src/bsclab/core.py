@@ -270,34 +270,6 @@ def _deterministic(value: float, party: str, own_input: Any, prefix: Transcript)
     return int(value)
 
 
-def pad_to_even(spec: ProtocolSpec) -> ProtocolSpec:
-    """Append a constant-0 dummy round if the round count is odd."""
-    if spec.rounds % 2 == 0:
-        return spec
-    base_rounds = spec.rounds
-    inner_next = spec.next_bit
-    inner_cross = spec.crossover
-
-    def padded_next(party: str, own_input: Any, prefix: Transcript) -> float:
-        if len(prefix) >= base_rounds:
-            return 0.0
-        return inner_next(party, own_input, prefix)
-
-    padded_cross = None
-    if inner_cross is not None:
-        def padded_cross(party: str, own_input: Any, prefix: Transcript) -> float:
-            if len(prefix) >= base_rounds:
-                return 0.0
-            return inner_cross(party, own_input, prefix)
-
-    return replace(
-        spec,
-        rounds=base_rounds + 1,
-        next_bit=padded_next,
-        crossover=padded_cross,
-    )
-
-
 def run_over_bsc(
     spec: ProtocolSpec,
     x: Any,

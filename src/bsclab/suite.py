@@ -31,7 +31,6 @@ from .core import (
     constant_spec,
     flip_pattern,
     heap_prefixes,
-    pad_to_even,
     seeded_spec,
     table_spec,
     xor_spec,
@@ -177,43 +176,47 @@ def compression_experiment(
     seed: int,
 ) -> ExperimentResult:
     """Whole-protocol compression of `spec` on its first input pair, trial i
-    at seed seed + i.  Each chunk of the padded flip pattern must fit the
-    channel class law at its own half-size, and the mean cost must stay under
-    the (loose) ceiling alpha * ceil(eps^2 * 2T), alpha = max(1/beta^2, 50 t^2 + 10),
+    at seed seed + i.  Each plan chunk of the flip pattern, and then the
+    rounds they leave uncovered, must fit the channel class law over its own
+    rounds, and the mean cost must stay under the (loose) ceiling
+    alpha * ceil(eps^2 * 2T), alpha = max(1/beta^2, 50 t^2 + 10),
     with t the largest of `default_t(eps)` and the plan's chunk normalizers.
     """
     require_count("trials", trials)
     x, y = spec.alice_inputs[0], spec.bob_inputs[0]
-    padded = pad_to_even(spec)
-    plan = compressor.chunk_plan(epsilon, padded.rounds)
-    sizes = [p.gamma for p in plan] or [padded.rounds]
-    bounds = np.cumsum([0, *sizes])
-    counts = [np.zeros((g // 2 + 1, g // 2 + 1), dtype=np.int64) for g in sizes]
+    plan = compressor.chunk_plan(epsilon, spec.rounds)
+    segments = [(f"chunk {k}", p.gamma) for k, p in enumerate(plan)]
+    direct = spec.rounds - sum(p.gamma for p in plan)
+    segments += [("direct segment", direct)] if direct else []
+    bounds = np.cumsum([0, *(r for _, r in segments)])
+    laws = [verify.segment_law(r, epsilon) for _, r in segments]
+    counts = [np.zeros(law.shape, dtype=np.int64) for law in laws]
     bits = np.zeros(trials, dtype=np.int64)
     for i in range(trials):
         rng = RandomSource.for_trial(seed, i)
         transcript, ledger = compressor.simulate_noiseless(spec, x, y, epsilon, rng)
         bits[i] = ledger.bits_sent
-        pattern = flip_pattern(padded, x, y, transcript)
+        pattern = flip_pattern(spec, x, y, transcript)
         for c, lo, hi in zip(counts, bounds, bounds[1:]):
-            chunk = pattern[lo:hi]
-            c[int(chunk[0::2].sum()), int(chunk[1::2].sum())] += 1
-    gofs = [verify.chi_square_gof(c, verify.class_law(len(c) - 1, epsilon)) for c in counts]
+            segment = pattern[lo:hi]
+            c[int(segment[0::2].sum()), int(segment[1::2].sum())] += 1
+    gofs = [verify.chi_square_gof(c, law) for c, law in zip(counts, laws)]
     mean_bits = int(bits.sum()) / trials
+    chunks = len(plan) or 1  # a span simulated directly counts as one chunk
     t = max([compressor.default_t(epsilon), *(p.t for p in plan)])
     alpha = max(1.0 / compressor.DEFAULT_BETA**2, 50.0 * t * t + 10.0)
     ceiling = alpha * math.ceil(epsilon**2 * 2 * spec.rounds)
     checks = [
-        _check(f"chunk {k} ({2 * (len(c) - 1)} rounds) class law chi-square at 0.001", g.passed)
-        for k, (c, g) in enumerate(zip(counts, gofs))
+        _check(f"{label} ({r} rounds) class law chi-square at 0.001", g.passed)
+        for (label, r), g in zip(segments, gofs)
     ]
     checks.append(_check("mean bits within alpha ceiling", mean_bits <= ceiling))
     return ExperimentResult(
         {
             "mean_bits": mean_bits,
             "p95_bits": float(np.percentile(bits, 95)),
-            "mean_bits_per_chunk": mean_bits / len(counts),
-            "chunks": len(counts),
+            "mean_bits_per_chunk": mean_bits / chunks,
+            "chunks": chunks,
             "min_gof_p": min(g.p_value for g in gofs),
             "alpha_ceiling": ceiling,
             "within_alpha_ceiling": mean_bits <= ceiling,
@@ -501,10 +504,12 @@ def threshold_experiment(seed: int) -> ExperimentResult:
     1,000 trials of that chunk, trial i at seed + i, check the sampler's
     charges: on every high-branch trial, bits - 4 * threshold rounds are the
     accept bits, an even number in [2, 2 * proposals] and 2 when the first
-    proposal wins.  The chunk runs at the minimal t, so first wins occur;
-    `bits_per_round` is measured on them: their bits less the 2 accept
-    bits, per threshold round.  It is nan, and a check fails, when they
-    charged no threshold round."""
+    proposal wins.  On every low-branch trial the same holds for bits less
+    4 per threshold round and 20 per proposal, since each proposal's nested
+    eps 0.2 span is simulated directly.  The chunk runs at the minimal t,
+    so first wins occur; `bits_per_round` is measured on them: their bits
+    less the 2 accept bits, per threshold round.  It is nan, and a check
+    fails, when they charged no threshold round."""
     params = ChunkParams.for_advantage(0.1, gamma=20, t=minimal_t(20, 0.1, default_theta(20, 0.1)))
     half, theta = params.half, params.theta_int
     margin = compressor.binomial_margin(half, 0.5)
@@ -517,13 +522,15 @@ def threshold_experiment(seed: int) -> ExperimentResult:
     )
     mean_rounds = float(margin @ rounds @ margin)
     mc = verify.monte_carlo_chunk(params, constant_spec(params.gamma), 0, 0, 1000, seed)
-    accept_bits = [
-        (t.bits - 4 * t.threshold_rounds, t.rounds) for t in mc.trials if t.branch == 1
-    ]
-    bits_exact = bool(accept_bits) and all(
-        a % 2 == 0 and 2 <= a <= 2 * proposals and (proposals > 1 or a == 2)
-        for a, proposals in accept_bits
-    )
+
+    def accept_bits_exact(branch: int, span_bits: int) -> bool:
+        trials = [t for t in mc.trials if t.branch == branch]
+        return bool(trials) and all(
+            a % 2 == 0 and 2 <= a <= 2 * t.rounds and (t.rounds > 1 or a == 2)
+            for t in trials
+            for a in [t.bits - 4 * t.threshold_rounds - span_bits * t.rounds]
+        )
+
     # A trial won by its first proposal paid its threshold rounds and the 2
     # accept bits of that one proposal, nothing else.
     first = [(t.bits - 2, t.threshold_rounds) for t in mc.trials if (t.branch, t.rounds) == (1, 1)]
@@ -533,7 +540,11 @@ def threshold_experiment(seed: int) -> ExperimentResult:
         {"witnesses_sound": sound, "mean_rounds": mean_rounds, "bits_per_round": bits_per_round},
         [
             _check("witnesses sound on every class", sound),
-            _check("4 bits per threshold round", bits_exact),
+            _check("4 bits per threshold round", accept_bits_exact(1, 0)),
+            _check(
+                "low branch: 4 bits per threshold round, 20 per proposal",
+                accept_bits_exact(0, params.gamma),
+            ),
             _check("mean rounds <= 2", mean_rounds <= 2.0),
             _check("first-proposal wins charged threshold rounds", first_rounds > 0),
         ],

@@ -38,13 +38,26 @@ from .compressor import ChunkParams
 SIGNIFICANCE = 0.001
 
 
+def party_margin(rounds: int, epsilon: float) -> np.ndarray:
+    """Exact law of one party's error count over `rounds` of its own rounds:
+    Binomial(rounds, 1/2 - eps), the point mass at 0 when eps = 1/2."""
+    if epsilon == 0.5:
+        return np.eye(1, rounds + 1)[0]
+    ks = np.arange(rounds + 1)
+    lm, lp = math.log(0.5 - epsilon), math.log(0.5 + epsilon)
+    return np.exp(compressor.log_binomials(rounds) + ks * lm + (rounds - ks) * lp)
+
+
 def class_law(half: int, epsilon: float) -> np.ndarray:
     """Exact product law of (m_x, m_y) for a depth-2*half run at advantage eps."""
-    ks = np.arange(half + 1)
-    lm, lp = math.log(0.5 - epsilon), math.log(0.5 + epsilon)
-    log_margin = compressor.log_binomials(half) + ks * lm + (half - ks) * lp
-    margin = np.exp(log_margin)
-    return np.outer(margin, margin)
+    return segment_law(2 * half, epsilon)
+
+
+def segment_law(rounds: int, epsilon: float) -> np.ndarray:
+    """Exact law of (m_x, m_y) over a `rounds`-round segment that opens with
+    an Alice round: Alice speaks ceil(rounds/2) of them, Bob floor(rounds/2)."""
+    alice, bob = party_margin(rounds - rounds // 2, epsilon), party_margin(rounds // 2, epsilon)
+    return np.outer(alice, bob)
 
 
 @dataclass

@@ -135,7 +135,7 @@ class TestCompress:
         )
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["metrics"]["mean_bits"] == 10.0  # padded to even length
+        assert doc["metrics"]["mean_bits"] == 9.0
 
     def test_each_chunk_law_checked(self, tmp_path):
         # 150 rounds at eps 0.1: a canonical 100-round chunk, then a 50-round one
@@ -153,6 +153,33 @@ class TestCompress:
             "mean bits within alpha ceiling",
         ]
         assert all(t["passed"] for t in doc["tests"])
+
+    def test_odd_span_checks_its_direct_round(self, tmp_path):
+        # 201 rounds at eps 0.1: two canonical chunks, then one direct round
+        out = tmp_path / "c.json"
+        code = run_cli(
+            ["compress", "--epsilon", "0.1", "--rounds", "201", "--trials", "100",
+             "--seed", "2", "--out", str(out)]
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["metrics"]["chunks"] == 2
+        assert [t["name"] for t in doc["tests"]] == [
+            "chunk 0 (100 rounds) class law chi-square at 0.001",
+            "chunk 1 (100 rounds) class law chi-square at 0.001",
+            "direct segment (1 rounds) class law chi-square at 0.001",
+            "mean bits within alpha ceiling",
+        ]
+        assert all(t["passed"] for t in doc["tests"])
+
+    def test_noiseless_channel(self, capsys):
+        # eps = 1/2: no round flips, and each segment's law is the point mass.
+        code = run_cli(
+            ["compress", "--epsilon", "0.5", "--rounds", "4", "--trials", "5", "--seed", "2"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert "[PASS]" in out and "[FAIL]" not in out
 
     def test_alpha_ceiling_reads_t_from_the_plan(self, tmp_path):
         # At eps 0.1175 the 74-round chunks run at their acceptance supremum,

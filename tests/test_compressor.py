@@ -140,6 +140,17 @@ class TestChunkPlan:
         assert plan[0] is plan[1] and plan[0].t == C.default_t(0.1)
         assert plan[2].t == C.minimal_t(50, 0.1, plan[2].theta) < C.default_t(0.1)
 
+    @given(st.floats(0.02, 0.5), st.integers(0, 2000).map(lambda h: 2 * h + 1))
+    def test_odd_depth_leaves_its_last_round(self, eps, depth):
+        assert C.chunk_plan(eps, depth) == C.chunk_plan(eps, depth - 1)
+
+    def test_odd_depth_examples(self):
+        assert plan_sizes(0.1, 251) == [100, 100, 50]
+        assert plan_sizes(0.1, 201) == [100, 100]
+        assert plan_sizes(0.1, 7) == [6]
+        assert C.chunk_plan(0.1, 1) == ()
+        assert C.chunk_plan(0.3, 9) == ()
+
     @pytest.mark.parametrize(
         "eps,level", [(0.0587, 0.1174), (0.0614, 0.1228), (0.1175, 0.1175), (0.1226, 0.1226)]
     )
@@ -702,17 +713,43 @@ class TestSimulateNoiseless:
     def test_direct_path_bits_and_law(self):
         spec = seeded_spec(5, seed=31)
         noise = Noise.from_crossover(0.2)  # eps = 0.3 >= beta
-        pad = replace(C.pad_to_even(spec), crossover=noise)
-        law = dict(enumerate_transcripts(pad, 0, 1))
+        law = dict(enumerate_transcripts(replace(spec, crossover=noise), 0, 1))
         leaves = sorted(law)
         expected = np.array([law[t] for t in leaves])
         counts = np.zeros(len(leaves), dtype=int)
         for i in range(6000):
             rng = RandomSource.for_trial(700, i)
             tr, ledger = C.simulate_noiseless(spec, 0, 1, 0.3, rng)
-            assert ledger.bits_sent == 6  # padded length
+            assert ledger.bits_sent == 5
             counts[leaves.index(tr)] += 1
         assert V.chi_square_gof(counts, expected).passed
+
+    @pytest.mark.parametrize(
+        "rounds,eps,base_seed",
+        [(5, 0.3, 4_000_000), (7, 0.1, 4_100_000)],
+        ids=["direct", "chunk-then-direct"],
+    )
+    def test_odd_length_law_and_bits(self, rounds, eps, base_seed):
+        # Above beta every round is direct, 1 bit each.  Below it 7 rounds
+        # at eps 0.1 are a 6-round chunk and one direct round, which reads
+        # the public stream right after the chunk: the trial charges the
+        # chunk's bits on the same seed plus 1.
+        spec = seeded_spec(rounds, seed=45)
+        plan = C.chunk_plan(eps, rounds)
+        assert [p.gamma for p in plan] == ([] if eps >= C.DEFAULT_BETA else [rounds - 1])
+        law = dict(enumerate_transcripts(replace(spec, crossover=Noise(eps)), 0, 1))
+        counts = Counter()
+        for i in range(6000):
+            tr, ledger = C.simulate_noiseless(spec, 0, 1, eps, RandomSource.for_trial(base_seed, i))
+            chunk_bits = CostLedger()
+            for params in plan:
+                C._chunk_pattern(params, RandomSource.for_trial(base_seed, i), chunk_bits)
+            assert len(tr) == rounds
+            assert ledger.bits_sent == chunk_bits.bits_sent + rounds - sum(p.gamma for p in plan)
+            counts[tr] += 1
+        leaves = sorted(law)
+        gof = V.chi_square_gof([counts[leaf] for leaf in leaves], [law[leaf] for leaf in leaves])
+        assert gof.passed, gof.p_value
 
     def test_chunked_leaf_law_on_real_tree(self):
         # Full transcript law over all 16 leaves of a 4-round tree at eps=0.1:

@@ -26,7 +26,6 @@ from bsclab.core import (
     level_law,
     node_law,
     node_prefixes,
-    pad_to_even,
     prefix_probability,
     protocol_tree,
     received_one,
@@ -430,32 +429,6 @@ def table_documents(draw):
     if draw(st.booleans()):
         doc["crossover_table"] = table(st.floats(0.0, 0.5))
     return doc
-
-
-class TestPadding:
-    def test_even_spec_untouched(self):
-        spec = constant_spec(4)
-        assert pad_to_even(spec) is spec
-
-    def test_odd_spec_padded(self):
-        spec = xor_spec(3)
-        padded = pad_to_even(spec)
-        assert padded.rounds == 4
-        # dummy round intends 0 regardless of state
-        assert padded.intent(BOB, 1, "101") == 0.0
-
-    @settings(max_examples=60, deadline=None)
-    @given(table_documents(), st.floats(0.0, 0.5), st.sampled_from([0, 1]), st.sampled_from([0, 1]))
-    def test_padded_prefix_law_matches_raw(self, doc, crossover, x, y):
-        spec = _over(spec_from_dict(doc), crossover)
-        raw = dict(enumerate_transcripts(spec, x, y))
-        padded_law: dict = {}
-        for leaf, pr in enumerate_transcripts(pad_to_even(spec), x, y):
-            cut = leaf[: spec.rounds]
-            padded_law[cut] = padded_law.get(cut, 0.0) + pr
-        assert padded_law.keys() == raw.keys()
-        for leaf, pr in raw.items():
-            assert padded_law[leaf] == pytest.approx(pr, abs=1e-12)
 
 
 class TestProtocolTree:
@@ -946,7 +919,7 @@ class TestLevelWalker:
         by node."""
         gen = np.random.default_rng(seed)
         spec, mu = _random_walk_case(gen, rounds, *domains, p_det, noisy, zero_pairs)
-        specs = [spec, pad_to_even(spec)]
+        specs = [spec]
         if noisy:
             specs.append(noiseless_from_noisy(spec, mu))
         for fast in specs:

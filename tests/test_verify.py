@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -103,6 +104,26 @@ class TestExactChunkDistribution:
         np.testing.assert_allclose(
             V.class_law(half, eps), np.outer(margin, margin), rtol=1e-12, atol=0
         )
+
+    @pytest.mark.parametrize("half", [0, 3, 10])
+    def test_class_law_noiseless_is_the_point_mass(self, half):
+        law = V.class_law(half, 0.5)
+        expected = np.zeros((half + 1, half + 1))
+        expected[0, 0] = 1.0
+        assert np.array_equal(law, expected)
+
+    @pytest.mark.parametrize("rounds", [1, 2, 7, 8])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.5])
+    def test_segment_law_enumerates_the_flips(self, rounds, eps):
+        # Alice flips on the even rounds of the segment, Bob on the odd ones.
+        law = np.zeros((rounds - rounds // 2 + 1, rounds // 2 + 1))
+        for flips in itertools.product((0, 1), repeat=rounds):
+            law[sum(flips[0::2]), sum(flips[1::2])] += math.prod(
+                0.5 - eps if f else 0.5 + eps for f in flips
+            )
+        np.testing.assert_allclose(V.segment_law(rounds, eps), law, rtol=0, atol=1e-15)
+        if rounds % 2 == 0:
+            assert np.array_equal(V.segment_law(rounds, eps), V.class_law(rounds // 2, eps))
 
 
 class TestChiSquare:
