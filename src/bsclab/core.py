@@ -13,9 +13,10 @@ channel's crossover probability and accounts bits and energy exactly.
 input law, applies ENUMERATION_GUARD and yields one level at a time as
 arrays: the joint reach of every reachable node and input pair, and the
 intent and crossover of every node and speaker's own input value, with the
-map from input pair to own value that expands them to pairs.  The leaf law,
-the joint (x, y, transcript) table, expected energy and information cost are
-reductions over those arrays.  The walk names nodes by integer id: id j at
+map from input pair to own value that expands them to pairs, and whether
+every reach of the level is positive.  The leaf law, the joint (x, y,
+transcript) table, expected energy and information cost are reductions over
+those arrays.  The walk names nodes by integer id: id j at
 depth d is the prefix `format(j, f"0{d}b")` (`node_prefixes`), so id order
 is lexicographic order and the children of j are 2j and 2j+1.  Prefix
 strings are built only where something needs them: leaf names, and rules
@@ -568,10 +569,10 @@ _CHILD_BIT = np.array([0, 1], dtype=np.int64)
 
 
 def protocol_tree(spec: ProtocolSpec, mu: dict) -> Iterator[
-    tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None]
+    tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None, bool]
 ]:
     """Walk the tree one level at a time, yielding
-    (ids, reach, intent, crossover, columns).
+    (ids, reach, intent, crossover, columns, full).
 
     The k-th level yielded is depth k, the leaves (depth `spec.rounds`)
     last.  `ids` is an int64 array of the level's reachable node ids in
@@ -590,6 +591,10 @@ def protocol_tree(spec: ProtocolSpec, mu: dict) -> Iterator[
     All three are None at the leaf level.  A (node, own value) that no pair
     of positive reach holds is never asked and reads 0, so consumers must
     weight by reach.
+
+    `full` is true when every entry of `reach` is positive, so a consumer
+    may weight by the raveled reach.  It is false when some reach of the
+    level was 0, even where dropping nodes left only positive entries.
 
     Each level asks the rules once per own input value held by some pair of
     positive reach, over the ids where such a pair is (the `level_law`
@@ -628,18 +633,18 @@ def protocol_tree(spec: ProtocolSpec, mu: dict) -> Iterator[
             live = reach @ holds > 0.0
             asks = [(own_input, np.flatnonzero(live[:, g])) for g, own_input in enumerate(values)]
         intent, crossover = _level_laws(spec, party, depth, ids, asks)
-        yield ids, reach, intent, crossover, columns
+        yield ids, reach, intent, crossover, columns, full
         pr_one = intent if noiseless else received_one(intent, crossover)
         children = np.empty((len(ids), 2, len(pairs)))
         np.multiply(reach, (1.0 - pr_one)[:, columns], out=children[:, 0])
         np.multiply(reach, pr_one[:, columns], out=children[:, 1])
         reach = children.reshape(2 * len(ids), len(pairs))
         ids = (2 * ids[:, None] + _CHILD_BIT).ravel()
-        full = np.minimum.reduce(reach, None) > 0.0
+        full = bool(np.minimum.reduce(reach, None) > 0.0)
         if not full:
             keep = reach @ ones > 0.0
             ids, reach = ids[keep], reach[keep]
-    yield ids, reach, None, None, None
+    yield ids, reach, None, None, None, full
 
 
 def enumerate_transcripts(spec: ProtocolSpec, x: Any, y: Any) -> Iterator[tuple[Transcript, float]]:

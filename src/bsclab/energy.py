@@ -28,9 +28,9 @@ from .core import (
     RandomSource,
     SpecError,
     Transcript,
+    _level_laws,
     bernoulli,
     check_mu,
-    level_law,
     node_law,
     prefix_probability,
     protocol_tree,
@@ -306,9 +306,11 @@ def _climb(a: int, top: int, rng: RandomSource, ledger: CostLedger) -> None:
 class ReceivedBit:
     """Intent rule of a noisy protocol's noiseless replay: the noisy
     protocol's received-one probability at the node, per node or per level.
-    The level form asks pi's own rules through `level_law`, so a table pi
-    answers from the dense rows `table_spec` read when it built pi, the
-    same store the energy walk of pi reads."""
+    The level form asks pi's own rules through `core._level_laws`, so a
+    table pi answers from the dense rows `table_spec` read when it built pi,
+    the same store the energy walk of pi reads.  It takes the ids as valid:
+    the replay's walk and `level_law` have checked them one level up, and
+    a fault of pi's raises `node_law`'s error on pi."""
 
     __slots__ = ("pi",)
 
@@ -319,7 +321,8 @@ class ReceivedBit:
         return node_law(self.pi, party, own_input, prefix)[2]
 
     def level(self, party: str, own_input: Any, depth: int, ids: np.ndarray) -> np.ndarray:
-        return received_one(*level_law(self.pi, party, own_input, depth, ids))
+        laws = _level_laws(self.pi, party, depth, ids, [(own_input, slice(None))])
+        return received_one(laws[0, :, 0], laws[1, :, 0])
 
 
 def noiseless_from_noisy(pi: ProtocolSpec, mu: dict | None = None) -> ProtocolSpec:
@@ -347,7 +350,7 @@ def expected_energy_cost(pi: ProtocolSpec, mu: dict) -> float:
     if pi.crossover is None:
         raise SpecError("protocol has no per-bit crossover table")
     total = 0.0
-    for _, reach, _, crossover, columns in protocol_tree(pi, mu):
+    for _, reach, _, crossover, columns, _ in protocol_tree(pi, mu):
         if crossover is not None:
             # bit_energy per (node, own value), then per pair; the walk has
             # validated every crossover.

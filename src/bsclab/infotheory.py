@@ -6,10 +6,12 @@ information cost read their probabilities off `core.protocol_tree`, which
 also checks mu and enforces the enumeration guard (`core.ENUMERATION_GUARD`).
 The walk yields one tree level at a time: reaches as (node x input pair)
 arrays, intents per (node x own input value) with the pair -> value column
-map.  So the information cost is a handful of array reductions per level.
-On a level where every reach is positive, the weights are the raveled reach
-and the entropies and divergences are evaluated once per (node, own value),
-then expanded to pairs; on any other level, at the positive entries.  The
+map, and whether every reach is positive.  The information cost keeps each
+level's weights, posteriors and kernel arguments during the walk: on a full
+level the intents per (node, own value), on any other level those at the
+positive (node, pair) entries.  After the leaf level one `_entropy` call
+over all the posteriors, one over all the intents and one `_divergence`
+call give every level's terms, which the full levels expand to pairs.  The
 scalar `binary_entropy` and `kl_bernoulli` remain for single values.
 """
 
@@ -72,9 +74,10 @@ def _rel_entr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x - y: the log of the rounded ratio would lose the digits near x = y."""
     d = x - y
     lo = np.minimum(x, y)
-    # Normal arguments take the first return.  Sending them through the
-    # masked form below too cut info_cost ops_per_s by about 12%
-    # (BENCH_36.json): the kernels run on every level of every tree.
+    # Normal arguments take the first return: the masked form below is
+    # slower (about 12% of info_cost ops_per_s with a call per tree level,
+    # BENCH_36.json).  Both forms give a normal entry the same value, so a
+    # call over every level's arguments equals a call per level.
     if lo.min(initial=1.0) >= _SMALLEST_NORMAL:
         return x * np.copysign(np.log1p(np.abs(d) / lo), d)
     # A zero or subnormal argument.  Where |d| / lo overflows, ln(x / y)
@@ -163,13 +166,14 @@ def external_info_cost(phi: ProtocolSpec, mu: dict) -> InfoCostResult:
     """
     if phi.crossover is not None:
         raise SpecError("information cost is computed for noiseless protocols")
-    chain = [0.0] * phi.rounds
-    div = [0.0] * phi.rounds
-    for level, (_, reach, intent, _, columns) in enumerate(protocol_tree(phi, mu)):
+    # Per interior level: the prefix weights, the pair weights, q, the
+    # kernels' arguments r and q_r, and the level's own-value map when r is
+    # per (node, own value) rather than per positive (node, pair) entry.
+    levels = []
+    for _, reach, intent, _, columns, full in protocol_tree(phi, mu):
         p_prefix = _row_sums(reach)
         # On a full level every reach is positive and the weights are the
         # raveled reach; otherwise only the positive entries are weighted.
-        full = np.minimum.reduce(reach, None) > 0.0
         if full:
             w = reach.ravel()
         else:
@@ -185,15 +189,29 @@ def external_info_cost(phi: ProtocolSpec, mu: dict) -> InfoCostResult:
             break
         q = _row_sums(reach * intent[:, columns]) / p_prefix
         if full:
-            # Entropy and divergence per (node, own value), then per pair.
-            h_r = _entropy(intent)[:, columns].ravel()
-            d_rq = _divergence(intent, q[:, None])[:, columns].ravel()
+            levels.append((p_prefix, w, q, intent.ravel(), q.repeat(intent.shape[1]), columns))
         else:
             r = intent[rows, columns[cols]]
-            h_r = _entropy(r)
-            d_rq = _divergence(r, q[rows])
-        chain[level] = float(np.dot(p_prefix, _entropy(q)) - np.dot(w, h_r))
-        div[level] = float(np.dot(w, d_rq))
+            levels.append((p_prefix, w, q, r, q[rows], None))
+    # One call of each kernel over every level; each is elementwise, so a
+    # level's slice holds exactly what a call on that level alone gives.
+    _, _, qs, rs, q_rs, _ = zip(*levels)
+    h_q = _entropy(np.concatenate(qs))
+    r = np.concatenate(rs)
+    h_r = _entropy(r)
+    d_rq = _divergence(r, np.concatenate(q_rs))
+    chain, div = [], []
+    i = j = 0
+    for p_prefix, w, q, r, _, columns in levels:
+        n, m = len(q), len(r)
+        h, d = h_r[j : j + m], d_rq[j : j + m]
+        if columns is not None:
+            # Entropy and divergence per (node, own value), then per pair.
+            h = h.reshape(n, -1)[:, columns].ravel()
+            d = d.reshape(n, -1)[:, columns].ravel()
+        chain.append(float(np.dot(p_prefix, h_q[i : i + n]) - np.dot(w, h)))
+        div.append(float(np.dot(w, d)))
+        i, j = i + n, j + m
     return InfoCostResult(
         bits=bits,
         chain_bits=sum(chain),

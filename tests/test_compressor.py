@@ -695,6 +695,34 @@ class TestBranches:
         expected /= expected.sum()
         np.testing.assert_allclose(analysis.low_law, expected, atol=1e-12)
 
+    def test_low_branch_accept_bits_are_geometric(self):
+        """Criterion 02's chunk, low branch forced: every proposal the
+        threshold lets through charges 2 accept bits, so (accept bits / 2 - 1)
+        counts the passed proposals the parties reject before one wins, a
+        geometric law whose success probability `ChunkTables` gives."""
+        params = ChunkParams.for_advantage(
+            0.1, gamma=20, t=C.minimal_t(20, 0.1, C.default_theta(20, 0.1))
+        )
+        assert params.theta_int == 4 and C.chunk_plan(params.nested_epsilon, 20) == ()
+        tables = C.chunk_tables(params)
+        low = C.binomial_margin(params.half, 0.5 - params.nested_epsilon)
+        passed = np.outer(low, low) * (tables.ans_low == 0)
+        success = float((passed * tables.acc_low_x * tables.acc_low_y).sum() / passed.sum())
+        counts = Counter()
+        for i in range(20_000):
+            ledger = CostLedger()
+            _, (_, proposals, threshold_rounds) = C._branch_low_pattern(
+                params, RandomSource.for_trial(5_000_000, i), ledger
+            )
+            # Each proposal's nested span is simulated directly: 20 bits.
+            accept_bits = ledger.bits_sent - 20 * proposals - 4 * threshold_rounds
+            assert accept_bits >= 2 and accept_bits % 2 == 0
+            counts[accept_bits // 2 - 1] += 1
+        tail = max(counts) + 1
+        law = [success * (1.0 - success) ** k for k in range(tail)] + [(1.0 - success) ** tail]
+        gof = V.chi_square_gof([counts[k] for k in range(tail + 1)], law)
+        assert gof.passed, (success, sorted(counts.items()), gof)
+
     def test_chunk_mixture_law(self):
         params = ChunkParams(4, 0.1, 0.8, C.minimal_t(4, 0.1, 0.8))
         spec = seeded_spec(4, seed=23)

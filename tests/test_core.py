@@ -565,7 +565,7 @@ def _row_info_cost(phi, mu):
 def _expanded_tree(spec, mu):
     """The walker's levels as (reach, intent, crossover), the laws expanded
     to one column per input pair."""
-    for _, reach, intent, crossover, columns in protocol_tree(spec, mu):
+    for _, reach, intent, crossover, columns, _ in protocol_tree(spec, mu):
         if intent is None:
             yield reach, None, None
         else:
@@ -928,10 +928,11 @@ class TestLevelWalker:
             for got, want in zip(protocol_tree(fast, mu), protocol_tree(slow, mu), strict=True):
                 assert got[0].dtype == want[0].dtype == np.int64
                 assert np.array_equal(got[0], want[0])
-                for a, b in zip(got[1:], want[1:]):
+                for a, b in zip(got[1:5], want[1:5]):
                     assert (a is None) == (b is None)
                     if a is not None:
                         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert got[5] is want[5]
             joint = FiniteJoint.from_protocol(fast, mu).table
             assert joint == FiniteJoint.from_protocol(slow, mu).table
             if fast.crossover is not None:
@@ -959,6 +960,14 @@ class TestLevelWalker:
     @example(8, 2, 2, 3, 0.0, True, [], None)
     @example(8, 3, 3, 3, 0.0, True, [0], 0.2)
     @example(8, 3, 3, 3, 0.0, False, [], None)
+    # One deterministic node, the only 0 or 1 intent among the kernels'
+    # arguments: at depth 3 of 6, with zero reaches below it, or at depth 5.
+    # Its level sends the one batched divergence call down the masked path
+    # while every other level holds normal arguments.
+    @example(6, 2, 2, 39, 0.02, False, [], None)
+    @example(6, 2, 2, 2, 0.02, False, [], None)
+    @example(6, 2, 2, 25, 0.02, True, [], None)
+    @example(6, 2, 2, 0, 0.02, True, [], None)
     def test_compact_laws_match_expanded_reference(
         self, rounds, n_alice, n_bob, seed, p_det, noisy, zero_pairs, crossover
     ):
@@ -970,7 +979,13 @@ class TestLevelWalker:
         spec, mu = _random_walk_case(gen, rounds, alice, bob, p_det, noisy, zero_pairs)
         bsc = _over(spec, crossover)
         pairs = [pair for pair, w in mu.items() if w > 0.0]
-        for depth, (ids, reach, intent, cross, columns) in enumerate(protocol_tree(bsc, mu)):
+        width = 1
+        for depth, (ids, reach, intent, cross, columns, full) in enumerate(
+            protocol_tree(bsc, mu)
+        ):
+            # Full: no node of the level was dropped and every reach is positive.
+            assert full is bool(len(ids) == width and reach.min() > 0.0)
+            width = 2 * len(ids)
             if depth == rounds:
                 assert intent is None and cross is None and columns is None
                 continue
@@ -1005,6 +1020,7 @@ class TestLevelWalker:
                         assert intent.tolist() == [r for r, _ in laws]
                         assert crossover.tolist() == [c for _, c in laws]
 
+    @pytest.mark.parametrize("replay", [False, True], ids=["pi", "replay"])
     @pytest.mark.parametrize(
         "depth, ids, error, named",
         [
@@ -1017,13 +1033,17 @@ class TestLevelWalker:
             (3, [5, 8, -2], SpecError, "node id 8 at depth 3 is outside [0, 2**3)"),
         ],
     )
-    def test_level_law_raises_node_law_error(self, depth, ids, error, named):
+    def test_level_law_raises_node_law_error(self, depth, ids, error, named, replay):
+        """The same error from pi and from its noiseless replay, whose level
+        form asks pi's rules with the ids `level_law` has checked."""
         gen = np.random.default_rng(12)
         bits = _full_tables(gen, 5, 1.0)
         bits["alice"]["0"]["1"] = 1.5
         bits["alice"]["0"]["10"] = math.nan
         del bits["alice"]["0"]["01"]
         spec = table_spec(5, bits, (0, 1), (0, 1), crossover_table=_full_tables(gen, 5, 0.5))
+        if replay:
+            spec = noiseless_from_noisy(spec)
         with pytest.raises(error, match=re.escape(named)):
             level_law(spec, ALICE, 0, depth, ids)
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -124,6 +125,26 @@ class TestExternalInfoCost:
     def test_enumeration_guard(self):
         with pytest.raises(SpecError):
             I.external_info_cost(constant_spec(25), {(0, 0): 1.0})
+
+    def test_kernel_calls_do_not_grow_with_rounds(self, monkeypatch):
+        """Every level's entropies and divergences come from one call of each
+        kernel, so a deeper protocol makes no more kernel calls."""
+        calls = Counter()
+        for name in ("_entropy", "_divergence"):
+
+            def counted(*args, kernel=getattr(I, name), name=name):
+                calls[name] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(I, name, counted)
+        per_depth = []
+        for rounds in (2, 12):
+            gen = np.random.default_rng(8300 + rounds)
+            phi = S.random_noiseless_spec(gen, rounds)
+            calls.clear()
+            I.external_info_cost(phi, S.random_mu(gen, phi))
+            per_depth.append(dict(calls))
+        assert per_depth == [{"_entropy": 2, "_divergence": 1}] * 2
 
 
 class TestIneBounds:
